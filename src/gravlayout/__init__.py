@@ -29,7 +29,6 @@ from .engine import (
     centroid,
     gravity_force,
     initialize_positions,
-    net_impulse,
     repulsive_force,
     run_layout,
     schedule_gamma,
@@ -86,7 +85,6 @@ __all__ = [
     "centroid",
     "gravity_force",
     "initialize_positions",
-    "net_impulse",
     "repulsive_force",
     "run_layout",
     "schedule_gamma",

@@ -11,6 +11,12 @@ The impulse is clamped to magnitude i_max (direction preserved), scaled by
 sigma, and applied as a displacement. The gravity coefficient gamma_t grows
 over iterations according to a schedule, which is what lets drawings first
 untangle under the classical forces and only then compact toward the center.
+
+Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
+in the same pass, finds near-coincident pairs. B comes from n so that a
+block holds about BLOCK_ELEMENTS pairs. Scratch memory per step is O(n * B);
+no (n, n) array is ever formed. No reduction in a step goes through BLAS,
+so the output bits do not depend on B or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,6 +37,10 @@ TWO_PI = 2.0 * math.pi
 # of magnitude JITTER_MAGNITUDE * k before forces are evaluated.
 JITTER_TRIGGER = 1e-6
 JITTER_MAGNITUDE = 1e-3
+
+# Pair entries per block of the repulsion kernel: its scratch is a few
+# (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
+BLOCK_ELEMENTS = 16384
 
 
 class Schedule(Enum):
@@ -66,6 +77,16 @@ class LayoutConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k", "i_max", "sigma", "gamma_max", "gamma_const", "gamma_step", "equilibrium_eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("block_len", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.schedule, Schedule):
+            raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
             raise ValueError("k, i_max, and sigma must be positive")
         if self.gamma_max < 0 or self.gamma_const < 0 or self.gamma_step <= 0:
@@ -74,6 +95,8 @@ class LayoutConfig:
             raise ValueError("block_len and max_iterations must be >= 1")
         if self.equilibrium_eps <= 0:
             raise ValueError("equilibrium_eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -174,123 +197,105 @@ def _jitter_vector(seed: int, t: int, v: int, k: float) -> np.ndarray:
     return JITTER_MAGNITUDE * k * np.array([math.cos(angle), math.sin(angle)])
 
 
-class _StepBuffers:
-    """Scratch arrays reused across the iterations of one run. The math is
-    identical whether buffers are fresh or reused; only allocations differ."""
-
-    __slots__ = ("gram", "r2", "colsum", "wpos", "close", "imp")
-
-    def __init__(self, n: int) -> None:
-        self.gram = np.empty((n, n))
-        self.r2 = np.empty(n)
-        self.colsum = np.empty(n)
-        self.wpos = np.empty((n, 2))
-        self.close = np.empty((n, n), dtype=bool)
-        self.imp = np.empty((n, 2))
+def _block_rows(n: int) -> int:
+    """Rows per kernel block: a fixed budget of BLOCK_ELEMENTS pair entries."""
+    return max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
 
 
-def _pairwise_d2(pos: np.ndarray, buf: _StepBuffers) -> np.ndarray:
-    """Squared pairwise distances via |a|^2 + |b|^2 - 2 a.b, written into buf.gram.
+def _repulsion(pos: np.ndarray, k: float, rows: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Repulsion on every vertex from one snapshot, plus the near-coincident pairs.
 
-    The Gram decomposition avoids the (n, n, 2) difference tensor. Cancellation
-    can make tiny distances inexact (or slightly negative, clamped here), which
-    is harmless: forces at that range are clamped and the jitter threshold only
-    needs order-of-magnitude accuracy.
+    Walks the vertices `rows` at a time. For rows a..b it forms dx, dy and
+    d2 = dx^2 + dy^2 against every vertex, then w = k^2 / d2 with the self
+    term at zero, and sums w * dx and w * dy along each row: row v's sums are
+    the force on v. Rows are summed whole and independently, so the bits do
+    not depend on `rows`, and no reduction goes through BLAS, whose results
+    vary with its thread count.
+
+    Pairs closer than JITTER_TRIGGER * k come back as (u, v) with u < v in
+    row-major order. Their d2 is floored well below the trigger: callers
+    separate real pairs, the floor only guards coincident frozen pairs.
     """
-    np.einsum("vc,vc->v", pos, pos, out=buf.r2)
-    np.einsum("uc,vc->uv", pos, pos, out=buf.gram)
-    np.multiply(buf.gram, -2.0, out=buf.gram)
-    np.add(buf.gram, buf.r2[:, None], out=buf.gram)
-    np.add(buf.gram, buf.r2[None, :], out=buf.gram)
-    np.maximum(buf.gram, 0.0, out=buf.gram)
-    return buf.gram
+    n = pos.shape[0]
+    x = np.ascontiguousarray(pos[:, 0])
+    y = np.ascontiguousarray(pos[:, 1])
+    kk = k * k
+    thresh2 = (JITTER_TRIGGER * k) ** 2
+    floor2 = (1e-9 * k) ** 2
+    rep = np.empty((2, n))
+    dx, dy, d2, tmp = (np.empty((rows, n)) for _ in range(4))
+    self_pairs = np.arange(rows) * (n + 1)  # flat index of (i, i) in a block starting at 0
+    close: list[tuple[int, int]] = []
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        bx, by, bd, bt = dx[: b - a], dy[: b - a], d2[: b - a], tmp[: b - a]
+        np.subtract(x[a:b, None], x, out=bx)
+        np.subtract(y[a:b, None], y, out=by)
+        np.multiply(bx, bx, out=bd)
+        np.multiply(by, by, out=bt)
+        bd += bt
+        bd.ravel()[a + self_pairs[: b - a]] = np.inf
+        if bd.min() < thresh2:
+            iu, iv = np.nonzero(bd < thresh2)
+            iu += a
+            keep = iu < iv
+            close.extend(zip(iu[keep].tolist(), iv[keep].tolist()))
+            np.maximum(bd, floor2, out=bd)
+        np.divide(kk, bd, out=bd)
+        np.multiply(bd, bx, out=bt)
+        np.sum(bt, axis=1, out=rep[0, a:b])
+        np.multiply(bd, by, out=bt)
+        np.sum(bt, axis=1, out=rep[1, a:b])
+    return rep.T, close
 
 
-def _separate_coincident(
+def _jitter(
+    pos: np.ndarray,
+    pairs: list[tuple[int, int]],
+    k: float,
+    seed: int,
+    t: int,
+    frozen: np.ndarray,
+) -> bool:
+    """Nudge one vertex of each pair in place: the first unfrozen one, each
+    vertex at most once. Return whether anything moved."""
+    moved = set()
+    for u, v in pairs:
+        target = v if not frozen[v] else (u if not frozen[u] else None)
+        if target is None or target in moved:
+            continue
+        pos[target] += _jitter_vector(seed, t, target, k)
+        moved.add(target)
+    return bool(moved)
+
+
+def _separated_repulsion(
     pos: np.ndarray,
     k: float,
     seed: int,
     t: int,
     frozen: np.ndarray,
-    buf: _StepBuffers,
+    rows: int,
 ) -> np.ndarray:
-    """Nudge near-coincident vertices apart in place; return the d2 matrix."""
-    thresh2 = (JITTER_TRIGGER * k) ** 2
+    """Separate near-coincident vertices in place (at most 8 rounds), then
+    return the repulsion at the separated positions. A step with no close
+    pair makes one kernel pass."""
     for _ in range(8):
-        d2 = _pairwise_d2(pos, buf)
-        np.less(d2, thresh2, out=buf.close)
-        np.fill_diagonal(buf.close, False)
-        if not buf.close.any():
-            return d2
-        moved = set()
-        iu, iv = np.nonzero(buf.close)
-        for u, v in zip(iu.tolist(), iv.tolist()):
-            if u >= v:
-                continue
-            target = v if not frozen[v] else (u if not frozen[u] else None)
-            if target is None or target in moved:
-                continue
-            pos[target] += _jitter_vector(seed, t, target, k)
-            moved.add(target)
-        if not moved:
-            return d2
-    return _pairwise_d2(pos, buf)
+        rep, close = _repulsion(pos, k, rows)
+        if not (close and _jitter(pos, close, k, seed, t, frozen)):
+            return rep
+    return _repulsion(pos, k, rows)[0]
 
 
-def _net_impulses(
-    pos: np.ndarray,
-    edge_array: np.ndarray,
-    mass_vals: np.ndarray,
-    k: float,
-    gamma: float,
-    d2: np.ndarray,
-    buf: _StepBuffers,
-) -> np.ndarray:
-    """All per-vertex impulses from one snapshot. Overwrites d2 with weights.
-
-    The repulsion sum over u of w[u, v] (pos[v] - pos[u]) is factored as
-    pos[v] * colsum[v] - (w^T pos)[v], avoiding any (n, n, 2) intermediate.
-    """
-    # Floor well below the jitter trigger: real pairs are kept apart upstream,
-    # this only guards coincident frozen pairs whose impulses are discarded.
-    np.maximum(d2, (1e-9 * k) ** 2, out=d2)
-    np.divide(k * k, d2, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    np.sum(d2, axis=0, out=buf.colsum)
-    np.einsum("uv,uc->vc", d2, pos, out=buf.wpos)
-    imp = buf.imp
-    np.multiply(pos, buf.colsum[:, None], out=imp)
-    imp -= buf.wpos
-    if edge_array.shape[0]:
-        eu = edge_array[:, 0]
-        ev = edge_array[:, 1]
-        evec = pos[eu] - pos[ev]
-        d = np.sqrt(np.einsum("ec,ec->e", evec, evec))
-        pull = (d / k)[:, None] * evec
-        np.add.at(imp, ev, pull)
-        np.add.at(imp, eu, -pull)
-    xi = pos.mean(axis=0)
-    imp += gamma * mass_vals[:, None] * (xi - pos)
-    return imp
-
-
-def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig) -> np.ndarray:
-    """Reference per-vertex impulse: repulsion from every other vertex,
-    attraction from each neighbor, one gravity term, summed in ascending
-    vertex-id order. Assumes positions already separated (no coincidences).
-    """
-    if not (0 <= v < g.vertex_count):
-        raise ValueError(f"vertex {v} out of range")
-    pos = state.positions
-    mass_vals = _mass_values(mass, g.vertex_count)
-    total = np.zeros(2)
-    for u in range(g.vertex_count):
-        if u != v:
-            total += repulsive_force(pos[u], pos[v], config.k)
-    for u in g.adjacency[v]:
-        total += attractive_force(pos[u], pos[v], config.k)
-    total += gravity_force(pos[v], centroid(pos), float(mass_vals[v]), state.gamma)
-    return total
+def _add_attraction(imp: np.ndarray, pos: np.ndarray, edge_array: np.ndarray, k: float) -> None:
+    """Add the spring pull along every edge to imp, in place."""
+    n = pos.shape[0]
+    eu = edge_array[:, 0]
+    ev = edge_array[:, 1]
+    evec = pos[eu] - pos[ev]
+    pull = (np.sqrt(evec[:, 0] ** 2 + evec[:, 1] ** 2) / k)[:, None] * evec
+    for c in (0, 1):
+        imp[:, c] += np.bincount(ev, pull[:, c], n) - np.bincount(eu, pull[:, c], n)
 
 
 def _advance(
@@ -299,14 +304,16 @@ def _advance(
     mass_vals: np.ndarray,
     config: LayoutConfig,
     frozen_mask: np.ndarray,
-    buf: _StepBuffers,
 ) -> LayoutState:
     pos = np.array(state.positions, dtype=float)
     t_next = state.t + 1
     gamma = schedule_gamma(t_next, state, config)
-    d2 = _separate_coincident(pos, config.k, config.seed, t_next, frozen_mask, buf)
-    imp = _net_impulses(pos, g.edge_array, mass_vals, config.k, gamma, d2, buf)
-    mag = np.sqrt(np.einsum("vc,vc->v", imp, imp))
+    rows = _block_rows(pos.shape[0])
+    imp = _separated_repulsion(pos, config.k, config.seed, t_next, frozen_mask, rows)
+    if g.edge_array.shape[0]:
+        _add_attraction(imp, pos, g.edge_array, config.k)
+    imp += gamma * mass_vals[:, None] * (pos.mean(axis=0) - pos)
+    mag = np.sqrt(imp[:, 0] ** 2 + imp[:, 1] ** 2)
     movable = ~frozen_mask
     max_impulse = float(mag[movable].max()) if movable.any() else 0.0
     scale = config.sigma * np.minimum(1.0, config.i_max / np.maximum(mag, 1e-300))
@@ -343,7 +350,7 @@ def step(
     if n == 0:
         return LayoutState(pos.copy(), t_next, gamma, 0.0)
     mass_vals = _mass_values(mass, n)
-    return _advance(state, g, mass_vals, config, _frozen_mask(frozen, n), _StepBuffers(n))
+    return _advance(state, g, mass_vals, config, _frozen_mask(frozen, n))
 
 
 def run_layout(
@@ -372,11 +379,10 @@ def run_layout(
         return pos
     mass_vals = _mass_values(mass, n)
     frozen_mask = _frozen_mask(frozen, n)
-    buf = _StepBuffers(n)
     state = LayoutState(positions=pos)
     target = terminal_gamma(config)
     while state.t < config.max_iterations:
-        state = _advance(state, g, mass_vals, config, frozen_mask, buf)
+        state = _advance(state, g, mass_vals, config, frozen_mask)
         if state.gamma >= target - 1e-12 and state.last_max_impulse < config.equilibrium_eps:
             break
     return state.positions

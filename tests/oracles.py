@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms from the library code: path
 enumeration instead of Brandes accumulation, parametric line solving
-instead of orientation predicates, and the closed-form rank formula
-instead of Pearson-on-ranks.
+instead of orientation predicates, the closed-form rank formula instead of
+Pearson-on-ranks, and a per-vertex loop over the public force primitives
+instead of the engine's blocked repulsion kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ from collections import deque
 
 import numpy as np
 
-from gravlayout import Graph
+from gravlayout import (
+    Graph,
+    LayoutConfig,
+    LayoutState,
+    MassVector,
+    attractive_force,
+    centroid,
+    gravity_force,
+    repulsive_force,
+)
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:
@@ -116,3 +126,46 @@ def random_graph(rng: np.random.Generator, n_lo: int = 2, n_hi: int = 10) -> Gra
     p = float(rng.uniform(0.1, 0.9))
     chosen = [pair for pair in pairs if rng.random() < p]
     return Graph.from_edges(n, chosen)
+
+
+def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig) -> np.ndarray:
+    """Per-vertex impulse: repulsion from every other vertex, attraction from
+    each neighbor, one gravity term at state.gamma, summed in ascending
+    vertex-id order. Assumes positions already separated (no coincidences).
+    """
+    pos = state.positions
+    mass_vals = mass.values if isinstance(mass, MassVector) else np.asarray(mass, dtype=float)
+    total = np.zeros(2)
+    for u in range(g.vertex_count):
+        if u != v:
+            total += repulsive_force(pos[u], pos[v], config.k)
+    for u in g.adjacency[v]:
+        total += attractive_force(pos[u], pos[v], config.k)
+    total += gravity_force(pos[v], centroid(pos), float(mass_vals[v]), state.gamma)
+    return total
+
+
+def separate_coincident(pos, k: float, frozen, nudge, trigger: float = 1e-6, rounds: int = 8):
+    """The engine's jitter rule, pair by pair. Each round lists the pairs u < v
+    closer than trigger * k in ascending (u, v) order from the round's
+    snapshot, then moves the first unfrozen vertex of each pair by nudge(vertex),
+    each vertex at most once. Stops after a round with no pair or no move.
+    """
+    pos = np.array(pos, dtype=float)
+    n = len(pos)
+    for _ in range(rounds):
+        pairs = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (pos[u, 0] - pos[v, 0]) ** 2 + (pos[u, 1] - pos[v, 1]) ** 2 < (trigger * k) ** 2
+        ]
+        moved: list[int] = []
+        for u, v in pairs:
+            target = v if not frozen[v] else (u if not frozen[u] else None)
+            if target is not None and target not in moved:
+                pos[target] += nudge(target)
+                moved.append(target)
+        if not moved:
+            break
+    return pos

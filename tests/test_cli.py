@@ -197,3 +197,16 @@ def test_constant_schedule_with_gamma(tmp_path):
     )
     assert rc == 0
     assert json.loads(metrics.read_text())["config"]["gamma"] == 2.5
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "nan"), ("--k", "inf"), ("--sigma", "inf"), ("--gamma-max", "nan"), ("--k", "1e308")],
+)
+def test_layout_rejects_non_finite_config(tmp_path, capsys, flag, value):
+    graph = tmp_path / "t.edges"
+    main(["gen-tree", "--n", "12", "--seed", "2", "--out", str(graph)])
+    assert main(["layout", "--in", str(graph), f"{flag}={value}", "--max-iterations", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

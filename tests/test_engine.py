@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from gravlayout import (
     centroid,
     gravity_force,
     initialize_positions,
-    net_impulse,
     normalize_mass,
     repulsive_force,
     run_layout,
@@ -21,7 +23,8 @@ from gravlayout import (
     terminal_gamma,
     uniform_centrality,
 )
-from oracles import random_graph
+from gravlayout import engine
+from oracles import net_impulse, random_graph, separate_coincident
 
 
 def uniform_mass(g):
@@ -125,6 +128,30 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LayoutConfig(equilibrium_eps=0.0)
     LayoutConfig(gamma_max=0.0)  # allowed: disables gravity under stepped schedule
+    bad = [
+        {"k": math.nan},
+        {"k": math.inf},
+        {"i_max": math.nan},
+        {"sigma": math.inf},
+        {"gamma_max": math.nan},
+        {"gamma_max": math.inf},
+        {"gamma_const": -math.inf},
+        {"gamma_step": math.nan},
+        {"equilibrium_eps": math.inf},
+        {"k": "80"},
+        {"k": True},
+        {"max_iterations": 2.5},
+        {"max_iterations": 0},
+        {"block_len": True},
+        {"block_len": 20.0},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"schedule": "stepped"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            LayoutConfig(**kwargs)
+    LayoutConfig(k=np.float64(40.0), block_len=np.int64(50), seed=np.int32(3), i_max=5)
 
 
 def test_initialize_deterministic_and_in_range():
@@ -203,12 +230,7 @@ def test_step_displacement_never_exceeds_cap():
             state = nxt
 
 
-def test_step_matches_scalar_reference():
-    rng = np.random.default_rng(41)
-    g = random_graph(rng, 8, 14)
-    mass = uniform_mass(g)
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=1.3)
-    state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
+def assert_step_matches_scalar_reference(state, g, mass, cfg):
     nxt = step(state, g, mass, cfg)
     for v in range(g.vertex_count):
         imp = net_impulse(v, state, g, mass, cfg)
@@ -216,6 +238,94 @@ def test_step_matches_scalar_reference():
         want = cfg.sigma * imp * min(1.0, cfg.i_max / mag) if mag else np.zeros(2)
         got = nxt.positions[v] - state.positions[v]
         assert np.linalg.norm(got - want) <= 1e-9
+
+
+def test_step_matches_scalar_reference():
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 8, 14)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=1.3)
+    state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
+    assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
+
+
+def test_step_matches_scalar_reference_across_blocks():
+    rng = np.random.default_rng(43)
+    n = 300
+    assert engine._block_rows(n) < n // 3  # the kernel walks several blocks
+    g = Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=0.7)
+    state = LayoutState(positions=rng.uniform(-900, 900, (n, 2)), gamma=0.7)
+    assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
+
+
+def test_jitter_across_block_boundary_follows_pair_rule():
+    rng = np.random.default_rng(44)
+    n = 300
+    rows = engine._block_rows(n)
+    pos = rng.uniform(-900, 900, (n, 2))
+    u, v, w = rows - 1, rows, 2 * rows + 5  # u and v straddle the first block boundary
+    pos[v] = pos[u]
+    pos[w] = pos[u] + 1e-7
+    p, q = 10, rows + 20  # a second straddling pair, neither frozen
+    pos[q] = pos[p]
+    frozen = np.zeros(n, dtype=bool)
+    frozen[v] = True
+    k, seed, t = 80.0, 5, 17
+    want = separate_coincident(
+        pos, k, frozen, lambda x: engine._jitter_vector(seed, t, x, k)
+    )
+    # (p, q) moves q; (u, v) moves u because v is frozen; (u, w) moves w;
+    # (v, w) is skipped because w already moved. v never moves.
+    assert np.flatnonzero(np.any(want != pos, axis=1)).tolist() == [u, q, w]
+    for block in (rows, 1, 7, n):
+        got = pos.copy()
+        engine._separated_repulsion(got, k, seed, t, frozen, block)
+        assert np.array_equal(got, want)
+    g = Graph(n)
+    cfg = LayoutConfig(schedule=Schedule.NONE, seed=seed)
+    nxt = step(LayoutState(positions=pos, t=t - 1), g, uniform_mass(g), cfg, frozen=frozen)
+    assert np.array_equal(nxt.positions[v], pos[v])
+    assert not np.array_equal(nxt.positions[u], pos[u])
+    assert np.all(np.isfinite(nxt.positions))
+
+
+def test_repulsion_bits_do_not_depend_on_block_rows():
+    rng = np.random.default_rng(45)
+    n = 500
+    pos = rng.uniform(-1200, 1200, (n, 2))
+    pos[311] = pos[12]  # one coincident pair, floored the same way in every block
+    base, close = engine._repulsion(pos, 80.0, engine._block_rows(n))
+    assert close == [(12, 311)]
+    for rows in (1, 3, 64, n):
+        rep, pairs = engine._repulsion(pos, 80.0, rows)
+        assert np.array_equal(rep, base)
+        assert pairs == close
+
+
+def test_step_bits_do_not_depend_on_blas_threads():
+    script = """
+import hashlib, gravlayout as gl
+g = gl.generate_random_tree(1000, seed=21)
+mass = gl.normalize_mass(gl.degree_centrality(g))
+cfg = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_const=1.0, seed=21)
+state = gl.LayoutState(positions=gl.initialize_positions(g, 21, cfg.k))
+for _ in range(4):
+    state = gl.step(state, g, mass, cfg)
+print(hashlib.sha256(state.positions.tobytes()).hexdigest())
+"""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    hashes = []
+    for threads in ("1", "4"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        hashes.append(out.stdout.strip())
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]
 
 
 def test_gamma_monotone_and_capped():
