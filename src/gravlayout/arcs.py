@@ -15,10 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centrality import DEFAULT_MASS_FLOOR, MassVector
-from .engine import LayoutConfig, Schedule, run_layout
+from .engine import TWO_PI, LayoutConfig, Schedule, run_layout
 from .graphs import Graph
-
-TWO_PI = 2.0 * math.pi
 
 # A triangle flatter than this fraction of k^2 is treated as collinear.
 COLLINEAR_AREA_TOL = 1e-9

@@ -1,17 +1,28 @@
-"""Vertex centrality measures and their conversion to gravitational mass."""
+"""Vertex centrality measures and their conversion to gravitational mass.
+
+Closeness and betweenness run the batched BFS of `graphs._bfs` from B
+sources at a time, B = max(1, min(n, BFS_ELEMENTS // n)), so their working
+memory is O(B * (n + m)) and no (n, n) array is formed. Per-source results
+are reduced one source row at a time in ascending source order and never
+through BLAS, so the output bits do not depend on B or on the BLAS thread
+count.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bfs
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "uniform")
 
 DEFAULT_MASS_FLOOR = 0.05
+
+# (source, vertex) entries per BFS batch: a batch holds B sources with
+# B * n <= BFS_ELEMENTS (for n <= BFS_ELEMENTS).
+BFS_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,16 @@ class CentralityVector:
         object.__setattr__(self, "values", vals)
 
 
+def check_masses(values) -> np.ndarray:
+    """Masses as a flat float array; ValueError unless every one is positive and finite."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError("mass values must be a flat vector")
+    if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
+        raise ValueError("masses must be positive and finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class MassVector:
     """Per-vertex positive masses with mean 1 (up to 1e-9), as produced by normalize_mass."""
@@ -41,14 +62,9 @@ class MassVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("mass values must be a flat vector")
-        if vals.size:
-            if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-                raise ValueError("masses must be positive and finite")
-            if abs(float(vals.mean()) - 1.0) > 1e-9:
-                raise ValueError("mass mean must be 1 within 1e-9")
+        vals = check_masses(self.values)
+        if vals.size and abs(float(vals.mean()) - 1.0) > 1e-9:
+            raise ValueError("mass mean must be 1 within 1e-9")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -59,31 +75,25 @@ def degree_centrality(g: Graph) -> CentralityVector:
     return CentralityVector("degree", g.degrees.astype(float))
 
 
+def _source_batches(n: int):
+    """Consecutive ranges of source ids: a fixed budget of BFS_ELEMENTS entries each."""
+    batch = max(1, min(n, BFS_ELEMENTS // max(n, 1)))
+    for a in range(0, n, batch):
+        yield np.arange(a, min(a + batch, n))
+
+
 def closeness_centrality(g: Graph) -> CentralityVector:
     """Reciprocal of the mean hop distance to the other vertices of the component.
 
     Vertices with no reachable partner (isolated vertices) get value 0.
     """
-    n = g.vertex_count
-    values = np.zeros(n, dtype=float)
-    adj = g.adjacency
-    dist = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        dist.fill(-1)
-        dist[s] = 0
-        queue = deque([s])
-        total = 0
-        reached = 0
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    total += dist[w]
-                    reached += 1
-                    queue.append(w)
-        if reached:
-            values[s] = reached / total
+    values = np.zeros(g.vertex_count, dtype=float)
+    for sources in _source_batches(g.vertex_count):
+        dist = _bfs(g, sources)[0]
+        reached = np.count_nonzero(dist > 0, axis=1)
+        total = np.maximum(dist, 0).sum(axis=1)
+        hit = reached > 0
+        values[sources[hit]] = reached[hit] / total[hit]
     return CentralityVector("closeness", values)
 
 
@@ -91,36 +101,24 @@ def betweenness_centrality(g: Graph) -> CentralityVector:
     """Exact betweenness over unordered vertex pairs (Brandes accumulation).
 
     values[v] sums sigma_st(v) / sigma_st over unordered pairs {s, t} with
-    s != t != v; pairs in different components contribute nothing. Sources
-    are processed in ascending id order so results are bit-deterministic.
+    s != t != v; pairs in different components contribute nothing. Each
+    source's dependencies are accumulated level by level, deepest first,
+    and added into the result one source at a time in ascending id order,
+    so results are bit-deterministic.
     """
     n = g.vertex_count
     bc = np.zeros(n, dtype=float)
-    adj = g.adjacency
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
+    for sources in _source_batches(n):
+        _, sigma, dag = _bfs(g, sources, paths=True)
+        delta = np.zeros_like(sigma)
+        # A parent's DAG edges sit together in its CSR order, so each
+        # delta[b, u] is summed in an order that does not depend on the batch.
+        for parents, children in reversed(dag):
+            np.add.at(delta, parents, sigma[parents] / sigma[children] * (1.0 + delta[children]))
+        delta = delta.reshape(sources.size, n)
+        delta[np.arange(sources.size), sources] = 0.0
+        for row in delta:
+            bc += row
     # Brandes counts ordered (s, t) pairs; halve for unordered.
     bc *= 0.5
     return CentralityVector("betweenness", bc)

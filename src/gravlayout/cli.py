@@ -139,6 +139,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise ValueError(
             f"positions shape {positions.shape} does not match {g.vertex_count} vertices"
         )
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite (NaN or Infinity found)")
     cent = compute_centrality(g, args.centrality)
     report = compute_metrics(g, positions, cent).as_dict()
     report["config"] = {

@@ -28,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .centrality import MassVector
+from .centrality import MassVector, check_masses
 from .graphs import Graph
 
 TWO_PI = 2.0 * math.pi
@@ -177,7 +177,7 @@ def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
 
 
 def _mass_values(mass, n: int) -> np.ndarray:
-    vals = mass.values if isinstance(mass, MassVector) else np.asarray(mass, dtype=float)
+    vals = mass.values if isinstance(mass, MassVector) else check_masses(mass)
     if vals.shape != (n,):
         raise ValueError(f"mass vector length {vals.shape} does not match {n} vertices")
     return vals
@@ -321,6 +321,15 @@ def _advance(
     return LayoutState(pos, t_next, gamma, max_impulse)
 
 
+def _checked_positions(positions, n: int) -> np.ndarray:
+    pos = np.array(positions, dtype=float)
+    if pos.shape != (n, 2):
+        raise ValueError(f"positions shape {pos.shape} does not match {n} vertices")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
+    return pos
+
+
 def _frozen_mask(frozen, n: int) -> np.ndarray:
     if frozen is None:
         return np.zeros(n, dtype=bool)
@@ -342,13 +351,11 @@ def step(
     vertex by sigma * (impulse clamped to i_max).
     """
     n = g.vertex_count
-    pos = np.asarray(state.positions, dtype=float)
-    if pos.shape != (n, 2):
-        raise ValueError(f"positions shape {pos.shape} does not match {n} vertices")
+    pos = _checked_positions(state.positions, n)
     t_next = state.t + 1
     gamma = schedule_gamma(t_next, state, config)
     if n == 0:
-        return LayoutState(pos.copy(), t_next, gamma, 0.0)
+        return LayoutState(pos, t_next, gamma, 0.0)
     mass_vals = _mass_values(mass, n)
     return _advance(state, g, mass_vals, config, _frozen_mask(frozen, n))
 
@@ -371,9 +378,7 @@ def run_layout(
     if initial is None:
         pos = initialize_positions(g, config.seed, config.k)
     else:
-        pos = np.array(initial, dtype=float)
-        if pos.shape != (g.vertex_count, 2):
-            raise ValueError("initial positions must have shape (|V|, 2)")
+        pos = _checked_positions(initial, g.vertex_count)
     n = g.vertex_count
     if n == 0:
         return pos

@@ -1,9 +1,13 @@
-"""Undirected simple graphs: construction, edge-list/JSON parsing, BFS primitives."""
+"""Undirected simple graphs: construction, edge-list/JSON parsing, BFS primitives.
+
+Every BFS in the package runs on one level-synchronous primitive, `_bfs`,
+over the graph's cached CSR adjacency. It searches from a batch of B
+sources at once; its working memory is O(B * (n + m)).
+"""
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,6 +76,20 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR adjacency (indptr, indices): the neighbours of v, in
+        ascending order, are indices[indptr[v]:indptr[v + 1]]."""
+        ea = self.edge_array
+        heads = np.concatenate([ea[:, 0], ea[:, 1]])
+        tails = np.concatenate([ea[:, 1], ea[:, 0]])
+        indices = tails[np.lexsort((tails, heads))]
+        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=self.vertex_count), out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -177,20 +195,64 @@ def serialize_graph_json(g: Graph) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _bfs(g: Graph, sources, paths: bool = False):
+    """Level-synchronous BFS from a batch of B sources at once.
+
+    Returns (dist, sigma, dag). dist is the (B, n) int64 array of hop counts,
+    UNREACHABLE where a source does not reach a vertex. With paths=True,
+    sigma is the flat (B * n,) float64 array of shortest-path counts and dag
+    holds one (parents, children) pair of arrays per level: every edge of the
+    shortest-path DAG from that level to the next, as flat indices b * n + v.
+    Without paths, sigma and dag are None.
+
+    Each level expands the whole frontier of (source, vertex) pairs over
+    their CSR ranges in one go. A vertex reached twice in a level is kept
+    once without sorting: every candidate writes its rank into `owner`, and
+    only the candidate whose rank survived is kept. The edges into one
+    vertex are summed into sigma in frontier order; path counts are
+    integers, so the sums are exact whatever that order is.
+    """
+    indptr, indices = g.csr
+    n = g.vertex_count
+    sources = np.asarray(sources, dtype=np.int64)
+    size = sources.size * n
+    dist = np.full(size, UNREACHABLE, dtype=np.int64)
+    owner = np.empty(size, dtype=np.int64)
+    front = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[front] = 0
+    sigma = dag = None
+    if paths:
+        sigma = np.zeros(size)
+        sigma[front] = 1.0
+        dag = []
+    level = 0
+    while front.size:
+        level += 1
+        verts = front % n
+        lo = indptr[verts]
+        counts = indptr[verts + 1] - lo
+        ends = np.cumsum(counts)
+        slots = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        children = indices[slots] + np.repeat(front - verts, counts)
+        fresh = dist[children] == UNREACHABLE
+        if paths:
+            parents = np.repeat(front, counts)[fresh]
+        children = children[fresh]
+        rank = np.arange(children.size)
+        owner[children] = rank
+        front = children[owner[children] == rank]
+        dist[front] = level
+        if paths:
+            np.add.at(sigma, children, sigma[parents])
+            dag.append((parents, children))
+    return dist.reshape(sources.size, n), sigma, dag
+
+
 def bfs_distances(g: Graph, s: int) -> DistanceVector:
     """Exact unweighted shortest-path hop counts from s; unreachable marked -1."""
     if not (0 <= s < g.vertex_count):
         raise ValueError(f"source {s} out of range for {g.vertex_count} vertices")
-    dist = np.full(g.vertex_count, UNREACHABLE, dtype=np.int64)
-    dist[s] = 0
-    queue = deque([s])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    dist = _bfs(g, [s])[0][0]
     dist.setflags(write=False)
     return DistanceVector(source=s, dist=dist)
 
@@ -198,19 +260,10 @@ def bfs_distances(g: Graph, s: int) -> DistanceVector:
 def connected_components(g: Graph) -> np.ndarray:
     """Per-vertex component labels 0..C-1, assigned in ascending order of first vertex."""
     labels = np.full(g.vertex_count, -1, dtype=np.int64)
-    adj = g.adjacency
     count = 0
     for start in range(g.vertex_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if labels[w] == -1:
-                    labels[w] = count
-                    queue.append(w)
-        count += 1
+        if labels[start] == -1:
+            labels[_bfs(g, [start])[0][0] != UNREACHABLE] = count
+            count += 1
     labels.setflags(write=False)
     return labels

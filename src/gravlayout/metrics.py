@@ -1,5 +1,10 @@
 """Drawing-quality measures: crossings, angular resolution, edge lengths,
-bounding area, and the rank correlation between centrality and radius."""
+bounding area, and the rank correlation between centrality and radius.
+
+Crossings are counted over the upper triangle of edge pairs in chunks of at
+most CROSSING_PAIRS pairs, so their working memory is O(CROSSING_PAIRS + m)
+whatever the number of pairs.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .centrality import CentralityVector
+from .engine import TWO_PI
 from .graphs import Graph
 
-TWO_PI = 2.0 * math.pi
+# Edge pairs per chunk of count_crossings: its scratch is a few arrays of
+# this length.
+CROSSING_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,34 +62,48 @@ def count_crossings(g: Graph, positions) -> int:
     share an endpoint are skipped, and segments merely touching at an
     endpoint do not count (open-segment semantics).
     """
-    pos = np.asarray(positions, dtype=float)
-    ea = g.edge_array
+    return _count_crossings(g.edge_array, np.asarray(positions, dtype=float), CROSSING_PAIRS)
+
+
+def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
+    """count_crossings over the pairs (i, j), i < j, of the rows of ea, taken
+    `chunk` pairs at a time in row-major order."""
     m = ea.shape[0]
     if m < 2:
         return 0
-    i, j = np.triu_indices(m, k=1)
-    a1, a2 = ea[i, 0], ea[i, 1]
-    b1, b2 = ea[j, 0], ea[j, 1]
-    nonadjacent = (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
-    i, j = i[nonadjacent], j[nonadjacent]
-    if i.size == 0:
-        return 0
-    p1, p2 = pos[ea[i, 0]], pos[ea[i, 1]]
-    q1, q2 = pos[ea[j, 0]], pos[ea[j, 1]]
-    o1 = _cross(p1, p2, q1)
-    o2 = _cross(p1, p2, q2)
-    o3 = _cross(q1, q2, p1)
-    o4 = _cross(q1, q2, p2)
-    proper = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) & (
-        ((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0))
-    )
-    count = int(np.count_nonzero(proper))
-    # Degenerate pairs (some orientation exactly zero) only count when the
-    # four points are collinear and the overlap has positive length.
-    degenerate = np.nonzero((o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0))[0]
-    for idx in degenerate:
-        if _collinear_open_overlap(p1[idx], p2[idx], q1[idx], q2[idx]):
-            count += 1
+    ends = pos[ea]
+    # Row i of the upper triangle holds the pairs (i, j), j > i; row_end[i]
+    # is the flat index one past its last pair.
+    row_len = np.arange(m - 1, 0, -1)
+    row_end = np.cumsum(row_len)
+    pairs = int(row_end[-1])
+    count = 0
+    for lo in range(0, pairs, chunk):
+        k = np.arange(lo, min(lo + chunk, pairs))
+        i = np.searchsorted(row_end, k, side="right")
+        j = k - (row_end[i] - row_len[i]) + i + 1
+        a1, a2 = ea[i, 0], ea[i, 1]
+        b1, b2 = ea[j, 0], ea[j, 1]
+        nonadjacent = (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
+        i, j = i[nonadjacent], j[nonadjacent]
+        if i.size == 0:
+            continue
+        p1, p2 = ends[i, 0], ends[i, 1]
+        q1, q2 = ends[j, 0], ends[j, 1]
+        o1 = _cross(p1, p2, q1)
+        o2 = _cross(p1, p2, q2)
+        o3 = _cross(q1, q2, p1)
+        o4 = _cross(q1, q2, p2)
+        proper = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) & (
+            ((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0))
+        )
+        count += int(np.count_nonzero(proper))
+        # Degenerate pairs (some orientation exactly zero) only count when the
+        # four points are collinear and the overlap has positive length.
+        degenerate = np.nonzero((o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0))[0]
+        for idx in degenerate:
+            if _collinear_open_overlap(p1[idx], p2[idx], q1[idx], q2[idx]):
+                count += 1
     return count
 
 

@@ -10,9 +10,8 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .arcs import ArcEdge
+from .engine import TWO_PI
 from .graphs import Graph
-
-TWO_PI = 2.0 * math.pi
 
 
 class RenderError(ValueError):

@@ -1,8 +1,30 @@
 """Shared pytest wiring: collects acceptance-criterion result lines and
 prints them in the terminal summary, where pytest capture cannot swallow
-them."""
+them; runs scripts under different BLAS thread counts."""
+
+import os
+import subprocess
+import sys
 
 acceptance_lines: list[str] = []
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def blas_thread_hashes(script: str, counts=("1", "4")) -> list[str]:
+    """Run script, which prints one sha256, in a fresh interpreter per BLAS
+    thread count with this checkout's src on the path; return the hashes."""
+    hashes = []
+    for threads in counts:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        hashes.append(out.stdout.strip())
+    return hashes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

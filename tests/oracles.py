@@ -4,7 +4,9 @@ These deliberately use different algorithms from the library code: path
 enumeration instead of Brandes accumulation, parametric line solving
 instead of orientation predicates, the closed-form rank formula instead of
 Pearson-on-ranks, and a per-vertex loop over the public force primitives
-instead of the engine's blocked repulsion kernel.
+instead of the engine's blocked repulsion kernel. For graphs too large for
+path enumeration, per-source queue BFS loops over the tuple adjacency stand
+in for the library's batched CSR BFS.
 """
 
 from __future__ import annotations
@@ -67,6 +69,65 @@ def brute_betweenness(g: Graph) -> np.ndarray:
                 for v in path[1:-1]:
                     score[v] += 1.0 / len(paths)
     return score
+
+
+def closeness_reference(g: Graph) -> np.ndarray:
+    """Closeness by one queue BFS per source: reached / sum of hop counts."""
+    n = g.vertex_count
+    values = np.zeros(n, dtype=float)
+    adj = g.adjacency
+    dist = np.empty(n, dtype=np.int64)
+    for s in range(n):
+        dist.fill(-1)
+        dist[s] = 0
+        queue = deque([s])
+        total = 0
+        reached = 0
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    total += dist[w]
+                    reached += 1
+                    queue.append(w)
+        if reached:
+            values[s] = reached / total
+    return values
+
+
+def brandes_reference(g: Graph) -> np.ndarray:
+    """Betweenness over unordered pairs by Brandes accumulation, one queue
+    BFS per source in ascending order, scalar arithmetic throughout."""
+    n = g.vertex_count
+    bc = np.zeros(n, dtype=float)
+    adj = g.adjacency
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0.0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in adj[u]:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for u in preds[w]:
+                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    bc *= 0.5
+    return bc
 
 
 def parametric_crossings(g: Graph, positions) -> int:

@@ -8,10 +8,19 @@ from gravlayout import (
     closeness_centrality,
     compute_centrality,
     degree_centrality,
+    generate_forest,
+    generate_random_tree,
     normalize_mass,
     uniform_centrality,
 )
-from oracles import brute_betweenness, random_graph
+from conftest import blas_thread_hashes
+from gravlayout import centrality
+from oracles import (
+    brandes_reference,
+    brute_betweenness,
+    closeness_reference,
+    random_graph,
+)
 
 
 def path3():
@@ -91,6 +100,74 @@ def test_betweenness_matches_brute_force():
         got = betweenness_centrality(g).values
         want = brute_betweenness(g)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_random_tree(2000, seed=41), generate_forest([50] * 40, seed=42)],
+    ids=["tree2000", "forest40x50"],
+)
+def test_batched_bfs_bit_identical_to_reference(g):
+    # Trees and forests have integer path counts and sums, so every
+    # summation order gives the same bits.
+    assert np.array_equal(betweenness_centrality(g).values, brandes_reference(g))
+    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+
+
+def multipath_graph(n=300, seed=47):
+    """Sparse random graph with many cycles, so most pairs have several
+    shortest paths and the sums are not integers."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, (3 * n, 2))
+    return Graph.from_edges(n, [(int(u), int(v)) for u, v in pairs if u != v])
+
+
+def test_batched_bfs_bits_do_not_depend_on_batch_size(monkeypatch):
+    g = multipath_graph()
+    n = g.vertex_count
+    base_b = betweenness_centrality(g).values
+    base_c = closeness_centrality(g).values
+    assert np.max(np.abs(base_b - brandes_reference(g))) <= 1e-9 * base_b.max()
+    assert np.array_equal(base_c, closeness_reference(g))
+    for batch in (1, 3, n):
+        monkeypatch.setattr(centrality, "BFS_ELEMENTS", batch * n)
+        assert np.array_equal(betweenness_centrality(g).values, base_b)
+        assert np.array_equal(closeness_centrality(g).values, base_c)
+
+
+def test_batched_bfs_bits_do_not_depend_on_blas_threads():
+    script = """
+import hashlib, numpy as np, gravlayout as gl
+rng = np.random.default_rng(53)
+pairs = rng.integers(0, 1200, (3600, 2))
+g = gl.Graph.from_edges(1200, [(int(u), int(v)) for u, v in pairs if u != v])
+h = hashlib.sha256(gl.betweenness_centrality(g).values.tobytes())
+h.update(gl.closeness_centrality(g).values.tobytes())
+print(h.hexdigest())
+"""
+    hashes = blas_thread_hashes(script)
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]
+
+
+def test_bfs_centrality_edge_cases():
+    empty = Graph(0)
+    assert betweenness_centrality(empty).values.size == 0
+    assert closeness_centrality(empty).values.size == 0
+    lonely = Graph(4)
+    assert betweenness_centrality(lonely).values.tolist() == [0.0] * 4
+    assert closeness_centrality(lonely).values.tolist() == [0.0] * 4
+    # Isolated vertices beside a path 0-1-2.
+    g = Graph.from_edges(5, [(0, 1), (1, 2)])
+    assert betweenness_centrality(g).values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert closeness_centrality(g).values.tolist() == [2 / 3, 1.0, 2 / 3, 0.0, 0.0]
+    # A 4-cycle plus a tail: 0 and 2 both have two shortest paths through 1 or 3.
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
+    want = brute_betweenness(g)
+    assert want.tolist() == pytest.approx([0.5, 1.0, 3.5, 1.0, 0.0])
+    assert np.array_equal(betweenness_centrality(g).values, brandes_reference(g))
+    assert np.max(np.abs(betweenness_centrality(g).values - want)) <= 1e-12
+    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
 
 
 def test_uniform():

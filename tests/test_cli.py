@@ -210,3 +210,17 @@ def test_layout_rejects_non_finite_config(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_metrics_rejects_non_finite_positions(tmp_path, capsys, value):
+    graph = tmp_path / "p.edges"
+    graph.write_text("a b\nb c\n")
+    positions = tmp_path / "pos.json"
+    positions.write_text(f'{{"positions": [[0, 0], [{value}, 1], [2, 2]]}}')
+    out = tmp_path / "m.json"
+    rc = main(["metrics", "--in", str(graph), "--positions", str(positions), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()

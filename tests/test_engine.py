@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -10,6 +7,7 @@ from gravlayout import (
     Graph,
     LayoutConfig,
     LayoutState,
+    MassVector,
     Schedule,
     attractive_force,
     centroid,
@@ -23,6 +21,7 @@ from gravlayout import (
     terminal_gamma,
     uniform_centrality,
 )
+from conftest import blas_thread_hashes
 from gravlayout import engine
 from oracles import net_impulse, random_graph, separate_coincident
 
@@ -313,17 +312,7 @@ for _ in range(4):
     state = gl.step(state, g, mass, cfg)
 print(hashlib.sha256(state.positions.tobytes()).hexdigest())
 """
-    src = os.path.dirname(os.path.dirname(engine.__file__))
-    hashes = []
-    for threads in ("1", "4"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-        )
-        hashes.append(out.stdout.strip())
+    hashes = blas_thread_hashes(script)
     assert len(hashes[0]) == 64
     assert hashes[0] == hashes[1]
 
@@ -423,3 +412,31 @@ def test_jitter_never_moves_frozen_vertices():
     assert np.array_equal(nxt.positions[0], pos[0])
     assert np.array_equal(nxt.positions[2], pos[2])
     assert not np.array_equal(nxt.positions[1], pos[1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_rejected(bad):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    init = np.array([[0.0, 0.0], [bad, 1.0], [2.0, 2.0]])
+    cfg = LayoutConfig(max_iterations=5)
+    with pytest.raises(ValueError, match="finite"):
+        run_layout(g, uniform_mass(g), cfg, initial=init)
+    with pytest.raises(ValueError, match="finite"):
+        step(LayoutState(positions=init), g, uniform_mass(g), cfg)
+
+
+@pytest.mark.parametrize(
+    "raw", [[-1.0, 2.0, 2.0], [0.0, 1.5, 1.5], [math.nan, 1.0, 2.0], [math.inf, 1.0, 1.0]]
+)
+def test_raw_mass_array_checked_like_mass_vector(raw):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cfg = LayoutConfig(max_iterations=5)
+    state = LayoutState(positions=initialize_positions(g, 0, cfg.k))
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_layout(g, np.array(raw), cfg)
+    with pytest.raises(ValueError, match="positive and finite"):
+        step(state, g, np.array(raw), cfg)
+    with pytest.raises(ValueError, match="positive and finite"):
+        MassVector(np.array(raw))
+    # A positive raw array need not have mean 1: only MassVector asks for that.
+    assert run_layout(g, np.array([0.5, 2.0, 2.0]), cfg).shape == (3, 2)

@@ -20,9 +20,9 @@ from gravlayout import (
     spearman,
     uniform_centrality,
 )
+from gravlayout import metrics
+from gravlayout.engine import TWO_PI
 from oracles import parametric_crossings, random_graph, spearman_formula
-
-TWO_PI = 2.0 * math.pi
 
 
 def test_crossings_x_configuration():
@@ -72,6 +72,35 @@ def test_crossings_match_parametric_oracle():
         g = random_graph(rng, 4, 15)
         pos = rng.uniform(-100, 100, (g.vertex_count, 2))
         assert count_crossings(g, pos) == parametric_crossings(g, pos)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, metrics.CROSSING_PAIRS])
+def test_chunked_crossings_match_parametric_oracle(chunk):
+    rng = np.random.default_rng(777)  # criterion 10's fixtures
+    for _ in range(100):
+        g = random_graph(rng, 4, 15)
+        pos = rng.uniform(-100, 100, (g.vertex_count, 2))
+        assert metrics._count_crossings(g.edge_array, pos, chunk) == parametric_crossings(g, pos)
+    # Small integer grids: many collinear, touching and overlapping pairs.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        g = random_graph(rng, 6, 20)
+        pos = rng.integers(0, 4, (g.vertex_count, 2)).astype(float)
+        assert metrics._count_crossings(g.edge_array, pos, chunk) == parametric_crossings(g, pos)
+
+
+def test_chunked_crossings_collinear_pairs_at_chunk_boundary():
+    # Five disjoint edges: pairs (e1, e4) and (e2, e3) are the 7th and 8th
+    # of the 10 pairs in row-major order, so a chunk of 7 ends between them.
+    g = Graph.from_edges(10, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
+    pos = np.array(
+        [(10, -10), (11, -10), (0, 0), (2, 0), (0, 5), (2, 7), (1, 6), (3, 8), (1, 0), (3, 0)],
+        dtype=float,
+    )
+    assert parametric_crossings(g, pos) == 2
+    for chunk in (1, 6, 7, 8, 10, metrics.CROSSING_PAIRS):
+        assert metrics._count_crossings(g.edge_array, pos, chunk) == 2
+    assert count_crossings(g, pos) == 2
 
 
 def test_crossings_rigid_motion_invariance():
