@@ -14,9 +14,14 @@ untangle under the classical forces and only then compact toward the center.
 
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
-block holds about BLOCK_ELEMENTS pairs. Scratch memory per step is O(n * B);
-no (n, n) array is ever formed. No reduction in a step goes through BLAS,
-so the output bits do not depend on B or on the BLAS thread count.
+block holds about BLOCK_ELEMENTS pairs. A run allocates its scratch once,
+in a workspace every iteration reuses: a (2, B, n) difference block and a
+(B, n) squared-distance block (three arrays of at most 128 KiB), a (2, n)
+force buffer and the edge endpoint indices. No (n, n) array is ever formed.
+Squared distances and row sums are np.einsum loops, and no reduction in a
+step goes through BLAS, so the output bits do not depend on B or on the
+BLAS thread count. Positions are column-major inside a run, so each
+coordinate is one contiguous row.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ TWO_PI = 2.0 * math.pi
 JITTER_TRIGGER = 1e-6
 JITTER_MAGNITUDE = 1e-3
 
-# Pair entries per block of the repulsion kernel: its scratch is a few
+# Pair entries per block of the repulsion kernel: its scratch is three
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
 
@@ -176,13 +181,6 @@ def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     return gamma
 
 
-def _mass_values(mass, n: int) -> np.ndarray:
-    vals = mass.values if isinstance(mass, MassVector) else check_masses(mass)
-    if vals.shape != (n,):
-        raise ValueError(f"mass vector length {vals.shape} does not match {n} vertices")
-    return vals
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = x
@@ -202,38 +200,51 @@ def _block_rows(n: int) -> int:
     return max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
 
 
-def _repulsion(pos: np.ndarray, k: float, rows: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Repulsion on every vertex from one snapshot, plus the near-coincident pairs.
+def _kernel_scratch(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's buffers: the (2, rows, n) difference block, the (rows, n)
+    d2/weight block and the (2, n) force buffer."""
+    return np.empty((2, rows, n)), np.empty((rows, n)), np.empty((2, n))
 
-    Walks the vertices `rows` at a time. For rows a..b it forms dx, dy and
-    d2 = dx^2 + dy^2 against every vertex, then w = k^2 / d2 with the self
-    term at zero, and sums w * dx and w * dy along each row: row v's sums are
-    the force on v. Rows are summed whole and independently, so the bits do
-    not depend on `rows`, and no reduction goes through BLAS, whose results
-    vary with its thread count.
+
+def _repulsion(
+    pos: np.ndarray,
+    k: float,
+    rows: int,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Repulsion on every vertex from one snapshot, as a (2, n) array, plus
+    the near-coincident pairs.
+
+    Walks the vertices `rows` at a time. For rows a..b it forms the
+    differences D[c, i, j] = pos[a + i, c] - pos[j, c] against every vertex,
+    d2 = sum_c D^2, then w = k^2 / d2 with the self term at zero, and the row
+    sums sum_j w D: row v's sums are the force on v. Both reductions are
+    einsum loops without BLAS; rows are summed whole and independently, so
+    the bits do not depend on `rows`, nor on a BLAS thread count. The result
+    lives in the scratch's force buffer, so a reused scratch overwrites it.
 
     Pairs closer than JITTER_TRIGGER * k come back as (u, v) with u < v in
     row-major order. Their d2 is floored well below the trigger: callers
     separate real pairs, the floor only guards coincident frozen pairs.
     """
     n = pos.shape[0]
-    x = np.ascontiguousarray(pos[:, 0])
-    y = np.ascontiguousarray(pos[:, 1])
+    p = pos.T
+    diff, d2, rep = scratch if scratch is not None else _kernel_scratch(n, rows)
     kk = k * k
     thresh2 = (JITTER_TRIGGER * k) ** 2
     floor2 = (1e-9 * k) ** 2
-    rep = np.empty((2, n))
-    dx, dy, d2, tmp = (np.empty((rows, n)) for _ in range(4))
     self_pairs = np.arange(rows) * (n + 1)  # flat index of (i, i) in a block starting at 0
     close: list[tuple[int, int]] = []
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        bx, by, bd, bt = dx[: b - a], dy[: b - a], d2[: b - a], tmp[: b - a]
-        np.subtract(x[a:b, None], x, out=bx)
-        np.subtract(y[a:b, None], y, out=by)
-        np.multiply(bx, bx, out=bd)
-        np.multiply(by, by, out=bt)
-        bd += bt
+        bD, bd = diff[:, : b - a], d2[: b - a]
+        # D[c, i, j] = p[c, a + i] - p[c, j] from two broadcast copies and a
+        # flat subtract: a broadcasting ufunc would allocate its own buffers.
+        np.copyto(bD, p[:, None, :])
+        for c in (0, 1):
+            np.copyto(bd, p[c, a:b, None])
+            np.subtract(bd, bD[c], out=bD[c])
+        np.einsum("kij,kij->ij", bD, bD, out=bd)
         bd.ravel()[a + self_pairs[: b - a]] = np.inf
         if bd.min() < thresh2:
             iu, iv = np.nonzero(bd < thresh2)
@@ -242,11 +253,8 @@ def _repulsion(pos: np.ndarray, k: float, rows: int) -> tuple[np.ndarray, list[t
             close.extend(zip(iu[keep].tolist(), iv[keep].tolist()))
             np.maximum(bd, floor2, out=bd)
         np.divide(kk, bd, out=bd)
-        np.multiply(bd, bx, out=bt)
-        np.sum(bt, axis=1, out=rep[0, a:b])
-        np.multiply(bd, by, out=bt)
-        np.sum(bt, axis=1, out=rep[1, a:b])
-    return rep.T, close
+        np.einsum("ij,kij->ki", bd, bD, out=rep[:, a:b])
+    return rep, close
 
 
 def _jitter(
@@ -276,67 +284,80 @@ def _separated_repulsion(
     t: int,
     frozen: np.ndarray,
     rows: int,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Separate near-coincident vertices in place (at most 8 rounds), then
-    return the repulsion at the separated positions. A step with no close
-    pair makes one kernel pass."""
+    return the (2, n) repulsion at the separated positions. A step with no
+    close pair makes one kernel pass."""
     for _ in range(8):
-        rep, close = _repulsion(pos, k, rows)
+        rep, close = _repulsion(pos, k, rows, scratch)
         if not (close and _jitter(pos, close, k, seed, t, frozen)):
             return rep
-    return _repulsion(pos, k, rows)[0]
+    return _repulsion(pos, k, rows, scratch)[0]
 
 
-def _add_attraction(imp: np.ndarray, pos: np.ndarray, edge_array: np.ndarray, k: float) -> None:
-    """Add the spring pull along every edge to imp, in place."""
-    n = pos.shape[0]
-    eu = edge_array[:, 0]
-    ev = edge_array[:, 1]
-    evec = pos[eu] - pos[ev]
-    pull = (np.sqrt(evec[:, 0] ** 2 + evec[:, 1] ** 2) / k)[:, None] * evec
-    for c in (0, 1):
-        imp[:, c] += np.bincount(ev, pull[:, c], n) - np.bincount(eu, pull[:, c], n)
+class _Workspace:
+    """What every step of a run reuses: the checked masses and frozen mask,
+    the attraction endpoint indices and the kernel scratch."""
+
+    def __init__(self, g: Graph, mass, frozen) -> None:
+        n = g.vertex_count
+        self.mass = mass.values if isinstance(mass, MassVector) else check_masses(mass)
+        if self.mass.shape != (n,):
+            raise ValueError(f"mass vector length {self.mass.shape} does not match {n} vertices")
+        if frozen is None:
+            frozen = np.zeros(n, dtype=bool)
+        self.frozen = np.asarray(frozen, dtype=bool)
+        if self.frozen.shape != (n,):
+            raise ValueError(f"frozen mask length {self.frozen.shape} does not match {n} vertices")
+        # None when nothing is frozen, so the update needs no mask.
+        self.movable = ~self.frozen if self.frozen.any() else None
+        # Flat indices into the (2, n) coordinates: [x_u, y_u, x_v, y_v] per edge.
+        eu, ev = g.edge_array.T
+        self.ends = np.concatenate([eu, eu + n, ev, ev + n])
+        self.rows = _block_rows(n)
+        self.scratch = _kernel_scratch(n, self.rows)
 
 
-def _advance(
-    state: LayoutState,
-    g: Graph,
-    mass_vals: np.ndarray,
-    config: LayoutConfig,
-    frozen_mask: np.ndarray,
-) -> LayoutState:
-    pos = np.array(state.positions, dtype=float)
-    t_next = state.t + 1
-    gamma = schedule_gamma(t_next, state, config)
-    rows = _block_rows(pos.shape[0])
-    imp = _separated_repulsion(pos, config.k, config.seed, t_next, frozen_mask, rows)
-    if g.edge_array.shape[0]:
-        _add_attraction(imp, pos, g.edge_array, config.k)
-    imp += gamma * mass_vals[:, None] * (pos.mean(axis=0) - pos)
-    mag = np.sqrt(imp[:, 0] ** 2 + imp[:, 1] ** 2)
-    movable = ~frozen_mask
-    max_impulse = float(mag[movable].max()) if movable.any() else 0.0
+def _add_attraction(imp: np.ndarray, p: np.ndarray, ends: np.ndarray, k: float) -> None:
+    """Add the spring pull along every edge to the (2, n) impulses, in place.
+    p is the (2, n) positions, ends the workspace's endpoint indices."""
+    half = ends.size // 2
+    vals = p.ravel()[ends]  # [p_u, p_v]; becomes the bincount weights [-pull, +pull]
+    e = (vals[:half] - vals[half:]).reshape(2, -1)  # p_u - p_v
+    length = np.sqrt(np.einsum("km,km->m", e, e))
+    np.multiply(e, length / k, out=vals[half:].reshape(2, -1))
+    np.negative(vals[half:], out=vals[:half])
+    imp += np.bincount(ends, vals, imp.size).reshape(imp.shape)
+
+
+def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: LayoutConfig) -> float:
+    """Iteration t at gravity gamma, in place on the (n, 2) positions; return
+    the strongest impulse on a movable vertex. Runs fastest when pos is
+    column-major, so each coordinate is one contiguous row of pos.T."""
+    imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.rows, ws.scratch)
+    p = pos.T
+    if ws.ends.size:
+        _add_attraction(imp, p, ws.ends, config.k)
+    imp += (gamma * ws.mass) * (p.mean(axis=1, keepdims=True) - p)
+    mag = np.sqrt(np.einsum("kv,kv->v", imp, imp))
     scale = config.sigma * np.minimum(1.0, config.i_max / np.maximum(mag, 1e-300))
-    pos[movable] += (imp * scale[:, None])[movable]
-    return LayoutState(pos, t_next, gamma, max_impulse)
+    imp *= scale
+    if ws.movable is None:
+        p += imp
+        return float(mag.max())
+    p[:, ws.movable] += imp[:, ws.movable]
+    return float(mag[ws.movable].max()) if ws.movable.any() else 0.0
 
 
 def _checked_positions(positions, n: int) -> np.ndarray:
-    pos = np.array(positions, dtype=float)
+    """A column-major (n, 2) copy of finite positions."""
+    pos = np.array(positions, dtype=float, order="F")
     if pos.shape != (n, 2):
         raise ValueError(f"positions shape {pos.shape} does not match {n} vertices")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
     return pos
-
-
-def _frozen_mask(frozen, n: int) -> np.ndarray:
-    if frozen is None:
-        return np.zeros(n, dtype=bool)
-    mask = np.asarray(frozen, dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"frozen mask length {mask.shape} does not match {n} vertices")
-    return mask
 
 
 def step(
@@ -356,8 +377,8 @@ def step(
     gamma = schedule_gamma(t_next, state, config)
     if n == 0:
         return LayoutState(pos, t_next, gamma, 0.0)
-    mass_vals = _mass_values(mass, n)
-    return _advance(state, g, mass_vals, config, _frozen_mask(frozen, n))
+    max_impulse = _advance(pos, t_next, gamma, _Workspace(g, mass, frozen), config)
+    return LayoutState(np.ascontiguousarray(pos), t_next, gamma, max_impulse)
 
 
 def run_layout(
@@ -373,21 +394,21 @@ def run_layout(
     Iterates until max_iterations, stopping early once gamma has reached the
     schedule's terminal value and the strongest pre-clamp impulse has dropped
     below equilibrium_eps. Fully deterministic for identical inputs, and
-    step-for-step identical to iterating :func:`step` by hand.
+    step-for-step identical to iterating :func:`step` by hand. The scratch
+    memory is allocated once per call and reused by every iteration.
     """
     if initial is None:
-        pos = initialize_positions(g, config.seed, config.k)
-    else:
-        pos = _checked_positions(initial, g.vertex_count)
-    n = g.vertex_count
-    if n == 0:
-        return pos
-    mass_vals = _mass_values(mass, n)
-    frozen_mask = _frozen_mask(frozen, n)
+        initial = initialize_positions(g, config.seed, config.k)
+    pos = _checked_positions(initial, g.vertex_count)
+    if g.vertex_count == 0:
+        return np.ascontiguousarray(pos)
+    ws = _Workspace(g, mass, frozen)
     state = LayoutState(positions=pos)
     target = terminal_gamma(config)
     while state.t < config.max_iterations:
-        state = _advance(state, g, mass_vals, config, frozen_mask)
+        t = state.t + 1
+        gamma = schedule_gamma(t, state, config)
+        state = LayoutState(pos, t, gamma, _advance(pos, t, gamma, ws, config))
         if state.gamma >= target - 1e-12 and state.last_max_impulse < config.equilibrium_eps:
             break
-    return state.positions
+    return np.ascontiguousarray(pos)

@@ -258,12 +258,26 @@ def bfs_distances(g: Graph, s: int) -> DistanceVector:
 
 
 def connected_components(g: Graph) -> np.ndarray:
-    """Per-vertex component labels 0..C-1, assigned in ascending order of first vertex."""
-    labels = np.full(g.vertex_count, -1, dtype=np.int64)
+    """Per-vertex component labels 0..C-1, assigned in ascending order of first vertex.
+
+    One depth-first sweep over the CSR adjacency with a shared label array:
+    each vertex and each edge end is visited once, O(n + m).
+    """
+    indptr, indices = (a.tolist() for a in g.csr)
+    labels = [-1] * g.vertex_count
     count = 0
     for start in range(g.vertex_count):
-        if labels[start] == -1:
-            labels[_bfs(g, [start])[0][0] != UNREACHABLE] = count
-            count += 1
-    labels.setflags(write=False)
-    return labels
+        if labels[start] != -1:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                if labels[w] == -1:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
+    out = np.array(labels, dtype=np.int64)
+    out.setflags(write=False)
+    return out

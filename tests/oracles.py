@@ -130,6 +130,27 @@ def brandes_reference(g: Graph) -> np.ndarray:
     return bc
 
 
+def components_reference(g: Graph) -> np.ndarray:
+    """Component labels by one queue BFS per unlabelled vertex, in ascending
+    vertex order, over the tuple adjacency."""
+    labels = np.full(g.vertex_count, -1, dtype=np.int64)
+    adj = g.adjacency
+    count = 0
+    for s in range(g.vertex_count):
+        if labels[s] != -1:
+            continue
+        labels[s] = count
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if labels[w] == -1:
+                    labels[w] = count
+                    queue.append(w)
+        count += 1
+    return labels
+
+
 def parametric_crossings(g: Graph, positions) -> int:
     """Open-segment crossing count by solving each pair's 2x2 linear system."""
     pos = np.asarray(positions, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from gravlayout import (
     Schedule,
     attractive_force,
     centroid,
+    closeness_centrality,
+    generate_random_tree,
     gravity_force,
     initialize_positions,
     normalize_mass,
@@ -369,6 +372,102 @@ def test_run_layout_matches_manual_step_loop():
     while state.t < cfg.max_iterations:
         state = step(state, g, mass, cfg)
     assert np.array_equal(auto, state.positions)
+
+
+def random_tree(rng, n):
+    return Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
+
+
+def test_run_layout_matches_manual_step_loop_across_blocks_and_frozen():
+    rng = np.random.default_rng(46)
+    n = 300
+    assert engine._block_rows(n) < n // 3  # the kernel walks several blocks
+    g = random_tree(rng, n)
+    mass = uniform_mass(g)
+    cfg = LayoutConfig(seed=8, max_iterations=25, block_len=10)
+    init = initialize_positions(g, cfg.seed, cfg.k)
+    init[200] = init[5]  # a coincident pair, jittered in the first step
+    frozen = np.zeros(n, dtype=bool)
+    frozen[rng.choice(n, 40, replace=False)] = True
+    for mask in (None, frozen):
+        auto = run_layout(g, mass, cfg, initial=init, frozen=mask)
+        state = LayoutState(positions=init)
+        while state.t < cfg.max_iterations:
+            state = step(state, g, mass, cfg, frozen=mask)
+        assert np.array_equal(auto, state.positions)
+        assert auto.flags.c_contiguous and state.positions.flags.c_contiguous
+    assert np.array_equal(auto[frozen], init[frozen])
+
+
+def test_reused_workspace_matches_fresh_scratch():
+    rng = np.random.default_rng(47)
+    n = 300
+    g = random_tree(rng, n)
+    mass = uniform_mass(g)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=0.9, seed=3)
+    frozen = np.zeros(n, dtype=bool)
+    frozen[[17, 250]] = True
+    first = engine._checked_positions(rng.uniform(-900, 900, (n, 2)), n)
+    first[250] = first[17]  # frozen and coincident: their d2 is floored
+    ws = engine._Workspace(g, mass, frozen)
+    assert engine._repulsion(first, cfg.k, ws.rows, ws.scratch)[1] == [(17, 250)]
+    engine._advance(first, 1, 0.9, ws, cfg)
+    for coincident in (False, True):
+        pos = engine._checked_positions(rng.uniform(-900, 900, (n, 2)), n)
+        if coincident:
+            pos[250] = pos[17]
+        want = pos.copy(order="F")
+        want_max = engine._advance(want, 2, 0.9, engine._Workspace(g, mass, frozen), cfg)
+        assert engine._advance(pos, 2, 0.9, ws, cfg) == want_max
+        assert np.array_equal(pos, want)
+
+
+def test_run_allocates_no_scratch_per_step(monkeypatch):
+    # Counts the iterations in which traced memory rose 64 KiB or more above
+    # its level at the iteration's start. A kernel that allocated its block
+    # scratch (over 128 KiB here) on every step would add one per iteration.
+    rng = np.random.default_rng(48)
+    n = 300
+    g = random_tree(rng, n)
+    mass = uniform_mass(g)
+    schedule = engine.schedule_gamma
+    rises = []
+    level = 0
+
+    def measured_schedule(t, state, config):
+        nonlocal level
+        current, peak = tracemalloc.get_traced_memory()
+        rises.append(peak - level)
+        tracemalloc.reset_peak()
+        level = current
+        return schedule(t, state, config)
+
+    monkeypatch.setattr(engine, "schedule_gamma", measured_schedule)
+    counts = []
+    for iterations in (50, 200):
+        rises.clear()
+        tracemalloc.start()
+        try:
+            level = tracemalloc.get_traced_memory()[0]
+            run_layout(g, mass, LayoutConfig(seed=2, max_iterations=iterations))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == iterations
+        counts.append(sum(rise >= 64 * 1024 for rise in rises))
+    assert counts[0] >= 1  # the workspace, allocated before the first step
+    assert counts[1] <= counts[0]
+
+
+def test_equilibrium_schedule_at_default_eps_matches_no_gravity():
+    # States the current behaviour: on this tree the strongest impulse never
+    # drops below the default equilibrium_eps, so the equilibrium schedule
+    # never raises gamma and the run is byte-identical to one without
+    # gravity. A change to the equilibrium trigger shows up here.
+    g = generate_random_tree(70, seed=3)
+    mass = normalize_mass(closeness_centrality(g))
+    plain = run_layout(g, mass, LayoutConfig(schedule=Schedule.NONE, seed=3))
+    equilibrium = run_layout(g, mass, LayoutConfig(schedule=Schedule.STEPPED_EQUILIBRIUM, seed=3))
+    assert equilibrium.tobytes() == plain.tobytes()
 
 
 def test_translation_equivariance():

@@ -13,7 +13,7 @@ from gravlayout import (
     serialize_edge_list,
     serialize_graph_json,
 )
-from oracles import random_graph
+from oracles import components_reference, random_graph
 
 
 def test_parse_basic_path():
@@ -136,6 +136,25 @@ def test_component_count_matches_bfs_restarts():
             dist = bfs_distances(g, s).dist
             covered |= dist != UNREACHABLE
         assert len(set(labels.tolist())) == restarts
+
+
+def test_components_match_per_component_bfs():
+    rng = np.random.default_rng(12)
+    graphs = [random_graph(rng, 1, 30) for _ in range(30)]
+    for seed in range(5):
+        # random forests with single-vertex trees, vertex ids shuffled so
+        # components interleave
+        forest = generate_forest([int(s) for s in rng.integers(1, 12, size=40)], seed=seed)
+        perm = rng.permutation(forest.vertex_count)
+        graphs.append(Graph.from_edges(forest.vertex_count, perm[forest.edge_array]))
+    # a forest with isolated vertices in between, and one with nothing but them
+    graphs.append(Graph.from_edges(30, [(2, 9), (9, 4), (11, 29), (20, 21), (21, 5)]))
+    graphs.append(Graph(20000))
+    for g in graphs:
+        labels = connected_components(g)
+        want = components_reference(g)
+        assert labels.dtype == want.dtype
+        assert np.array_equal(labels, want)
 
 
 def test_parse_serialize_roundtrip():
