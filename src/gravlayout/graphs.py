@@ -260,24 +260,27 @@ def bfs_distances(g: Graph, s: int) -> DistanceVector:
 def connected_components(g: Graph) -> np.ndarray:
     """Per-vertex component labels 0..C-1, assigned in ascending order of first vertex.
 
-    One depth-first sweep over the CSR adjacency with a shared label array:
-    each vertex and each edge end is visited once, O(n + m).
+    Every vertex starts as its own root. Each round hooks the larger root of
+    every edge whose ends have different roots under the smaller one, then
+    jumps pointers until each vertex points at its root. A root is thus the
+    smallest vertex below it, and once no edge joins two roots each root is
+    the first vertex of its component.
     """
-    indptr, indices = (a.tolist() for a in g.csr)
-    labels = [-1] * g.vertex_count
-    count = 0
-    for start in range(g.vertex_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                if labels[w] == -1:
-                    labels[w] = count
-                    stack.append(w)
-        count += 1
-    out = np.array(labels, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    root = np.arange(g.vertex_count, dtype=np.int64)
+    u, v = g.edge_array.T
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    labels = np.unique(root, return_inverse=True)[1].astype(np.int64, copy=False)
+    labels.setflags(write=False)
+    return labels

@@ -1,9 +1,12 @@
 """Drawing-quality measures: crossings, angular resolution, edge lengths,
 bounding area, and the rank correlation between centrality and radius.
 
-Crossings are counted over the upper triangle of edge pairs in chunks of at
-most CROSSING_PAIRS pairs, so their working memory is O(CROSSING_PAIRS + m)
-whatever the number of pairs.
+Crossings are counted by a sort-and-sweep along x: after one sort of the
+edges by the low end of their x-extent, only the K pairs whose closed
+x-extents overlap are tested, O(m log m + K) in time (K is m(m-1)/2 only
+when every edge overlaps every other in x). Those pairs are walked in chunks
+of at most CROSSING_PAIRS, so the working memory is O(CROSSING_PAIRS + m)
+whatever K is.
 """
 
 from __future__ import annotations
@@ -45,47 +48,58 @@ def _cross(o, a, b) -> np.ndarray:
     ) * (b[..., 0] - o[..., 0])
 
 
-def _collinear_open_overlap(p1, p2, q1, q2) -> bool:
-    """Whether two collinear segments overlap in more than a single point."""
-    r = p2 - p1
-    axis = 0 if abs(r[0]) >= abs(r[1]) else 1
-    lo_p, hi_p = sorted((p1[axis], p2[axis]))
-    lo_q, hi_q = sorted((q1[axis], q2[axis]))
-    return min(hi_p, hi_q) > max(lo_p, lo_q)
-
-
 def count_crossings(g: Graph, positions) -> int:
     """Number of non-adjacent edge pairs whose open segments intersect.
 
     Proper intersections are detected with orientation predicates; a pair of
     collinear edges overlapping over positive length also counts. Pairs that
     share an endpoint are skipped, and segments merely touching at an
-    endpoint do not count (open-segment semantics).
+    endpoint do not count (open-segment semantics). Positions must be finite.
     """
-    return _count_crossings(g.edge_array, np.asarray(positions, dtype=float), CROSSING_PAIRS)
+    pos = np.asarray(positions, dtype=float)
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
+    return _count_crossings(g.edge_array, pos, CROSSING_PAIRS)
 
 
 def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
-    """count_crossings over the pairs (i, j), i < j, of the rows of ea, taken
-    `chunk` pairs at a time in row-major order."""
+    """count_crossings over the pairs of rows of ea whose x-extents overlap,
+    taken `chunk` pairs at a time.
+
+    The edges are sorted by the low end of their x-extent; sorted edge s can
+    only meet the edges s + 1 .. hi[s] - 1 that start at or before its high
+    end. Every interval test is closed, and two open segments that cross or
+    overlap collinearly have overlapping closed bounding boxes, so no pair
+    that could count is skipped.
+    """
     m = ea.shape[0]
     if m < 2:
         return 0
     ends = pos[ea]
-    # Row i of the upper triangle holds the pairs (i, j), j > i; row_end[i]
+    xs, ys = ends[:, :, 0], ends[:, :, 1]
+    xlo, xhi = xs.min(axis=1), xs.max(axis=1)
+    order = np.argsort(xlo, kind="stable")
+    hi = np.searchsorted(xlo[order], xhi[order], side="right")
+    ylo, yhi = ys.min(axis=1), ys.max(axis=1)
+    # Row s holds the pairs (s, t), s < t < hi[s], of sorted edges; row_end[s]
     # is the flat index one past its last pair.
-    row_len = np.arange(m - 1, 0, -1)
+    row_len = hi - np.arange(1, m + 1)
     row_end = np.cumsum(row_len)
     pairs = int(row_end[-1])
     count = 0
     for lo in range(0, pairs, chunk):
         k = np.arange(lo, min(lo + chunk, pairs))
-        i = np.searchsorted(row_end, k, side="right")
-        j = k - (row_end[i] - row_len[i]) + i + 1
+        s = np.searchsorted(row_end, k, side="right")
+        t = k - (row_end[s] - row_len[s]) + s + 1
+        # Back to edge ids, the lower id first, so each pair is tested with
+        # the same operand order as in an all-pairs walk.
+        es, et = order[s], order[t]
+        i, j = np.minimum(es, et), np.maximum(es, et)
         a1, a2 = ea[i, 0], ea[i, 1]
         b1, b2 = ea[j, 0], ea[j, 1]
-        nonadjacent = (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
-        i, j = i[nonadjacent], j[nonadjacent]
+        keep = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])
+        keep &= (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
+        i, j = i[keep], j[keep]
         if i.size == 0:
             continue
         p1, p2 = ends[i, 0], ends[i, 1]
@@ -99,11 +113,16 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
         )
         count += int(np.count_nonzero(proper))
         # Degenerate pairs (some orientation exactly zero) only count when the
-        # four points are collinear and the overlap has positive length.
-        degenerate = np.nonzero((o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0))[0]
-        for idx in degenerate:
-            if _collinear_open_overlap(p1[idx], p2[idx], q1[idx], q2[idx]):
-                count += 1
+        # four points are collinear and their overlap along the first edge's
+        # dominant axis has positive length.
+        d = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+        if d.any():
+            r = np.abs(p2[d] - p1[d])
+            on_x = r[:, 0] >= r[:, 1]
+            p1, p2, q1, q2 = (np.where(on_x, e[d, 0], e[d, 1]) for e in (p1, p2, q1, q2))
+            hi_end = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2))
+            lo_end = np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
+            count += int(np.count_nonzero(hi_end > lo_end))
     return count
 
 
@@ -115,16 +134,17 @@ def min_angular_resolution(g: Graph, positions) -> float:
     degree is at most 1 return 2*pi by convention.
     """
     pos = np.asarray(positions, dtype=float)
-    best = TWO_PI
-    for v, nbrs in enumerate(g.adjacency):
-        if len(nbrs) < 2:
-            continue
-        vecs = pos[list(nbrs)] - pos[v]
-        angles = np.sort(np.arctan2(vecs[:, 1], vecs[:, 0]))
-        gaps = np.diff(angles)
-        wrap = TWO_PI - (angles[-1] - angles[0])
-        best = min(best, float(min(gaps.min(), wrap)))
-    return best
+    indptr, indices = g.csr
+    deg = np.diff(indptr)
+    owner = np.repeat(np.arange(g.vertex_count), deg)
+    vecs = pos[indices] - pos[owner]
+    angles = np.arctan2(vecs[:, 1], vecs[:, 0])
+    # Each vertex's directions in ascending angle, vertices kept in CSR order.
+    angles = angles[np.lexsort((angles, owner))]
+    gaps = np.diff(angles)[owner[1:] == owner[:-1]]
+    hub = deg >= 2
+    wraps = TWO_PI - (angles[indptr[1:][hub] - 1] - angles[indptr[:-1][hub]])
+    return float(min(gaps.min(initial=TWO_PI), wraps.min(initial=TWO_PI)))
 
 
 def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
@@ -151,17 +171,12 @@ def bounding_area(positions) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, tied values sharing the mean of their ranks."""
     order = np.argsort(values, kind="stable")
+    counts = np.unique(values[order], return_counts=True, equal_nan=False)[1]
+    first = np.cumsum(counts) - counts
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    n = values.size
-    sorted_vals = values[order]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -198,13 +213,14 @@ def centrality_radius_correlation(c, positions) -> float:
 def compute_metrics(g: Graph, positions, c: CentralityVector) -> DrawingMetrics:
     """Evaluate all drawing metrics for one layout."""
     pos = np.asarray(positions, dtype=float)
+    crossings = count_crossings(g, pos)  # rejects non-finite positions first
     if g.edge_count:
         mean, cv = edge_length_stats(g, pos)
     else:
         mean, cv = None, None
     rho = centrality_radius_correlation(c, pos) if g.vertex_count >= 3 else None
     return DrawingMetrics(
-        crossings=count_crossings(g, pos),
+        crossings=crossings,
         min_angle=min_angular_resolution(g, pos),
         edge_len_mean=mean,
         edge_len_cv=cv,

@@ -6,7 +6,8 @@ instead of orientation predicates, the closed-form rank formula instead of
 Pearson-on-ranks, and a per-vertex loop over the public force primitives
 instead of the engine's blocked repulsion kernel. For graphs too large for
 path enumeration, per-source queue BFS loops over the tuple adjacency stand
-in for the library's batched CSR BFS.
+in for the library's batched CSR BFS, and per-vertex and per-run loops
+stand in for its vectorised angular resolution and average ranks.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from gravlayout import (
     gravity_force,
     repulsive_force,
 )
+from gravlayout.engine import TWO_PI
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:
@@ -178,10 +180,12 @@ def parametric_crossings(g: Graph, positions) -> int:
                 rr = float(r @ r)
                 if rr == 0.0:
                     continue
-                t0 = float(qp @ r) / rr
-                t1 = t0 + float(s @ r) / rr
+                # Parameters of q1 and q2 along p, scaled by |r|^2 so that no
+                # division rounds a touching pair into an overlap.
+                t0 = float(qp @ r)
+                t1 = float((q2 - p1) @ r)
                 lo, hi = min(t0, t1), max(t0, t1)
-                if min(1.0, hi) > max(0.0, lo):
+                if min(rr, hi) > max(0.0, lo):
                     count += 1
     return count
 
@@ -251,3 +255,36 @@ def separate_coincident(pos, k: float, frozen, nudge, trigger: float = 1e-6, rou
         if not moved:
             break
     return pos
+
+
+def angular_resolution_reference(g: Graph, positions) -> float:
+    """Smallest angle between consecutive edge directions, one vertex at a
+    time over the tuple adjacency; 2*pi when no vertex has degree >= 2."""
+    pos = np.asarray(positions, dtype=float)
+    best = TWO_PI
+    for v, nbrs in enumerate(g.adjacency):
+        if len(nbrs) < 2:
+            continue
+        vecs = pos[list(nbrs)] - pos[v]
+        angles = np.sort(np.arctan2(vecs[:, 1], vecs[:, 0]))
+        gaps = np.diff(angles)
+        wrap = TWO_PI - (angles[-1] - angles[0])
+        best = min(best, float(min(gaps.min(), wrap)))
+    return best
+
+
+def average_ranks_reference(values) -> np.ndarray:
+    """Average ranks by walking each run of tied values in sorted order."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    n = values.size
+    sorted_vals = values[order]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -8,6 +8,7 @@ from gravlayout import (
     bfs_distances,
     connected_components,
     generate_forest,
+    generate_random_tree,
     parse_edge_list,
     parse_graph_json,
     serialize_edge_list,
@@ -150,6 +151,10 @@ def test_components_match_per_component_bfs():
     # a forest with isolated vertices in between, and one with nothing but them
     graphs.append(Graph.from_edges(30, [(2, 9), (9, 4), (11, 29), (20, 21), (21, 5)]))
     graphs.append(Graph(20000))
+    # a long path with shuffled ids, and one 100,000-vertex tree
+    perm = rng.permutation(5000)
+    graphs.append(Graph.from_edges(5000, np.column_stack([perm[:-1], perm[1:]])))
+    graphs.append(generate_random_tree(100_000, seed=13))
     for g in graphs:
         labels = connected_components(g)
         want = components_reference(g)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from gravlayout import (
 )
 from gravlayout import metrics
 from gravlayout.engine import TWO_PI
-from oracles import parametric_crossings, random_graph, spearman_formula
+from oracles import (
+    angular_resolution_reference,
+    average_ranks_reference,
+    parametric_crossings,
+    random_graph,
+    spearman_formula,
+)
 
 
 def test_crossings_x_configuration():
@@ -103,6 +110,63 @@ def test_chunked_crossings_collinear_pairs_at_chunk_boundary():
     assert count_crossings(g, pos) == 2
 
 
+def test_sweep_crossings_fuzz_against_parametric_oracle():
+    # m up to about 300. Integer grids give many equal x-extent starts,
+    # vertical edges, touching pairs and collinear overlaps; a few distinct
+    # x values with real y give long runs of equal starts and vertical edges.
+    rng = np.random.default_rng(2024)
+    for case in range(40):
+        g = random_graph(rng, 4, 26)
+        n = g.vertex_count
+        if case % 2:
+            pos = rng.integers(0, int(rng.choice([3, 5, 9, 31])), (n, 2)).astype(float)
+        else:
+            pos = np.column_stack([rng.integers(0, 6, n).astype(float), rng.uniform(-50, 50, n)])
+        want = parametric_crossings(g, pos)
+        # A chunk of one pair costs a full chunk pass per pair: small m only.
+        chunks = (1, 7, metrics.CROSSING_PAIRS) if g.edge_count <= 80 else (7, metrics.CROSSING_PAIRS)
+        for chunk in chunks:
+            assert metrics._count_crossings(g.edge_array, pos, chunk) == want
+
+
+def test_sweep_crossings_all_candidates_on_one_vertical_line():
+    # Every vertex on x = 0: every edge pair overlaps in x, and every pair
+    # that is tested is collinear.
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        g = random_graph(rng, 4, 14)
+        pos = np.column_stack([np.zeros(g.vertex_count), rng.integers(0, 8, g.vertex_count)])
+        want = parametric_crossings(g, pos)
+        for chunk in (1, 7, metrics.CROSSING_PAIRS):
+            assert metrics._count_crossings(g.edge_array, pos, chunk) == want
+    # m disjoint edges [e, e + L] on the line: pairs closer than L overlap,
+    # (L - 1) m - L (L - 1) / 2 of them, out of m (m - 1) / 2 candidates.
+    m, L = 2000, 7
+    ea = np.arange(2 * m).reshape(m, 2)
+    pos = np.zeros((2 * m, 2))
+    pos[0::2, 1] = np.arange(m)
+    pos[1::2, 1] = np.arange(m) + L
+    tracemalloc.start()
+    try:
+        got = metrics._count_crossings(ea, pos, metrics.CROSSING_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (L - 1) * m - L * (L - 1) // 2
+    # About two million pairs: one array over all of them would be 16 MB.
+    assert peak < 24 * 8 * metrics.CROSSING_PAIRS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_crossings_reject_non_finite_positions(bad):
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    pos = np.array([(0, 0), (2, 2), (0, 2), (2, bad)])
+    with pytest.raises(ValueError, match="finite"):
+        count_crossings(g, pos)
+    with pytest.raises(ValueError, match="finite"):
+        compute_metrics(g, pos, degree_centrality(g))
+
+
 def test_crossings_rigid_motion_invariance():
     rng = np.random.default_rng(29)
     g = random_graph(rng, 6, 12)
@@ -141,6 +205,26 @@ def test_angular_resolution_pigeonhole_bound():
             continue
         pos = rng.uniform(-10, 10, (g.vertex_count, 2))
         assert min_angular_resolution(g, pos) <= TWO_PI / g.degrees.max() + 1e-12
+
+
+def test_angular_resolution_matches_per_vertex_loop():
+    rng = np.random.default_rng(53)
+    cases = []
+    for _ in range(30):
+        # sparse and dense random graphs: degree-0 and degree-1 vertices
+        g = random_graph(rng, 1, 14)
+        cases.append((g, rng.uniform(-10, 10, (g.vertex_count, 2))))
+        # integer grids: coincident directions and coincident vertices
+        cases.append((g, rng.integers(0, 3, (g.vertex_count, 2)).astype(float)))
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    cases.append((star, rng.uniform(-1, 1, (9, 2))))
+    cases.append((Graph(4), rng.uniform(-1, 1, (4, 2))))
+    for g, pos in cases:
+        assert min_angular_resolution(g, pos) == angular_resolution_reference(g, pos)
+    # two neighbours on one ray from vertex 0: gap 0
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    pos = [(0, 0), (1, 1), (2, 2), (-1, 0), (5, 5)]
+    assert min_angular_resolution(g, pos) == angular_resolution_reference(g, pos) == 0.0
 
 
 def test_edge_length_stats():
@@ -206,6 +290,16 @@ def test_spearman_handles_ties():
     # x = [1, 1, 2]: ranks [1.5, 1.5, 3]; y = [1, 2, 3]: ranks [1, 2, 3]
     rho = spearman([1, 1, 2], [1, 2, 3])
     assert rho == pytest.approx(math.sqrt(3) / 2)
+
+
+def test_average_ranks_match_run_loop():
+    rng = np.random.default_rng(59)
+    cases = [np.array([]), np.array([0.0, -0.0, 1.0, -0.0]), rng.uniform(-1, 1, 30)]
+    for _ in range(40):
+        size = int(rng.integers(1, 40))
+        cases.append(rng.integers(0, int(rng.integers(1, 10)), size).astype(float))
+    for values in cases:
+        assert np.array_equal(metrics._average_ranks(values), average_ranks_reference(values))
 
 
 def test_correlation_requires_three_vertices():
