@@ -47,6 +47,22 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
+def _parse_positions(text: str) -> np.ndarray:
+    """The (n, 2) float array of a positions file {"positions": [[x, y], ...]}."""
+    form = 'positions file must be an object {"positions": [[x, y], ...]}'
+    payload = json.loads(text)
+    rows = payload.get("positions") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(form)
+    try:
+        positions = np.array(rows, dtype=float) if rows else np.zeros((0, 2))
+    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
+        raise ValueError(form) from exc
+    if positions.shape != (len(rows), 2):
+        raise ValueError(form)
+    return positions
+
+
 def _build_config(args: argparse.Namespace) -> LayoutConfig:
     schedule = SCHEDULE_NAMES[args.schedule]
     gamma_const = args.gamma if args.gamma is not None else 0.0
@@ -133,8 +149,7 @@ def cmd_gen_forest(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph_in, args.format)
-    payload = json.loads(_read_text(args.positions))
-    positions = np.asarray(payload["positions"], dtype=float)
+    positions = _parse_positions(_read_text(args.positions))
     if positions.shape != (g.vertex_count, 2):
         raise ValueError(
             f"positions shape {positions.shape} does not match {g.vertex_count} vertices"

@@ -37,10 +37,16 @@ def _random_tree_edges(n: int, rng: random.Random, offset: int = 0) -> list[tupl
     return edges
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def generate_random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform random labeled tree on n >= 1 vertices, deterministic per seed."""
     if n < 1:
         raise ValueError("tree needs at least one vertex")
+    _check_seed(seed)
     rng = random.Random(seed)
     return Graph.from_edges(n, _random_tree_edges(n, rng))
 
@@ -52,6 +58,7 @@ def generate_forest(sizes, seed: int = 0) -> Graph:
         raise ValueError("forest needs at least one component size")
     if any(s < 1 for s in sizes):
         raise ValueError("component sizes must be >= 1")
+    _check_seed(seed)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     offset = 0

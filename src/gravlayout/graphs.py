@@ -2,7 +2,9 @@
 
 Every BFS in the package runs on one level-synchronous primitive, `_bfs`,
 over the graph's cached CSR adjacency. It searches from a batch of B
-sources at once; its working memory is O(B * (n + m)).
+sources at once; its working memory is O(B * (n + m)). Its frontier
+expansion, `_neighbour_slots`, is shared with the forest rooting sweep in
+`centrality`.
 """
 
 from __future__ import annotations
@@ -93,10 +95,8 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        """Read-only int64 vertex degrees, taken from the CSR row lengths."""
+        deg = np.diff(self.csr[0])
         deg.setflags(write=False)
         return deg
 
@@ -172,13 +172,15 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise GraphParseError('JSON graph must be an object with "vertices" and "edges"')
+    if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
+        raise GraphParseError('"vertices" and "edges" must be JSON arrays')
     names = [str(x) for x in obj["vertices"]]
     n = len(names)
     edges = []
     for pair in obj["edges"]:
-        if len(pair) != 2:
-            raise GraphParseError(f"edge entry {pair!r} must have two indices")
-        i, j = int(pair[0]), int(pair[1])
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
+            raise GraphParseError(f"edge entry {pair!r} must be a pair of vertex indices")
+        i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise GraphParseError(f"edge {pair!r} references a missing vertex")
         if i == j:
@@ -193,6 +195,19 @@ def serialize_graph_json(g: Graph) -> str:
         "edges": [[u, v] for u, v in g.edges],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _neighbour_slots(indptr: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a nonempty frontier over its CSR ranges: (slots, counts).
+
+    slots holds the CSR positions of every vertex's neighbours, vertex after
+    vertex in frontier order, so indices[slots] lists those neighbours;
+    counts[i] is the degree of verts[i].
+    """
+    lo = indptr[verts]
+    counts = indptr[verts + 1] - lo
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts), counts
 
 
 def _bfs(g: Graph, sources, paths: bool = False):
@@ -229,10 +244,7 @@ def _bfs(g: Graph, sources, paths: bool = False):
     while front.size:
         level += 1
         verts = front % n
-        lo = indptr[verts]
-        counts = indptr[verts + 1] - lo
-        ends = np.cumsum(counts)
-        slots = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        slots, counts = _neighbour_slots(indptr, verts)
         children = indices[slots] + np.repeat(front - verts, counts)
         fresh = dist[children] == UNREACHABLE
         if paths:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,16 +104,118 @@ def test_betweenness_matches_brute_force():
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def with_chords(g, count, seed):
+    """g plus count random edges between distinct, nonadjacent vertices."""
+    rng = np.random.default_rng(seed)
+    edges = set(g.edges)
+    while len(edges) < g.edge_count + count:
+        u, v = sorted(rng.choice(g.vertex_count, 2, replace=False).tolist())
+        edges.add((u, v))
+    return Graph.from_edges(g.vertex_count, edges)
+
+
+def shuffled(g, rng):
+    """g with its vertex ids permuted at random."""
+    perm = rng.permutation(g.vertex_count)
+    return Graph.from_edges(g.vertex_count, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+
+
 @pytest.mark.parametrize(
     "g",
-    [generate_random_tree(2000, seed=41), generate_forest([50] * 40, seed=42)],
-    ids=["tree2000", "forest40x50"],
+    [
+        generate_random_tree(2000, seed=41),
+        generate_forest([50] * 40, seed=42),
+        with_chords(generate_random_tree(2000, seed=41), 4, seed=43),
+    ],
+    ids=["tree2000", "forest40x50", "tree2000+chords"],
 )
 def test_batched_bfs_bit_identical_to_reference(g):
     # Trees and forests have integer path counts and sums, so every
-    # summation order gives the same bits.
+    # summation order gives the same bits; with cycles only the hop counts
+    # of closeness stay integers. The public functions take the forest path
+    # on forests, so the batched BFS path is also called directly.
+    want_b = brandes_reference(g)
+    want_c = closeness_reference(g)
+    forest = centrality._rooted_forest(g) is not None
+    assert forest == (g.edge_count < g.vertex_count)
+    for got_b, got_c in (
+        (betweenness_centrality(g).values, closeness_centrality(g).values),
+        (centrality._bfs_betweenness(g), centrality._bfs_closeness(g)),
+    ):
+        if forest:
+            assert np.array_equal(got_b, want_b)
+        else:
+            assert np.max(np.abs(got_b - want_b)) <= 1e-9 * want_b.max()
+        assert np.array_equal(got_c, want_c)
+
+
+def star(leaves):
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def random_forests(count, seed):
+    """Seeded forests with shuffled ids; every one has single-vertex and
+    single-edge components beside random trees of up to 60 vertices."""
+    rng = np.random.default_rng(seed)
+    forests = []
+    for i in range(count):
+        sizes = [1, 2, 1, 2] + rng.integers(1, 60, size=int(rng.integers(1, 8))).tolist()
+        rng.shuffle(sizes)
+        forests.append(shuffled(generate_forest(sizes, seed=seed + i), rng))
+    return forests
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0), Graph(1), Graph(4), star(1), star(150)] + random_forests(8, seed=59),
+    ids=["empty", "single", "four-isolated", "edge", "star150"] + [f"random{i}" for i in range(8)],
+)
+def test_forest_path_bit_identical_to_reference(g):
+    assert centrality._rooted_forest(g) is not None
     assert np.array_equal(betweenness_centrality(g).values, brandes_reference(g))
     assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+
+
+def test_forest_path_long_shuffled_path():
+    # At 5000 levels the queue oracles are too slow; a path has exact
+    # closed forms. The vertex at position i lies on i * (n - 1 - i)
+    # unordered pairs' paths and has distance sum i(i+1)/2 + (n-1-i)(n-i)/2.
+    n = 5000
+    order = np.random.default_rng(61).permutation(n)
+    g = Graph.from_edges(n, zip(order[:-1].tolist(), order[1:].tolist()))
+    assert centrality._rooted_forest(g) is not None
+    i = np.arange(n, dtype=np.int64)
+    want_b = np.empty(n)
+    want_b[order] = i * (n - 1 - i)
+    want_c = np.empty(n)
+    want_c[order] = (n - 1) / (i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2)
+    assert np.array_equal(betweenness_centrality(g).values, want_b)
+    assert np.array_equal(closeness_centrality(g).values, want_c)
+
+
+def test_forest_plus_one_edge_takes_brandes_path():
+    g = generate_forest([40, 40, 1, 2], seed=63)
+    u, v = next((u, v) for u in range(40) for v in range(u + 1, 40) if (u, v) not in g.edges)
+    g = shuffled(Graph.from_edges(g.vertex_count, g.edges + ((u, v),)), np.random.default_rng(63))
+    assert centrality._rooted_forest(g) is None
+    want_b = brandes_reference(g)
+    assert np.max(np.abs(betweenness_centrality(g).values - want_b)) <= 1e-12 * want_b.max()
+    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+
+
+def test_forest_path_memory_is_linear():
+    n = 100_000
+    g = generate_random_tree(n, seed=67)
+    g.csr  # cached on the graph, not scratch
+    tracemalloc.start()
+    try:
+        betweenness_centrality(g)
+        closeness_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The forest path keeps about ten length-n int64 arrays live at once.
+    assert peak < 32 * 8 * n
 
 
 def multipath_graph(n=300, seed=47):

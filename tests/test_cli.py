@@ -224,3 +224,55 @@ def test_metrics_rejects_non_finite_positions(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[[0, 0], [1, 1], [2, 2]]",
+        "{}",
+        '{"positions": 5}',
+        '{"positions": "abc"}',
+        '{"positions": [[0, 0], [1], [2, 2]]}',
+        '{"positions": [[0, 0], {"x": 1}, [2, 2]]}',
+        '{"positions": [[0, 0], [null, 1], [2, 2]]}',
+        '{"positions": [[[0, 0]], [[1, 1]], [[2, 2]]]}',
+    ],
+    ids=["list", "no-key", "number", "string", "short-row", "object-row", "null-coord", "nested-row"],
+)
+def test_metrics_rejects_malformed_positions(tmp_path, capsys, payload):
+    graph = tmp_path / "p.edges"
+    graph.write_text("a b\nb c\n")
+    positions = tmp_path / "pos.json"
+    positions.write_text(payload)
+    rc = main(["metrics", "--in", str(graph), "--positions", str(positions)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positions" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edges",
+    ["5", '"ab"', "null", "[5]", '["01"]', "[null]", "[[0, null]]"],
+    ids=["int", "string", "null", "int-entry", "string-entry", "null-entry", "null-index"],
+)
+def test_malformed_json_graph_fails_cleanly(tmp_path, capsys, edges):
+    graph = tmp_path / "g.json"
+    graph.write_text(f'{{"vertices": ["a", "b"], "edges": {edges}}}')
+    rc = main(["layout", "--in", str(graph), "--max-iterations", "5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen-tree", "--n", "5"], ["gen-forest", "--sizes", "2,3"]], ids=["tree", "forest"]
+)
+def test_generators_reject_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "g.edges"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()

@@ -30,6 +30,8 @@ def test_tree_deterministic():
 def test_tree_rejects_zero():
     with pytest.raises(ValueError):
         generate_random_tree(0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        generate_random_tree(5, seed=-1)
 
 
 def test_tree_small_cases_cover_all_labeled_trees():
@@ -65,6 +67,8 @@ def test_forest_errors():
         generate_forest([], seed=0)
     with pytest.raises(ValueError):
         generate_forest([3, 0], seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        generate_forest([3], seed=-1)
 
 
 def test_forest_deterministic():

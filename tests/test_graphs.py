@@ -185,3 +185,8 @@ def test_json_errors():
         parse_graph_json('{"vertices": ["a", "b"], "edges": [[0, 5]]}')
     with pytest.raises(GraphParseError):
         parse_graph_json('{"vertices": ["a", "b"], "edges": [[1, 1]]}')
+    for edges in ("5", '"ab"', "null", "[5]", '["01"]', "[null]", "[[0, null]]", "[[0, 1.0]]", "[[0, true]]"):
+        with pytest.raises(GraphParseError, match="edge"):
+            parse_graph_json(f'{{"vertices": ["a", "b"], "edges": {edges}}}')
+    with pytest.raises(GraphParseError):
+        parse_graph_json('{"vertices": 2, "edges": []}')
