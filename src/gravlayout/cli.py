@@ -5,23 +5,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .arcs import layout_lombardi
-from .centrality import CENTRALITY_KINDS, compute_centrality, normalize_mass
+from .centrality import CENTRALITY_KINDS, DEFAULT_MASS_FLOOR, compute_centrality, normalize_mass
 from .engine import LayoutConfig, Schedule, run_layout
 from .generators import generate_forest, generate_random_tree
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph_json, serialize_edge_list
 from .metrics import compute_metrics
 from .render import color_for, render_svg
 
-SCHEDULE_NAMES = {
-    "stepped": Schedule.STEPPED_ITERATION,
-    "equilibrium": Schedule.STEPPED_EQUILIBRIUM,
-    "constant": Schedule.CONSTANT,
-    "none": Schedule.NONE,
+# The layout flags, in the order the report's config echo lists them: the
+# argparse dest (also the echo key), the LayoutConfig field it sets (None for
+# --mass-floor, which goes to normalize_mass) and its help. Defaults and
+# types come from LayoutConfig(), so they are written down only there.
+LAYOUT_FLAGS = {
+    "k": ("k", "natural edge length"),
+    "imax": ("i_max", "impulse magnitude cap"),
+    "sigma": ("sigma", "displacement scale"),
+    "gamma_max": ("gamma_max", "gravity cap of the stepped schedules"),
+    "schedule": ("schedule", "how gravity grows over the run"),
+    "gamma": ("gamma_const", "gravity level for --schedule constant"),
+    "block": ("block_len", "iterations per gravity step"),
+    "gamma_step": ("gamma_step", "gravity increment per step"),
+    "eps": ("equilibrium_eps", "equilibrium impulse tolerance"),
+    "max_iterations": ("max_iterations", "iteration budget"),
+    "seed": ("seed", "seed of the initial positions and the jitter"),
+    "mass_floor": (None, "smallest vertex mass; masses have mean 1"),
 }
 
 
@@ -48,37 +61,26 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _parse_positions(text: str) -> np.ndarray:
-    """The (n, 2) float array of a positions file {"positions": [[x, y], ...]}."""
-    form = 'positions file must be an object {"positions": [[x, y], ...]}'
+    """The (n, 2) float array of a positions file {"positions": [[x, y], ...]}.
+    Coordinates must be JSON numbers: strings and booleans are rejected."""
     payload = json.loads(text)
     rows = payload.get("positions") if isinstance(payload, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError(form)
-    try:
-        positions = np.array(rows, dtype=float) if rows else np.zeros((0, 2))
-    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
-        raise ValueError(form) from exc
-    if positions.shape != (len(rows), 2):
-        raise ValueError(form)
-    return positions
+    # Each row a list of two JSON numbers (a bool is not one); map keeps the loops in C.
+    if not (
+        isinstance(rows, list)
+        and set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {2}
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+    ):
+        raise ValueError('positions file must be an object {"positions": [[x, y], ...]} of numbers')
+    return np.array(rows, dtype=float).reshape(len(rows), 2)
 
 
 def _build_config(args: argparse.Namespace) -> LayoutConfig:
-    schedule = SCHEDULE_NAMES[args.schedule]
-    gamma_const = args.gamma if args.gamma is not None else 0.0
-    return LayoutConfig(
-        k=args.k,
-        i_max=args.imax,
-        sigma=args.sigma,
-        gamma_max=args.gamma_max,
-        schedule=schedule,
-        gamma_const=gamma_const,
-        block_len=args.block,
-        gamma_step=args.gamma_step,
-        equilibrium_eps=args.eps,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
+    """The LayoutConfig the layout flags set; an unset --gamma keeps its default."""
+    values = {field: getattr(args, dest) for dest, (field, _) in LAYOUT_FLAGS.items() if field}
+    values["schedule"] = Schedule(values["schedule"])
+    return LayoutConfig(**{field: v for field, v in values.items() if v is not None})
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -86,18 +88,7 @@ def _resolved_config(args: argparse.Namespace) -> dict:
         "input": args.graph_in,
         "format": args.format,
         "centrality": args.centrality,
-        "k": args.k,
-        "imax": args.imax,
-        "sigma": args.sigma,
-        "gamma_max": args.gamma_max,
-        "schedule": args.schedule,
-        "gamma": args.gamma,
-        "block": args.block,
-        "gamma_step": args.gamma_step,
-        "eps": args.eps,
-        "max_iterations": args.max_iterations,
-        "seed": args.seed,
-        "mass_floor": args.mass_floor,
+        **{dest: getattr(args, dest) for dest in LAYOUT_FLAGS},
         "lombardi": args.lombardi,
     }
 
@@ -150,12 +141,6 @@ def cmd_gen_forest(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph_in, args.format)
     positions = _parse_positions(_read_text(args.positions))
-    if positions.shape != (g.vertex_count, 2):
-        raise ValueError(
-            f"positions shape {positions.shape} does not match {g.vertex_count} vertices"
-        )
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions must be finite (NaN or Infinity found)")
     cent = compute_centrality(g, args.centrality)
     report = compute_metrics(g, positions, cent).as_dict()
     report["config"] = {
@@ -168,22 +153,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_layout_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="graph_in", required=True, help="input graph ('-' for stdin)")
     p.add_argument("--format", choices=("auto", "edges", "json"), default="auto")
     p.add_argument("--centrality", choices=CENTRALITY_KINDS, default="degree")
-    p.add_argument("--k", type=float, default=80.0, help="natural edge length")
-    p.add_argument("--imax", type=float, default=10.0, help="impulse magnitude cap")
-    p.add_argument("--sigma", type=float, default=0.1, help="displacement scale")
-    p.add_argument("--gamma-max", type=float, default=2.5, dest="gamma_max")
-    p.add_argument("--schedule", choices=tuple(SCHEDULE_NAMES), default="stepped")
-    p.add_argument("--gamma", type=float, default=None, help="gravity level for --schedule constant")
-    p.add_argument("--block", type=int, default=200, help="iterations per gravity step")
-    p.add_argument("--gamma-step", type=float, default=0.2, dest="gamma_step")
-    p.add_argument("--eps", type=float, default=1.0, help="equilibrium impulse tolerance")
-    p.add_argument("--max-iterations", type=int, default=3000, dest="max_iterations")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mass-floor", type=float, default=0.05, dest="mass_floor")
+
+
+def _add_layout_flags(p: argparse.ArgumentParser) -> None:
+    defaults = LayoutConfig()
+    for dest, (field, text) in LAYOUT_FLAGS.items():
+        default = getattr(defaults, field) if field else DEFAULT_MASS_FLOOR
+        if isinstance(default, Schedule):
+            spec = {"choices": [s.value for s in Schedule], "default": default.value}
+        else:
+            # --gamma stays None unless given: only --schedule constant uses it.
+            spec = {"type": type(default), "default": None if dest == "gamma" else default}
+        p.add_argument("--" + dest.replace("_", "-"), help=text, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_layout = sub.add_parser("layout", help="lay out a graph; write SVG and metrics")
+    _add_input_flags(p_layout)
     _add_layout_flags(p_layout)
     p_layout.add_argument("--svg", help="write an SVG drawing here")
     p_layout.add_argument("--metrics", help="write a JSON metrics report here")
@@ -215,10 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_forest.set_defaults(func=cmd_gen_forest)
 
     p_metrics = sub.add_parser("metrics", help="metrics report for an existing layout")
-    p_metrics.add_argument("--in", dest="graph_in", required=True)
-    p_metrics.add_argument("--format", choices=("auto", "edges", "json"), default="auto")
+    _add_input_flags(p_metrics)
     p_metrics.add_argument("--positions", required=True, help="positions JSON from layout")
-    p_metrics.add_argument("--centrality", choices=CENTRALITY_KINDS, default="degree")
     p_metrics.add_argument("--out", default="-")
     p_metrics.set_defaults(func=cmd_metrics)
 
@@ -231,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "layout" and args.schedule == "constant" and args.gamma is None:
+    if args.command == "layout" and args.schedule == Schedule.CONSTANT.value and args.gamma is None:
         print("error: --schedule constant requires --gamma", file=sys.stderr)
         return 2
     try:

@@ -350,9 +350,14 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     return float(mag[ws.movable].max()) if ws.movable.any() else 0.0
 
 
-def _checked_positions(positions, n: int) -> np.ndarray:
-    """A column-major (n, 2) copy of finite positions."""
-    pos = np.array(positions, dtype=float, order="F")
+def check_positions(positions, n: int) -> np.ndarray:
+    """Positions of an n-vertex drawing as a float array; ValueError unless
+    the shape is (n, 2) and every coordinate is finite.
+
+    A float ndarray comes back as it is, without a copy: callers that move
+    vertices copy first.
+    """
+    pos = np.asarray(positions, dtype=float)
     if pos.shape != (n, 2):
         raise ValueError(f"positions shape {pos.shape} does not match {n} vertices")
     if not np.all(np.isfinite(pos)):
@@ -372,7 +377,7 @@ def step(
     vertex by sigma * (impulse clamped to i_max).
     """
     n = g.vertex_count
-    pos = _checked_positions(state.positions, n)
+    pos = np.array(check_positions(state.positions, n), order="F")
     t_next = state.t + 1
     gamma = schedule_gamma(t_next, state, config)
     if n == 0:
@@ -399,7 +404,7 @@ def run_layout(
     """
     if initial is None:
         initial = initialize_positions(g, config.seed, config.k)
-    pos = _checked_positions(initial, g.vertex_count)
+    pos = np.array(check_positions(initial, g.vertex_count), order="F")
     if g.vertex_count == 0:
         return np.ascontiguousarray(pos)
     ws = _Workspace(g, mass, frozen)

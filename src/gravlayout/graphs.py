@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.vertex_count, bool) or not isinstance(self.vertex_count, Integral):
+            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         prev = None
@@ -72,12 +75,10 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor ids per vertex, each tuple in ascending order."""
-        nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        """Neighbor ids per vertex, each tuple in ascending order: the CSR rows."""
+        indptr, indices = self.csr
+        nbrs, ends = indices.tolist(), indptr.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .centrality import CentralityVector
-from .engine import TWO_PI
+from .engine import TWO_PI, check_positions
 from .graphs import Graph
 
 # Edge pairs per chunk of count_crossings: its scratch is a few arrays of
@@ -54,11 +54,10 @@ def count_crossings(g: Graph, positions) -> int:
     Proper intersections are detected with orientation predicates; a pair of
     collinear edges overlapping over positive length also counts. Pairs that
     share an endpoint are skipped, and segments merely touching at an
-    endpoint do not count (open-segment semantics). Positions must be finite.
+    endpoint do not count (open-segment semantics). Positions must pass
+    check_positions.
     """
-    pos = np.asarray(positions, dtype=float)
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("positions must be finite")
+    pos = check_positions(positions, g.vertex_count)
     return _count_crossings(g.edge_array, pos, CROSSING_PAIRS)
 
 
@@ -135,14 +134,13 @@ def min_angular_resolution(g: Graph, positions) -> float:
     """
     pos = np.asarray(positions, dtype=float)
     indptr, indices = g.csr
-    deg = np.diff(indptr)
-    owner = np.repeat(np.arange(g.vertex_count), deg)
+    owner = np.repeat(np.arange(g.vertex_count), g.degrees)
     vecs = pos[indices] - pos[owner]
     angles = np.arctan2(vecs[:, 1], vecs[:, 0])
     # Each vertex's directions in ascending angle, vertices kept in CSR order.
     angles = angles[np.lexsort((angles, owner))]
     gaps = np.diff(angles)[owner[1:] == owner[:-1]]
-    hub = deg >= 2
+    hub = g.degrees >= 2
     wraps = TWO_PI - (angles[indptr[1:][hub] - 1] - angles[indptr[:-1][hub]])
     return float(min(gaps.min(initial=TWO_PI), wraps.min(initial=TWO_PI)))
 
@@ -211,9 +209,10 @@ def centrality_radius_correlation(c, positions) -> float:
 
 
 def compute_metrics(g: Graph, positions, c: CentralityVector) -> DrawingMetrics:
-    """Evaluate all drawing metrics for one layout."""
-    pos = np.asarray(positions, dtype=float)
-    crossings = count_crossings(g, pos)  # rejects non-finite positions first
+    """Evaluate all drawing metrics for one layout; the positions must pass
+    check_positions."""
+    pos = check_positions(positions, g.vertex_count)
+    crossings = count_crossings(g, pos)
     if g.edge_count:
         mean, cv = edge_length_stats(g, pos)
     else:

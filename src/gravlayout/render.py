@@ -93,10 +93,12 @@ def render_svg(
     mathematical orientation via a flip transform, and the viewBox is the
     drawing's bounding box padded by 0.1 * k.
     """
-    pos = np.asarray(positions, dtype=float).reshape(g.vertex_count, 2)
-    for v in range(g.vertex_count):
-        if not np.all(np.isfinite(pos[v])):
-            raise RenderError(f"non-finite coordinate for vertex {g.label_of(v)}")
+    pos = np.asarray(positions, dtype=float)
+    if pos.shape != (g.vertex_count, 2):
+        raise RenderError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
+    bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+    if bad.size:
+        raise RenderError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")
     radius = 0.05 * k if vertex_radius is None else vertex_radius
     width = 0.01 * k if edge_width is None else edge_width
     pad = 0.1 * k

@@ -29,10 +29,20 @@ from gravlayout import (
 from gravlayout.engine import TWO_PI
 
 
+def adjacency_reference(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Neighbor ids per vertex, each tuple in ascending order, from a loop
+    over the edge tuples rather than the CSR."""
+    nbrs: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
+
 def brute_betweenness(g: Graph) -> np.ndarray:
     """Betweenness over unordered pairs by enumerating every shortest path."""
     n = g.vertex_count
-    adj = g.adjacency
+    adj = adjacency_reference(g)
     score = np.zeros(n, dtype=float)
 
     def all_shortest_paths(s: int, t: int, dist, preds) -> list[list[int]]:
@@ -77,7 +87,7 @@ def closeness_reference(g: Graph) -> np.ndarray:
     """Closeness by one queue BFS per source: reached / sum of hop counts."""
     n = g.vertex_count
     values = np.zeros(n, dtype=float)
-    adj = g.adjacency
+    adj = adjacency_reference(g)
     dist = np.empty(n, dtype=np.int64)
     for s in range(n):
         dist.fill(-1)
@@ -103,7 +113,7 @@ def brandes_reference(g: Graph) -> np.ndarray:
     BFS per source in ascending order, scalar arithmetic throughout."""
     n = g.vertex_count
     bc = np.zeros(n, dtype=float)
-    adj = g.adjacency
+    adj = adjacency_reference(g)
     for s in range(n):
         dist = [-1] * n
         sigma = [0.0] * n
@@ -136,7 +146,7 @@ def components_reference(g: Graph) -> np.ndarray:
     """Component labels by one queue BFS per unlabelled vertex, in ascending
     vertex order, over the tuple adjacency."""
     labels = np.full(g.vertex_count, -1, dtype=np.int64)
-    adj = g.adjacency
+    adj = adjacency_reference(g)
     count = 0
     for s in range(g.vertex_count):
         if labels[s] != -1:
@@ -225,7 +235,7 @@ def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig
     for u in range(g.vertex_count):
         if u != v:
             total += repulsive_force(pos[u], pos[v], config.k)
-    for u in g.adjacency[v]:
+    for u in adjacency_reference(g)[v]:
         total += attractive_force(pos[u], pos[v], config.k)
     total += gravity_force(pos[v], centroid(pos), float(mass_vals[v]), state.gamma)
     return total
@@ -262,7 +272,7 @@ def angular_resolution_reference(g: Graph, positions) -> float:
     time over the tuple adjacency; 2*pi when no vertex has degree >= 2."""
     pos = np.asarray(positions, dtype=float)
     best = TWO_PI
-    for v, nbrs in enumerate(g.adjacency):
+    for v, nbrs in enumerate(adjacency_reference(g)):
         if len(nbrs) < 2:
             continue
         vecs = pos[list(nbrs)] - pos[v]

@@ -1,8 +1,20 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from gravlayout.cli import main
+from gravlayout import LayoutConfig, Schedule
+from gravlayout.cli import _build_config, build_parser, main
+
+# Every layout flag with a value, in the order of the report's config echo.
+LAYOUT_VALUE_FLAGS = (
+    "--k", "--imax", "--sigma", "--gamma-max", "--schedule", "--gamma", "--block",
+    "--gamma-step", "--eps", "--max-iterations", "--seed", "--mass-floor",
+)
+
+
+def _layout_args(*argv):
+    return build_parser().parse_args(["layout", "--in", "g.edges", *argv])
 
 
 def test_gen_tree_writes_edge_list(tmp_path):
@@ -237,8 +249,14 @@ def test_metrics_rejects_non_finite_positions(tmp_path, capsys, value):
         '{"positions": [[0, 0], {"x": 1}, [2, 2]]}',
         '{"positions": [[0, 0], [null, 1], [2, 2]]}',
         '{"positions": [[[0, 0]], [[1, 1]], [[2, 2]]]}',
+        '{"positions": [["0", "0"], ["1", "1"], ["2", "2"]]}',
+        '{"positions": [[0, 0], [1, true], [2, 2]]}',
+        '{"positions": [[0, 0], [1, 1]]}',
     ],
-    ids=["list", "no-key", "number", "string", "short-row", "object-row", "null-coord", "nested-row"],
+    ids=[
+        "list", "no-key", "number", "string", "short-row", "object-row", "null-coord", "nested-row",
+        "string-coord", "bool-coord", "too-few-rows",
+    ],
 )
 def test_metrics_rejects_malformed_positions(tmp_path, capsys, payload):
     graph = tmp_path / "p.edges"
@@ -276,3 +294,64 @@ def test_generators_reject_negative_seed(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
     assert not out.exists()
+
+
+def test_default_layout_argv_builds_default_config():
+    assert _build_config(_layout_args()) == LayoutConfig()
+
+
+def test_default_config_echo(tmp_path):
+    graph = tmp_path / "k2.edges"
+    graph.write_text("a b\n")
+    metrics = tmp_path / "m.json"
+    assert main(["layout", "--in", str(graph), "--metrics", str(metrics)]) == 0
+    echo = json.loads(metrics.read_text())["config"]
+    want = [
+        ("input", str(graph)),
+        ("format", "auto"),
+        ("centrality", "degree"),
+        ("k", 80.0),
+        ("imax", 10.0),
+        ("sigma", 0.1),
+        ("gamma_max", 2.5),
+        ("schedule", "stepped"),
+        ("gamma", None),
+        ("block", 200),
+        ("gamma_step", 0.2),
+        ("eps", 1.0),
+        ("max_iterations", 3000),
+        ("seed", 0),
+        ("mass_floor", 0.05),
+        ("lombardi", False),
+    ]
+    assert list(echo.items()) == want
+    assert [type(v) for v in echo.values()] == [type(v) for _, v in want]  # 200, not 200.0
+
+
+def test_every_config_field_set_by_exactly_one_flag():
+    default = LayoutConfig()
+    setters = {}
+    for flag in LAYOUT_VALUE_FLAGS:
+        config = _build_config(_layout_args(flag, "none" if flag == "--schedule" else "7"))
+        changed = [f.name for f in fields(config) if getattr(config, f.name) != getattr(default, f.name)]
+        assert len(changed) <= 1, (flag, changed)
+        for name in changed:
+            setters.setdefault(name, []).append(flag)
+    assert sorted(setters) == sorted(f.name for f in fields(LayoutConfig))
+    assert all(len(flags) == 1 for flags in setters.values())
+
+
+def test_schedule_flag_accepts_exactly_the_schedule_values(capsys):
+    for schedule in Schedule:
+        assert _build_config(_layout_args("--schedule", schedule.value)).schedule is schedule
+    for bad in ("STEPPED", "stepped_iteration", "Schedule.NONE", ""):
+        with pytest.raises(SystemExit):
+            _layout_args("--schedule", bad)
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_constant_schedule_flags_build_config():
+    args = _layout_args("--schedule", "constant", "--gamma", "1.5", "--block", "50", "--eps", "0.5")
+    assert _build_config(args) == LayoutConfig(
+        schedule=Schedule.CONSTANT, gamma_const=1.5, block_len=50, equilibrium_eps=0.5
+    )

@@ -13,6 +13,9 @@ from gravlayout import (
     attractive_force,
     centroid,
     closeness_centrality,
+    compute_metrics,
+    count_crossings,
+    degree_centrality,
     generate_random_tree,
     gravity_force,
     initialize_positions,
@@ -407,13 +410,13 @@ def test_reused_workspace_matches_fresh_scratch():
     cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=0.9, seed=3)
     frozen = np.zeros(n, dtype=bool)
     frozen[[17, 250]] = True
-    first = engine._checked_positions(rng.uniform(-900, 900, (n, 2)), n)
+    first = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
     first[250] = first[17]  # frozen and coincident: their d2 is floored
     ws = engine._Workspace(g, mass, frozen)
     assert engine._repulsion(first, cfg.k, ws.rows, ws.scratch)[1] == [(17, 250)]
     engine._advance(first, 1, 0.9, ws, cfg)
     for coincident in (False, True):
-        pos = engine._checked_positions(rng.uniform(-900, 900, (n, 2)), n)
+        pos = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
         if coincident:
             pos[250] = pos[17]
         want = pos.copy(order="F")
@@ -522,6 +525,30 @@ def test_non_finite_positions_rejected(bad):
         run_layout(g, uniform_mass(g), cfg, initial=init)
     with pytest.raises(ValueError, match="finite"):
         step(LayoutState(positions=init), g, uniform_mass(g), cfg)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (4, 2), (2, 3), (6,)])
+def test_every_layer_rejects_wrong_positions_shape(shape):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    bad = np.arange(float(np.prod(shape))).reshape(shape)
+    cfg = LayoutConfig(max_iterations=5)
+    for call in (
+        lambda: engine.check_positions(bad, 3),
+        lambda: run_layout(g, uniform_mass(g), cfg, initial=bad),
+        lambda: step(LayoutState(positions=bad), g, uniform_mass(g), cfg),
+        lambda: count_crossings(g, bad),
+        lambda: compute_metrics(g, bad, degree_centrality(g)),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            call()
+
+
+def test_check_positions_returns_float_arrays_uncopied():
+    pos = np.zeros((3, 2))
+    assert engine.check_positions(pos, 3) is pos
+    listed = engine.check_positions([[0, 1], [2, 3], [4, 5]], 3)
+    assert listed.dtype == np.float64 and listed.flags.c_contiguous
+    assert listed.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from gravlayout import (
     serialize_edge_list,
     serialize_graph_json,
 )
-from oracles import components_reference, random_graph
+from oracles import adjacency_reference, components_reference, random_graph
 
 
 def test_parse_basic_path():
@@ -69,6 +69,20 @@ def test_graph_validation():
         Graph(3, ((1, 2), (0, 1)))  # unsorted
     with pytest.raises(ValueError):
         Graph(-1)
+    with pytest.raises(ValueError, match="integer"):
+        Graph(True, ())
+    with pytest.raises(ValueError, match="integer"):
+        Graph(2.5, ())
+
+
+def test_adjacency_matches_edge_loop():
+    rng = np.random.default_rng(19)
+    graphs = [random_graph(rng, 1, 14) for _ in range(40)]
+    graphs += [Graph(0), Graph(5), Graph.from_edges(7, [(1, 4), (4, 2), (6, 1)])]
+    for g in graphs:
+        got = g.adjacency
+        assert got == adjacency_reference(g)
+        assert all(type(u) is int for nbrs in got for u in nbrs)
 
 
 def test_bfs_path():

@@ -115,6 +115,13 @@ def test_render_rejects_non_finite():
         render_svg(g, [(0, 0), (float("nan"), 0)])
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 3), (2, 2)])
+def test_render_rejects_wrong_shape(shape):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(RenderError, match="shape"):
+        render_svg(g, np.arange(float(np.prod(shape))).reshape(shape))
+
+
 def test_render_labels_escaped():
     g = Graph.from_edges(2, [(0, 1)], labels=("a<b", "x&y"))
     svg = render_svg(g, [(0, 0), (80, 0)], show_labels=True)
