@@ -350,16 +350,18 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     return float(mag[ws.movable].max()) if ws.movable.any() else 0.0
 
 
-def check_positions(positions, n: int) -> np.ndarray:
+def check_positions(positions, n: int | None = None) -> np.ndarray:
     """Positions of an n-vertex drawing as a float array; ValueError unless
-    the shape is (n, 2) and every coordinate is finite.
+    the shape is (n, 2) and every coordinate is finite. With n None, any
+    number of rows passes.
 
     A float ndarray comes back as it is, without a copy: callers that move
     vertices copy first.
     """
     pos = np.asarray(positions, dtype=float)
-    if pos.shape != (n, 2):
-        raise ValueError(f"positions shape {pos.shape} does not match {n} vertices")
+    rows = len(pos) if n is None and pos.ndim else n
+    if pos.shape != (rows, 2):
+        raise ValueError(f"positions shape {pos.shape} is not ({'n' if n is None else n}, 2)")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
     return pos

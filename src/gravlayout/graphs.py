@@ -10,8 +10,9 @@ expansion, `_neighbour_slots`, is shared with the forest rooting sweep in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, count, repeat
 from numbers import Integral
 
 import numpy as np
@@ -23,35 +24,67 @@ class GraphParseError(ValueError):
     """Raised when graph input text is malformed."""
 
 
+def _endpoint_array(pairs) -> np.ndarray:
+    """Edge endpoints as a fresh (m, 2) int64 array; ValueError unless every
+    pair holds two integers (Python or numpy, bool excluded)."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+        return pairs.astype(np.int64)
+    if not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)
+    if not set(map(len, pairs)) <= {2}:
+        raise ValueError("every edge must be a pair of vertex ids")
+    flat = list(chain.from_iterable(pairs))
+    for kind in set(map(type, flat)):
+        if kind is bool or not issubclass(kind, Integral):
+            bad = next(x for x in flat if type(x) is kind)
+            raise ValueError(f"edge endpoint {bad!r} is not an integer")
+    try:
+        return np.array(flat, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError:
+        raise ValueError("edge endpoint out of int64 range") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph on vertex ids 0..vertex_count-1.
 
     Edges are stored canonically: each pair has u < v, the tuple is sorted
-    lexicographically, and there are no duplicates or self-loops. Use
-    :meth:`from_edges` to build a graph from arbitrary pair iterables.
+    lexicographically, and there are no duplicates or self-loops. Every
+    endpoint must be an integer (Python or numpy; bool and float are
+    rejected). `edges` may be given as any sequence of pairs or an (m, 2)
+    integer array; it is stored as a tuple of Python-int pairs, and
+    `edge_array` holds the same edges as a read-only (m, 2) int64 array.
+    Use :meth:`from_edges` to build a graph from arbitrary pair iterables.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...] = ()
     labels: tuple[str, ...] | None = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.vertex_count, bool) or not isinstance(self.vertex_count, Integral):
-            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ValueError(f"vertex_count must be an integer, got {n!r}")
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        prev = None
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) is not canonical for {self.vertex_count} vertices")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError("edges must be sorted and unique")
-            prev = (u, v)
-        if self.labels is not None and len(self.labels) != self.vertex_count:
+        ea = _endpoint_array(self.edges)
+        u, v = ea.T
+        bad = (u < 0) | (u >= v) | (v >= n)
+        # An edge must come strictly after its predecessor in (u, v) order.
+        bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
+        if bad.any():
+            a, b = ea[bad.argmax()].tolist()
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            if not 0 <= a < b < n:
+                raise ValueError(f"edge ({a}, {b}) is not canonical for {n} vertices")
+            raise ValueError("edges must be sorted and unique")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal vertex_count")
+        ea.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(zip(*ea.T.tolist())))
+        object.__setattr__(self, "edge_array", ea)
 
     @classmethod
     def from_edges(
@@ -60,14 +93,20 @@ class Graph:
         edges,
         labels: tuple[str, ...] | None = None,
     ) -> "Graph":
-        """Build a graph, normalizing edge orientation and collapsing duplicates."""
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            canon.add((u, v) if u < v else (v, u))
-        return cls(vertex_count, tuple(sorted(canon)), labels)
+        """Build a graph, normalizing edge orientation and collapsing duplicates.
+
+        edges is any iterable of integer pairs or an (m, 2) integer array.
+        """
+        ea = _endpoint_array(edges)
+        lo, hi = np.minimum(*ea.T), np.maximum(*ea.T)
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {lo[loops[0]]}")
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        return cls(vertex_count, np.column_stack((lo[first], hi[first])), labels)
 
     @property
     def edge_count(self) -> int:
@@ -101,13 +140,6 @@ class Graph:
         deg.setflags(write=False)
         return deg
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int64 array in canonical order."""
-        arr = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
-        arr.setflags(write=False)
-        return arr
-
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
@@ -126,30 +158,35 @@ def parse_edge_list(text: str) -> Graph:
     Each non-empty, non-comment line holds one or two whitespace-separated
     vertex tokens: two tokens declare an edge, a single token declares an
     isolated vertex. Lines whose first non-blank character is '#' are
-    comments. Tokens are mapped to dense ids in first-appearance order.
+    comments. Tokens are mapped to dense ids in first-appearance order. The
+    first bad line (three or more tokens, or a self-loop) raises, naming
+    its line number.
+
+    The text is split, interned and checked in bulk: no Python code runs
+    per line or per token.
     """
-    ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-
-    def intern(token: str) -> int:
-        if token not in ids:
-            ids[token] = len(ids)
-        return ids[token]
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) == 1:
-            intern(tokens[0])
-        elif len(tokens) == 2:
-            a, b = tokens
-            if a == b:
-                raise GraphParseError(f"line {lineno}: self-loop at vertex '{a}'")
-            edges.append((intern(a), intern(b)))
-        else:
-            raise GraphParseError(f"line {lineno}: expected 1 or 2 tokens, got {len(tokens)}")
+    lines = text.splitlines()
+    rows = list(map(str.split, lines))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    kept = rows
+    if "#" in text:
+        comment = np.fromiter(
+            map(str.startswith, map(str.lstrip, lines), repeat("#")), dtype=bool, count=len(lines)
+        )
+        counts[comment] = 0
+        kept = compress(rows, (~comment).tolist())
+    tokens = list(chain.from_iterable(kept))
+    ids = dict(zip(dict.fromkeys(tokens), count()))
+    flat = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    pair = counts == 2
+    edges = flat[np.repeat(pair, counts)].reshape(-1, 2)
+    bad = counts > 2
+    bad[pair] = edges[:, 0] == edges[:, 1]
+    if bad.any():
+        line = int(bad.argmax())
+        if counts[line] == 2:
+            raise GraphParseError(f"line {line + 1}: self-loop at vertex '{rows[line][0]}'")
+        raise GraphParseError(f"line {line + 1}: expected 1 or 2 tokens, got {counts[line]}")
     return Graph.from_edges(len(ids), edges, labels=tuple(ids))
 
 

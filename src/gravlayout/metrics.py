@@ -42,10 +42,9 @@ class DrawingMetrics:
 
 
 def _cross(o, a, b) -> np.ndarray:
-    """Z component of (a - o) x (b - o); sign gives orientation."""
-    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
-        a[..., 1] - o[..., 1]
-    ) * (b[..., 0] - o[..., 0])
+    """Z component of (a - o) x (b - o) for points given as (x, y) pairs of
+    1-D arrays; sign gives orientation."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def count_crossings(g: Graph, positions) -> int:
@@ -56,6 +55,11 @@ def count_crossings(g: Graph, positions) -> int:
     share an endpoint are skipped, and segments merely touching at an
     endpoint do not count (open-segment semantics). Positions must pass
     check_positions.
+
+    Candidate pairs are filtered cheapest first: the sweep yields only pairs
+    whose closed x-extents overlap, pairs whose closed y-extents are
+    disjoint are dropped next, then pairs that share an endpoint, and only
+    the rest reach the orientation predicates.
     """
     pos = check_positions(positions, g.vertex_count)
     return _count_crossings(g.edge_array, pos, CROSSING_PAIRS)
@@ -74,35 +78,41 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
     m = ea.shape[0]
     if m < 2:
         return 0
-    ends = pos[ea]
-    xs, ys = ends[:, :, 0], ends[:, :, 1]
-    xlo, xhi = xs.min(axis=1), xs.max(axis=1)
+    # Endpoint coordinates per edge: (xs[0][e], ys[0][e]) is the first end of
+    # edge e, (xs[1][e], ys[1][e]) the second.
+    xs, ys = pos[ea.T, 0], pos[ea.T, 1]
+    xlo, xhi = np.minimum(*xs), np.maximum(*xs)
     order = np.argsort(xlo, kind="stable")
     hi = np.searchsorted(xlo[order], xhi[order], side="right")
-    ylo, yhi = ys.min(axis=1), ys.max(axis=1)
-    # Row s holds the pairs (s, t), s < t < hi[s], of sorted edges; row_end[s]
-    # is the flat index one past its last pair.
-    row_len = hi - np.arange(1, m + 1)
-    row_end = np.cumsum(row_len)
+    ylo, yhi = np.minimum(*ys)[order], np.maximum(*ys)[order]
+    # Row s holds the pairs (s, t), s < t < hi[s], of sorted edges at flat
+    # indices row_start[s] .. row_end[s] - 1, pair k having t = k - row_base[s].
+    rows = np.arange(m)
+    row_end = np.cumsum(hi - rows - 1)
+    row_start = np.concatenate(([0], row_end[:-1]))
+    row_base = row_start - rows - 1
     pairs = int(row_end[-1])
+    u, v = ea.T
     count = 0
     for lo in range(0, pairs, chunk):
-        k = np.arange(lo, min(lo + chunk, pairs))
-        s = np.searchsorted(row_end, k, side="right")
-        t = k - (row_end[s] - row_len[s]) + s + 1
+        stop = min(lo + chunk, pairs)
+        span = rows[np.searchsorted(row_end, lo, side="right"):
+                    np.searchsorted(row_end, stop - 1, side="right") + 1]
+        taken = np.minimum(row_end[span], stop) - np.maximum(row_start[span], lo)
+        s = np.repeat(span, taken)
+        t = np.arange(lo, stop) - np.repeat(row_base[span], taken)
+        keep = (ylo[s] <= yhi[t]) & (ylo[t] <= yhi[s])
         # Back to edge ids, the lower id first, so each pair is tested with
         # the same operand order as in an all-pairs walk.
-        es, et = order[s], order[t]
+        es, et = order[s[keep]], order[t[keep]]
         i, j = np.minimum(es, et), np.maximum(es, et)
-        a1, a2 = ea[i, 0], ea[i, 1]
-        b1, b2 = ea[j, 0], ea[j, 1]
-        keep = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])
-        keep &= (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
+        a1, a2, b1, b2 = u[i], v[i], u[j], v[j]
+        keep = (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
         i, j = i[keep], j[keep]
         if i.size == 0:
             continue
-        p1, p2 = ends[i, 0], ends[i, 1]
-        q1, q2 = ends[j, 0], ends[j, 1]
+        p1, p2 = (xs[0][i], ys[0][i]), (xs[1][i], ys[1][i])
+        q1, q2 = (xs[0][j], ys[0][j]), (xs[1][j], ys[1][j])
         o1 = _cross(p1, p2, q1)
         o2 = _cross(p1, p2, q2)
         o3 = _cross(q1, q2, p1)
@@ -116,9 +126,9 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
         # dominant axis has positive length.
         d = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
         if d.any():
-            r = np.abs(p2[d] - p1[d])
-            on_x = r[:, 0] >= r[:, 1]
-            p1, p2, q1, q2 = (np.where(on_x, e[d, 0], e[d, 1]) for e in (p1, p2, q1, q2))
+            p1, p2, q1, q2 = ((ex[d], ey[d]) for ex, ey in (p1, p2, q1, q2))
+            on_x = np.abs(p2[0] - p1[0]) >= np.abs(p2[1] - p1[1])
+            p1, p2, q1, q2 = (np.where(on_x, *e) for e in (p1, p2, q1, q2))
             hi_end = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2))
             lo_end = np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
             count += int(np.count_nonzero(hi_end > lo_end))
@@ -130,9 +140,10 @@ def min_angular_resolution(g: Graph, positions) -> float:
 
     Incident edge directions are sorted by angle and consecutive gaps
     (including the wrap-around gap) are compared. Drawings whose maximum
-    degree is at most 1 return 2*pi by convention.
+    degree is at most 1 return 2*pi by convention. Positions must pass
+    check_positions.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = check_positions(positions, g.vertex_count)
     indptr, indices = g.csr
     owner = np.repeat(np.arange(g.vertex_count), g.degrees)
     vecs = pos[indices] - pos[owner]
@@ -146,10 +157,11 @@ def min_angular_resolution(g: Graph, positions) -> float:
 
 
 def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
-    """Mean Euclidean edge length and its coefficient of variation (std/mean)."""
+    """Mean Euclidean edge length and its coefficient of variation (std/mean).
+    Positions must pass check_positions."""
     if g.edge_count == 0:
         raise ValueError("edge_length_stats requires at least one edge")
-    pos = np.asarray(positions, dtype=float)
+    pos = check_positions(positions, g.vertex_count)
     ea = g.edge_array
     seg = pos[ea[:, 0]] - pos[ea[:, 1]]
     lengths = np.sqrt(np.einsum("ec,ec->e", seg, seg))
@@ -160,8 +172,9 @@ def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
 
 
 def bounding_area(positions) -> float:
-    """Area of the axis-aligned bounding box of the positions."""
-    pos = np.asarray(positions, dtype=float)
+    """Area of the axis-aligned bounding box of the positions, which must
+    pass check_positions (any number of rows)."""
+    pos = check_positions(positions)
     if pos.size == 0:
         raise ValueError("bounding_area requires at least one position")
     spans = pos.max(axis=0) - pos.min(axis=0)
@@ -195,10 +208,11 @@ def centrality_radius_correlation(c, positions) -> float:
     """Spearman correlation between centrality and distance from the centroid.
 
     Negative values mean high-centrality vertices sit near the middle of the
-    drawing.
+    drawing. Positions must pass check_positions, one row per centrality
+    value.
     """
     values = c.values if isinstance(c, CentralityVector) else np.asarray(c, dtype=float)
-    pos = np.asarray(positions, dtype=float)
+    pos = check_positions(positions)
     if pos.shape[0] < 3:
         raise ValueError("centrality_radius_correlation requires at least 3 vertices")
     if values.shape[0] != pos.shape[0]:

@@ -7,7 +7,8 @@ Pearson-on-ranks, and a per-vertex loop over the public force primitives
 instead of the engine's blocked repulsion kernel. For graphs too large for
 path enumeration, per-source queue BFS loops over the tuple adjacency stand
 in for the library's batched CSR BFS, and per-vertex and per-run loops
-stand in for its vectorised angular resolution and average ranks.
+stand in for its vectorised angular resolution and average ranks. A
+per-line loop stands in for the bulk edge-list parser.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from gravlayout import (
     Graph,
+    GraphParseError,
     LayoutConfig,
     LayoutState,
     MassVector,
@@ -37,6 +39,35 @@ def adjacency_reference(g: Graph) -> tuple[tuple[int, ...], ...]:
         nbrs[u].append(v)
         nbrs[v].append(u)
     return tuple(tuple(sorted(a)) for a in nbrs)
+
+
+def parse_edge_list_reference(text: str) -> Graph:
+    """Edge-list parsing one line at a time: strip, skip blanks and '#'
+    comments, split, intern tokens as they appear, and raise on the first
+    line with three or more tokens or a self-loop."""
+    ids: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+
+    def intern(token: str) -> int:
+        if token not in ids:
+            ids[token] = len(ids)
+        return ids[token]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) == 1:
+            intern(tokens[0])
+        elif len(tokens) == 2:
+            a, b = tokens
+            if a == b:
+                raise GraphParseError(f"line {lineno}: self-loop at vertex '{a}'")
+            edges.append((intern(a), intern(b)))
+        else:
+            raise GraphParseError(f"line {lineno}: expected 1 or 2 tokens, got {len(tokens)}")
+    return Graph.from_edges(len(ids), edges, labels=tuple(ids))
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:

@@ -14,7 +14,12 @@ from gravlayout import (
     serialize_edge_list,
     serialize_graph_json,
 )
-from oracles import adjacency_reference, components_reference, random_graph
+from oracles import (
+    adjacency_reference,
+    components_reference,
+    parse_edge_list_reference,
+    random_graph,
+)
 
 
 def test_parse_basic_path():
@@ -73,6 +78,125 @@ def test_graph_validation():
         Graph(True, ())
     with pytest.raises(ValueError, match="integer"):
         Graph(2.5, ())
+    for bad in (((0, 1.5),), ((False, True),), ((0, True),), ((np.float64(0), 1),), (("0", "1"),)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(3, bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph.from_edges(3, bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        Graph.from_edges(3, [(0, 1.7)])
+    for bad in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph.from_edges(3, bad)
+    with pytest.raises(ValueError, match="pair"):
+        Graph(3, ((0, 1, 2),))
+    # numpy integer endpoints are valid and stored as Python ints
+    for g in (
+        Graph(3, ((np.int64(0), np.int32(1)),)),
+        Graph(3, np.array([[0, 1]], dtype=np.uint8)),
+        Graph.from_edges(3, np.array([[1, 0]], dtype=np.int32)),
+        Graph.from_edges(3, [(np.int16(1), 0)]),
+    ):
+        assert g.edges == ((0, 1),)
+        assert all(type(x) is int for x in g.edges[0])
+        assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [[0, 1]]
+
+
+def test_from_edges_accepts_any_pair_source():
+    want = ((0, 2), (1, 3))
+    sources = [
+        [(3, 1), (0, 2), (1, 3)],
+        {(3, 1), (1, 3), (2, 0)},
+        ((u, v) for u, v in [(2, 0), (3, 1)]),
+        np.array([[3, 1], [0, 2], [2, 0]]),
+        np.array([[0, 2], [1, 3]], dtype=np.uint32),
+        [[0, 2], [3, 1]],
+        zip([0, 1], [2, 3]),
+    ]
+    for edges in sources:
+        g = Graph.from_edges(4, edges)
+        assert g.edges == want
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert g.edge_array is g.edge_array
+        assert not g.edge_array.flags.writeable
+        assert g.edge_array.tolist() == [list(e) for e in want]
+    assert Graph.from_edges(4, []).edges == ()
+    assert Graph.from_edges(4, np.empty((0, 2), dtype=np.int64)).edge_array.shape == (0, 2)
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph.from_edges(4, np.array([[0, 1], [2, 2], [3, 3]]))
+    with pytest.raises(ValueError, match="not canonical"):
+        Graph.from_edges(4, [(0, 4)])
+    with pytest.raises(ValueError, match="not canonical"):
+        Graph.from_edges(4, [(-1, 2)])
+
+
+def _parse_outcome(parse, text):
+    """(vertex_count, edges, labels) of a parse, or the error message."""
+    try:
+        g = parse(text)
+    except GraphParseError as exc:
+        return str(exc)
+    assert all(type(x) is int for e in g.edges for x in e)
+    return g.vertex_count, g.edges, g.labels
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a a\nx y z",
+        "x y z\na a",
+        "a b\nb c\nc c\nx y z",
+        "a b\r\nb c\r\n\r\nd\r\n",
+        "a b\rb c\rd",
+        "a\tb\n\tb\t c \n",
+        "a b\x0bb c\x0cc d\u2028d e\x85e f\x1cf g",
+        "a#b c\nc a#b\n",
+        "  # indented comment\n\t# tab comment x y z\na b\n # a a\n",
+        "#\n#a\na b\n",
+        "a b\nb a\na b\nc b\nb c\n",
+        "",
+        "\n\n  \n",
+        "x\ny\nx y\nz",
+    ],
+)
+def test_parse_matches_line_loop_reference(text):
+    assert _parse_outcome(parse_edge_list, text) == _parse_outcome(parse_edge_list_reference, text)
+
+
+def test_parse_first_error_by_line_wins():
+    with pytest.raises(GraphParseError, match="^line 1: self-loop at vertex 'a'$"):
+        parse_edge_list("a a\nx y z")
+    with pytest.raises(GraphParseError, match="^line 1: expected 1 or 2 tokens, got 3$"):
+        parse_edge_list("x y z\na a")
+    g = parse_edge_list("a#b c\n  # x y z\n")
+    assert g.labels == ("a#b", "c") and g.edges == ((0, 1),)
+    assert parse_edge_list("a b\r\nb c\r\n# c\r\nd\r\n").vertex_count == 4
+
+
+def test_parse_fuzz_against_line_loop_reference():
+    rng = np.random.default_rng(97)
+    names = [f"v{i}" for i in range(40)] + ["a#b", "é", "10", "#"]
+    breaks = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    gaps = [" ", " ", "\t", "  ", " \t", "\xa0"]
+    errors = 0
+    for _ in range(400):
+        lines = []
+        for _ in range(int(rng.integers(0, 30))):
+            k = int(rng.choice([0, 1, 2, 2, 2, 3], p=[0.1, 0.2, 0.2, 0.2, 0.27, 0.03]))
+            tokens = [str(rng.choice(names)) for _ in range(k)]
+            if k == 2 and rng.random() < 0.03:
+                tokens[1] = tokens[0]
+            line = str(rng.choice(gaps)).join(tokens)
+            if rng.random() < 0.1:
+                line = "#" + line
+            lines.append(str(rng.choice(["", "", " ", "\t"])) + line)
+        text = "".join(line + str(rng.choice(breaks)) for line in lines)
+        if lines and rng.random() < 0.5:
+            text = text[:-1]
+        want = _parse_outcome(parse_edge_list_reference, text)
+        errors += isinstance(want, str)
+        assert _parse_outcome(parse_edge_list, text) == want, repr(text)
+    assert 40 < errors < 360
 
 
 def test_adjacency_matches_edge_loop():

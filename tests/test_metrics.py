@@ -167,6 +167,35 @@ def test_crossings_reject_non_finite_positions(bad):
         compute_metrics(g, pos, degree_centrality(g))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 2)),
+        np.zeros((4, 2)),
+        np.zeros((3, 3)),
+        np.arange(3.0),
+        np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 0.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [math.inf, 0.0]]),
+        np.array([[0.0, -math.inf], [1.0, 0.0], [2.0, 0.0]]),
+    ],
+    ids=["too-few-rows", "too-many-rows", "three-columns", "flat", "nan", "inf", "-inf"],
+)
+def test_every_metric_checks_positions(bad):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    calls = [
+        lambda: count_crossings(g, bad),
+        lambda: min_angular_resolution(g, bad),
+        lambda: edge_length_stats(g, bad),
+        lambda: centrality_radius_correlation([1.0, 2.0, 3.0], bad),
+        lambda: compute_metrics(g, bad, degree_centrality(g)),
+    ]
+    if bad.ndim != 2 or bad.shape[1] != 2 or not np.isfinite(bad).all():
+        calls.append(lambda: bounding_area(bad))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_crossings_rigid_motion_invariance():
     rng = np.random.default_rng(29)
     g = random_graph(rng, 6, 12)
