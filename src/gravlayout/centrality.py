@@ -21,7 +21,9 @@ count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,6 +38,17 @@ DEFAULT_MASS_FLOOR = 0.05
 BFS_ELEMENTS = 1 << 17
 
 
+def _real_vector(values, what: str) -> np.ndarray:
+    """values as a fresh flat float array; ValueError unless it is a flat
+    vector of integers or floats (bools, strings and other objects are not)."""
+    vals = np.asarray(values)
+    if vals.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real numbers")
+    if vals.ndim != 1:
+        raise ValueError(f"{what} must be a flat vector")
+    return vals.astype(float)
+
+
 @dataclass(frozen=True)
 class CentralityVector:
     """Per-vertex nonnegative centrality values of a named kind."""
@@ -46,21 +59,16 @@ class CentralityVector:
     def __post_init__(self) -> None:
         if self.kind not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("centrality values must be a flat vector")
+        vals = _real_vector(self.values, "centrality values")
         if not np.all(np.isfinite(vals)):
             raise ValueError("centrality values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
 def check_masses(values) -> np.ndarray:
     """Masses as a flat float array; ValueError unless every one is positive and finite."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise ValueError("mass values must be a flat vector")
+    vals = _real_vector(values, "mass values")
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise ValueError("masses must be positive and finite")
     return vals
@@ -76,7 +84,6 @@ class MassVector:
         vals = check_masses(self.values)
         if vals.size and abs(float(vals.mean()) - 1.0) > 1e-9:
             raise ValueError("mass mean must be 1 within 1e-9")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -240,14 +247,18 @@ def normalize_mass(c: CentralityVector, mass_floor: float = DEFAULT_MASS_FLOOR) 
     rescale interact, so a single pass is not a fixed point). An all-zero
     centrality yields uniform masses.
     """
-    if not 0.0 < mass_floor <= 1.0:
-        raise ValueError("mass_floor must be in (0, 1]")
-    vals = np.asarray(c.values, dtype=float)
+    if isinstance(mass_floor, bool) or not isinstance(mass_floor, Real) or not 0.0 < mass_floor <= 1.0:
+        raise ValueError(f"mass_floor must be a number in (0, 1], got {mass_floor!r}")
+    mass_floor = float(mass_floor)
+    vals = c.values
     if np.any(vals < 0):
         raise ValueError("centrality values must be nonnegative")
     n = vals.size
     if n == 0:
         return MassVector(vals)
+    top = float(vals.max())
+    if top > sys.float_info.max / n or 0.0 < top < sys.float_info.min * n:
+        vals = vals / top  # the mean would overflow or lose its digits
     mean = float(vals.mean())
     if mean <= 0 or mass_floor == 1.0:
         return MassVector(np.ones(n, dtype=float))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .arcs import layout_lombardi
 from .centrality import CENTRALITY_KINDS, DEFAULT_MASS_FLOOR, compute_centrality, normalize_mass
-from .engine import LayoutConfig, Schedule, run_layout
+from .engine import LayoutConfig, Schedule, check_positions, run_layout
 from .generators import generate_forest, generate_random_tree
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph_json, serialize_edge_list
 from .metrics import compute_metrics
@@ -62,8 +62,12 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 def _parse_positions(text: str) -> np.ndarray:
     """The (n, 2) float array of a positions file {"positions": [[x, y], ...]}.
-    Coordinates must be JSON numbers: strings and booleans are rejected."""
-    payload = json.loads(text)
+    Coordinates must be finite JSON numbers: strings, booleans, NaN and
+    numbers beyond the float range are rejected."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("positions file is nested too deeply") from None
     rows = payload.get("positions") if isinstance(payload, dict) else None
     # Each row a list of two JSON numbers (a bool is not one); map keeps the loops in C.
     if not (
@@ -73,7 +77,11 @@ def _parse_positions(text: str) -> np.ndarray:
         and set(map(type, chain.from_iterable(rows))) <= {int, float}
     ):
         raise ValueError('positions file must be an object {"positions": [[x, y], ...]} of numbers')
-    return np.array(rows, dtype=float).reshape(len(rows), 2)
+    try:
+        positions = np.array(rows, dtype=float).reshape(len(rows), 2)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("positions must be finite") from None
+    return check_positions(positions)
 
 
 def _build_config(args: argparse.Namespace) -> LayoutConfig:

@@ -15,9 +15,12 @@ untangle under the classical forces and only then compact toward the center.
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
 block holds about BLOCK_ELEMENTS pairs. A run allocates its scratch once,
-in a workspace every iteration reuses: a (2, B, n) difference block and a
-(B, n) squared-distance block (three arrays of at most 128 KiB), a (2, n)
-force buffer and the edge endpoint indices. No (n, n) array is ever formed.
+in a workspace every iteration reuses: a (2, B, n) difference block, a
+(2, B, n) column broadcast filled once per kernel call, and a (B, n)
+squared-distance block (five arrays of at most 128 KiB), a (2, n) force
+buffer, the edge endpoint indices, and the gravity term's O(n) buffers with
+gamma * mass, recomputed only when gamma changes. No (n, n) array is ever
+formed.
 Squared distances and row sums are np.einsum loops, and no reduction in a
 step goes through BLAS, so the output bits do not depend on B or on the
 BLAS thread count. Positions are column-major inside a run, so each
@@ -43,7 +46,7 @@ TWO_PI = 2.0 * math.pi
 JITTER_TRIGGER = 1e-6
 JITTER_MAGNITUDE = 1e-3
 
-# Pair entries per block of the repulsion kernel: its scratch is three
+# Pair entries per block of the repulsion kernel: its scratch is five
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
 
@@ -82,14 +85,22 @@ class LayoutConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Numbers are stored as Python floats and ints, whatever Real or
+        # Integral type they came as.
         for name in ("k", "i_max", "sigma", "gamma_max", "gamma_const", "gamma_step", "equilibrium_eps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            try:
+                number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, number)
         for name in ("block_len", "max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.schedule, Schedule):
             raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
@@ -200,17 +211,24 @@ def _block_rows(n: int) -> int:
     return max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
 
 
-def _kernel_scratch(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's buffers: the (2, rows, n) difference block, the (rows, n)
-    d2/weight block and the (2, n) force buffer."""
-    return np.empty((2, rows, n)), np.empty((rows, n)), np.empty((2, n))
+class _KernelScratch:
+    """The kernel's buffers, reused by every call that is handed them: the
+    (2, rows, n) difference block, the (2, rows, n) column broadcast
+    (row i, column j holds vertex j's coordinates), the (rows, n) d2/weight
+    block and the (2, n) force buffer."""
+
+    def __init__(self, n: int, rows: int) -> None:
+        self.diff = np.empty((2, rows, n))
+        self.cols = np.empty((2, rows, n))
+        self.d2 = np.empty((rows, n))
+        self.rep = np.empty((2, n))
 
 
 def _repulsion(
     pos: np.ndarray,
     k: float,
     rows: int,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: _KernelScratch | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Repulsion on every vertex from one snapshot, as a (2, n) array, plus
     the near-coincident pairs.
@@ -229,23 +247,22 @@ def _repulsion(
     """
     n = pos.shape[0]
     p = pos.T
-    diff, d2, rep = scratch if scratch is not None else _kernel_scratch(n, rows)
+    s = scratch if scratch is not None else _KernelScratch(n, rows)
     kk = k * k
     thresh2 = (JITTER_TRIGGER * k) ** 2
     floor2 = (1e-9 * k) ** 2
-    self_pairs = np.arange(rows) * (n + 1)  # flat index of (i, i) in a block starting at 0
+    # The column side of every block is the same: broadcast it once per call.
+    # A broadcasting subtract would allocate its own buffers on every block.
+    np.copyto(s.cols, p[:, None, :])
     close: list[tuple[int, int]] = []
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        bD, bd = diff[:, : b - a], d2[: b - a]
-        # D[c, i, j] = p[c, a + i] - p[c, j] from two broadcast copies and a
-        # flat subtract: a broadcasting ufunc would allocate its own buffers.
-        np.copyto(bD, p[:, None, :])
-        for c in (0, 1):
-            np.copyto(bd, p[c, a:b, None])
-            np.subtract(bd, bD[c], out=bD[c])
+        bD, bd = s.diff[:, : b - a], s.d2[: b - a]
+        # D[c, i, j] = p[c, a + i] - p[c, j]
+        np.copyto(bD, p[:, a:b, None])
+        np.subtract(bD, s.cols[:, : b - a], out=bD)
         np.einsum("kij,kij->ij", bD, bD, out=bd)
-        bd.ravel()[a + self_pairs[: b - a]] = np.inf
+        bd.ravel()[a :: n + 1] = np.inf  # the self pairs (i, a + i)
         if bd.min() < thresh2:
             iu, iv = np.nonzero(bd < thresh2)
             iu += a
@@ -253,8 +270,8 @@ def _repulsion(
             close.extend(zip(iu[keep].tolist(), iv[keep].tolist()))
             np.maximum(bd, floor2, out=bd)
         np.divide(kk, bd, out=bd)
-        np.einsum("ij,kij->ki", bd, bD, out=rep[:, a:b])
-    return rep, close
+        np.einsum("ij,kij->ki", bd, bD, out=s.rep[:, a:b])
+    return s.rep, close
 
 
 def _jitter(
@@ -284,7 +301,7 @@ def _separated_repulsion(
     t: int,
     frozen: np.ndarray,
     rows: int,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: _KernelScratch | None = None,
 ) -> np.ndarray:
     """Separate near-coincident vertices in place (at most 8 rounds), then
     return the (2, n) repulsion at the separated positions. A step with no
@@ -298,7 +315,8 @@ def _separated_repulsion(
 
 class _Workspace:
     """What every step of a run reuses: the checked masses and frozen mask,
-    the attraction endpoint indices and the kernel scratch."""
+    the attraction endpoint indices, the kernel scratch and the gravity
+    term's buffers."""
 
     def __init__(self, g: Graph, mass, frozen) -> None:
         n = g.vertex_count
@@ -316,7 +334,19 @@ class _Workspace:
         eu, ev = g.edge_array.T
         self.ends = np.concatenate([eu, eu + n, ev, ev + n])
         self.rows = _block_rows(n)
-        self.scratch = _kernel_scratch(n, self.rows)
+        self.scratch = _KernelScratch(n, self.rows)
+        self.centroid = np.empty((2, 1))
+        self.gravity = np.empty((2, n))
+        # gamma * mass, recomputed only when gamma changes.
+        self.gamma = None
+        self.gamma_mass = np.empty(n)
+
+    def gravity_weights(self, gamma: float) -> np.ndarray:
+        """gamma * mass, from the cache while gamma stays the same."""
+        if gamma != self.gamma:
+            np.multiply(gamma, self.mass, out=self.gamma_mass)
+            self.gamma = gamma
+        return self.gamma_mass
 
 
 def _add_attraction(imp: np.ndarray, p: np.ndarray, ends: np.ndarray, k: float) -> None:
@@ -339,7 +369,13 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     p = pos.T
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
-    imp += (gamma * ws.mass) * (p.mean(axis=1, keepdims=True) - p)
+    # Gravity gamma M (xi - p); the centroid xi is p.mean's sum-then-divide.
+    xi, grav = ws.centroid, ws.gravity
+    np.add.reduce(p, axis=1, keepdims=True, out=xi)
+    xi /= p.shape[1]
+    np.subtract(xi, p, out=grav)
+    grav *= ws.gravity_weights(gamma)
+    imp += grav
     mag = np.sqrt(np.einsum("kv,kv->v", imp, imp))
     scale = config.sigma * np.minimum(1.0, config.i_max / np.maximum(mag, 1e-300))
     imp *= scale

@@ -208,6 +208,8 @@ def parse_graph_json(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise GraphParseError("JSON graph is nested too deeply") from None
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise GraphParseError('JSON graph must be an object with "vertices" and "edges"')
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):

@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .arcs import ArcEdge
 from .engine import TWO_PI
 from .graphs import Graph
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, < and > escaped as xml.sax.saxutils.escape does,
+    without importing it (it pulls in urllib and http at start-up)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class RenderError(ValueError):
@@ -146,7 +151,7 @@ def render_svg(
             body.append(
                 f'<text transform="translate({_fmt(pos[v, 0] + 1.2 * radius)} '
                 f'{_fmt(pos[v, 1])}) scale(1,-1)" font-size="{_fmt(1.5 * radius)}" '
-                f'fill="#222222">{escape(g.label_of(v))}</text>'
+                f'fill="#222222">{_escape(g.label_of(v))}</text>'
             )
 
     lines = [

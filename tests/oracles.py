@@ -8,11 +8,15 @@ instead of the engine's blocked repulsion kernel. For graphs too large for
 path enumeration, per-source queue BFS loops over the tuple adjacency stand
 in for the library's batched CSR BFS, and per-vertex and per-run loops
 stand in for its vectorised angular resolution and average ranks. A
-per-line loop stands in for the bulk edge-list parser.
+per-line loop stands in for the bulk edge-list parser, and plain checks on
+the decoded object for the JSON graph parser. `random_value` and
+`fuzz_json_text` make the seeded inputs of the boundary fuzz tests.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from collections import deque
 
 import numpy as np
@@ -68,6 +72,59 @@ def parse_edge_list_reference(text: str) -> Graph:
         else:
             raise GraphParseError(f"line {lineno}: expected 1 or 2 tokens, got {len(tokens)}")
     return Graph.from_edges(len(ids), edges, labels=tuple(ids))
+
+
+def parse_graph_json_reference(text: str) -> Graph:
+    """JSON graph parsing by plain checks on the decoded object: it must be
+    {"vertices": [...], "edges": [[i, j], ...]} with both lists, and each
+    edge two ints (not bools) naming distinct listed vertices."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphParseError(f"invalid JSON: {exc}") from None
+    if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), list) and isinstance(obj.get("edges"), list)):
+        raise GraphParseError("not a graph object")
+    n = len(obj["vertices"])
+    edges = set()
+    for pair in obj["edges"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise GraphParseError(f"bad edge {pair!r}")
+        i, j = pair
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n) or i == j:
+            raise GraphParseError(f"bad edge {pair!r}")
+        edges.add((min(i, j), max(i, j)))
+    return Graph(n, tuple(sorted(edges)), labels=tuple(str(x) for x in obj["vertices"]))
+
+
+# What a JSON document or a caller may put where a number is expected: valid
+# numbers, magnitudes at the edges of the float range, and wrong types.
+FUZZ_ATOMS = (
+    0, 1, 2, 3, -1, 7, 0.5, 2.5, -3.75, 1e-320, 1e300, 10**400, -(10**30),
+    math.nan, math.inf, -math.inf, True, False, None, "", "1", "x",
+)
+
+
+def random_value(rng: np.random.Generator, depth: int = 2):
+    """A random JSON-like value: mostly an atom of FUZZ_ATOMS, sometimes a
+    list or a string-keyed object of random values, nested up to depth."""
+    r = rng.random()
+    if depth > 0 and r < 0.15:
+        return [random_value(rng, depth - 1) for _ in range(int(rng.integers(0, 4)))]
+    if depth > 0 and r < 0.2:
+        return {str(random_value(rng, 0)): random_value(rng, depth - 1) for _ in range(int(rng.integers(0, 3)))}
+    return FUZZ_ATOMS[int(rng.integers(len(FUZZ_ATOMS)))]
+
+
+def fuzz_json_text(rng: np.random.Generator, obj) -> str:
+    """obj as JSON text (NaN and Infinity included), sometimes truncated,
+    sometimes wrapped in a nesting deeper than the decoder allows."""
+    text = json.dumps(obj)
+    r = rng.random()
+    if r < 0.05:
+        return text[: int(rng.integers(0, len(text)))]
+    if r < 0.07:
+        return "[" * 5000 + text + "]" * 5000
+    return text
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:

@@ -1,4 +1,7 @@
+import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from oracles import (
     brute_betweenness,
     closeness_reference,
     random_graph,
+    random_value,
 )
 
 
@@ -346,3 +350,70 @@ def test_normalize_mass_errors():
 def test_normalize_mass_floor_one_gives_uniform():
     m = normalize_mass(CentralityVector("degree", [5.0, 1.0, 0.0]), 1.0)
     assert m.values.tolist() == [1.0, 1.0, 1.0]
+
+
+MASS_FLOORS = (0.05, 0.5, 1.0, 1, np.float64(0.2), Fraction(1, 10), 0.0, -1.0, 1.5, math.nan, 10**400, True, None, "0.1")
+
+
+def _fuzz_numbers(rng):
+    """A raw vector: mostly finite floats (zeros, negatives and magnitudes
+    from 1e-320 to 1e308 among them), sometimes ints, sometimes odd values,
+    sometimes near the top of the float range or all subnormal."""
+    r = rng.random()
+    if r < 0.05:
+        return [float(x) for x in rng.uniform(0.1, 1.7, int(rng.integers(1, 6))) * 1e308]
+    if r < 0.1:
+        return [float(x) * 5e-324 for x in rng.integers(0, 4, int(rng.integers(1, 6)))]
+    out = []
+    for _ in range(int(rng.integers(0, 6))):
+        r = rng.random()
+        if r < 0.7:
+            x = float(10.0 ** rng.uniform(-320, 308)) if rng.random() < 0.3 else float(rng.uniform(0, 3))
+            out.append(-x if rng.random() < 0.05 else x)
+        elif r < 0.9:
+            out.append(int(rng.integers(0, 5)))
+        else:
+            out.append(random_value(rng, 1))
+    return out if rng.random() < 0.95 else random_value(rng)
+
+
+def test_mass_inputs_fuzz():
+    # check_masses, CentralityVector and normalize_mass either return finite
+    # vectors that keep their contracts or raise ValueError, without a
+    # floating-point warning on the way.
+    rng = np.random.default_rng(101)
+    masses = normalized = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(800):
+            raw = _fuzz_numbers(rng)
+            # Floats and int64-sized ints: what must be read as numbers.
+            plain = isinstance(raw, list) and all(type(x) is float or type(x) is int and abs(x) < 2**63 for x in raw)
+            try:
+                vals = centrality.check_masses(raw)
+            except ValueError:
+                assert not (plain and all(0 < x < math.inf for x in raw)), raw
+            else:
+                masses += 1
+                assert vals.dtype == np.float64 and vals.tolist() == [float(x) for x in raw]
+                assert np.all(np.isfinite(vals) & (vals > 0))
+            try:
+                cent = CentralityVector("degree", raw)
+            except ValueError:
+                assert not (plain and all(math.isfinite(x) for x in raw)), raw
+                continue
+            floor = MASS_FLOORS[int(rng.integers(len(MASS_FLOORS)))]
+            valid_floor = type(floor) is not bool and isinstance(floor, (int, float, Fraction)) and 0 < floor <= 1
+            try:
+                mass = normalize_mass(cent, floor).values
+            except ValueError:
+                assert not (valid_floor and np.all(cent.values >= 0)), (raw, floor)
+                continue
+            normalized += 1
+            assert valid_floor and mass.shape == cent.values.shape and np.all(np.isfinite(mass))
+            if mass.size:
+                assert abs(mass.mean() - 1.0) <= 1e-9 and mass.min() >= float(floor) * (1 - 1e-12)
+                # Mass keeps the centrality order.
+                order = np.argsort(cent.values, kind="stable")
+                assert np.all(np.diff(mass[order]) >= -1e-12)
+    assert masses > 300 and normalized > 200

@@ -1,10 +1,13 @@
 import json
+import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from gravlayout import LayoutConfig, Schedule
-from gravlayout.cli import _build_config, build_parser, main
+from gravlayout.cli import _build_config, _parse_positions, build_parser, main
+from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
 LAYOUT_VALUE_FLAGS = (
@@ -355,3 +358,49 @@ def test_constant_schedule_flags_build_config():
     assert _build_config(args) == LayoutConfig(
         schedule=Schedule.CONSTANT, gamma_const=1.5, block_len=50, equilibrium_eps=0.5
     )
+
+
+def _positions_reference(text):
+    """The coordinate rows of a positions file as float pairs, or None where
+    the file must be rejected: not JSON, not {"positions": [[x, y], ...]},
+    or a coordinate that is not a finite int or float (bools are not)."""
+    try:
+        rows = json.loads(text)["positions"]
+    except (ValueError, RecursionError, TypeError, KeyError):
+        return None
+    if not isinstance(rows, list) or not all(isinstance(row, list) and len(row) == 2 for row in rows):
+        return None
+    coords = [x for row in rows for x in row]
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in coords):
+        return None
+    return [[float(x), float(y)] for x, y in rows]
+
+
+def test_parse_positions_fuzz_against_reference():
+    # Each file is either read as the reference reads it, with every
+    # coordinate finite, or rejected with a ValueError.
+    rng = np.random.default_rng(99)
+    accepted = 0
+    for _ in range(600):
+        rows = [[float(c) for c in rng.uniform(-1e3, 1e3, 2)] for _ in range(int(rng.integers(0, 6)))]
+        for row in rows:
+            if rng.random() < 0.08:
+                row[int(rng.integers(2))] = random_value(rng, 1)
+            if rng.random() < 0.03:
+                row.append(1.0)  # three coordinates
+            elif rng.random() < 0.03:
+                row.pop()  # one coordinate
+        if rows and rng.random() < 0.05:
+            rows[int(rng.integers(len(rows)))] = random_value(rng)
+        payload = {"positions": rows} if rng.random() < 0.93 else random_value(rng)
+        text = fuzz_json_text(rng, payload)
+        want = _positions_reference(text)
+        try:
+            got = _parse_positions(text)
+        except ValueError:
+            assert want is None, repr(text[:200])
+            continue
+        accepted += 1
+        assert got.dtype == np.float64 and got.shape == (len(want), 2)
+        assert np.all(np.isfinite(got)) and got.tolist() == want, repr(text[:200])
+    assert 200 < accepted < 550

@@ -1,5 +1,8 @@
+import itertools
 import math
 import tracemalloc
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from gravlayout import (
 )
 from conftest import blas_thread_hashes
 from gravlayout import engine
-from oracles import net_impulse, random_graph, separate_coincident
+from oracles import FUZZ_ATOMS, net_impulse, random_graph, separate_coincident
 
 
 def uniform_mass(g):
@@ -157,6 +160,53 @@ def test_config_validation():
         with pytest.raises(ValueError):
             LayoutConfig(**kwargs)
     LayoutConfig(k=np.float64(40.0), block_len=np.int64(50), seed=np.int32(3), i_max=5)
+
+
+POSITIVE = (0.5, 80.0, 3, np.float64(2.5), np.float32(0.25), Fraction(1, 3), np.int64(7))
+NONNEGATIVE = (0.0, 0, 2.5, np.float32(1.5), Fraction(3, 2))
+CONFIG_VALUES = {
+    "k": POSITIVE, "i_max": POSITIVE, "sigma": POSITIVE, "gamma_step": POSITIVE,
+    "equilibrium_eps": POSITIVE, "gamma_max": NONNEGATIVE, "gamma_const": NONNEGATIVE,
+    "block_len": (1, 200, np.int64(5), np.uint8(3)), "max_iterations": (1, 3000, np.int32(9)),
+    "seed": (0, 7, 2**70, np.int32(3)), "schedule": tuple(Schedule),
+}
+ODD_CONFIG_VALUES = FUZZ_ATOMS + (1 + 2j, np.bool_(True), np.float64(math.nan), Fraction(-1, 2), "stepped", (1,))
+
+
+def test_layout_config_fuzz():
+    # A config either holds its inputs as Python floats and ints that meet
+    # every documented constraint, or raises ValueError. One built only from
+    # valid values must be accepted.
+    rng = np.random.default_rng(100)
+    rejected = 0
+    for _ in range(800):
+        values, all_valid = {}, True
+        for name in (f.name for f in fields(LayoutConfig)):
+            if rng.random() < 0.5:
+                continue
+            if rng.random() < 0.85:
+                options = CONFIG_VALUES[name]
+            else:
+                options, all_valid = ODD_CONFIG_VALUES, False
+            values[name] = options[int(rng.integers(len(options)))]
+        try:
+            cfg = LayoutConfig(**values)
+        except ValueError:
+            assert not all_valid, values
+            rejected += 1
+            continue
+        for name, given in values.items():
+            held = getattr(cfg, name)
+            if name == "schedule":
+                assert held is given
+            elif name in ("block_len", "max_iterations", "seed"):
+                assert type(held) is int and held == given, (name, given)
+            else:
+                assert type(held) is float and math.isfinite(held) and held == float(given), (name, given)
+        assert min(cfg.k, cfg.i_max, cfg.sigma, cfg.gamma_step, cfg.equilibrium_eps) > 0
+        assert min(cfg.gamma_max, cfg.gamma_const, cfg.seed) >= 0
+        assert min(cfg.block_len, cfg.max_iterations) >= 1
+    assert 100 < rejected < 700
 
 
 def test_initialize_deterministic_and_in_range():
@@ -415,13 +465,14 @@ def test_reused_workspace_matches_fresh_scratch():
     ws = engine._Workspace(g, mass, frozen)
     assert engine._repulsion(first, cfg.k, ws.rows, ws.scratch)[1] == [(17, 250)]
     engine._advance(first, 1, 0.9, ws, cfg)
-    for coincident in (False, True):
+    # Alternating gammas: a stale cached gamma * mass would show.
+    for coincident, gamma in itertools.product((False, True), (0.9, 1.1)):
         pos = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
         if coincident:
             pos[250] = pos[17]
         want = pos.copy(order="F")
-        want_max = engine._advance(want, 2, 0.9, engine._Workspace(g, mass, frozen), cfg)
-        assert engine._advance(pos, 2, 0.9, ws, cfg) == want_max
+        want_max = engine._advance(want, 2, gamma, engine._Workspace(g, mass, frozen), cfg)
+        assert engine._advance(pos, 2, gamma, ws, cfg) == want_max
         assert np.array_equal(pos, want)
 
 

@@ -17,8 +17,11 @@ from gravlayout import (
 from oracles import (
     adjacency_reference,
     components_reference,
+    fuzz_json_text,
     parse_edge_list_reference,
+    parse_graph_json_reference,
     random_graph,
+    random_value,
 )
 
 
@@ -197,6 +200,38 @@ def test_parse_fuzz_against_line_loop_reference():
         errors += isinstance(want, str)
         assert _parse_outcome(parse_edge_list, text) == want, repr(text)
     assert 40 < errors < 360
+
+
+def test_parse_graph_json_fuzz_against_reference():
+    # Every document either parses to the reference's graph or raises
+    # GraphParseError in both; any other exception fails the test.
+    rng = np.random.default_rng(98)
+    errors = 0
+    for _ in range(600):
+        n = int(rng.integers(0, 6))
+        vertices = [f"v{i}" if rng.random() < 0.9 else random_value(rng, 1) for i in range(n)]
+        edges = []
+        for _ in range(int(rng.integers(0, 7))):
+            pair = [int(rng.integers(0, max(n, 1))) for _ in range(2)]
+            if rng.random() < 0.1:
+                pair[int(rng.integers(2))] = random_value(rng, 1)
+            edges.append(pair if rng.random() < 0.97 else random_value(rng))
+        obj = {"vertices": vertices, "edges": edges}
+        r = rng.random()
+        if r < 0.05:
+            obj = random_value(rng)
+        elif r < 0.1:
+            obj[str(rng.choice(["vertices", "edges"]))] = random_value(rng)
+        elif r < 0.13:
+            del obj[str(rng.choice(["vertices", "edges"]))]
+        text = fuzz_json_text(rng, obj)
+        want = _parse_outcome(parse_graph_json_reference, text)
+        got = _parse_outcome(parse_graph_json, text)
+        errors += isinstance(want, str)
+        assert isinstance(got, str) == isinstance(want, str), repr(text[:200])
+        if not isinstance(want, str):
+            assert got == want, repr(text[:200])
+    assert 100 < errors < 500
 
 
 def test_adjacency_matches_edge_loop():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from gravlayout import (
     render_svg,
     uniform_centrality,
 )
+from conftest import SRC
+from gravlayout import render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -127,6 +133,27 @@ def test_render_labels_escaped():
     svg = render_svg(g, [(0, 0), (80, 0)], show_labels=True)
     texts = [t.text for t in ET.fromstring(svg).iter(SVG_NS + "text")]
     assert texts == ["a<b", "x&y"]
+
+
+def test_label_escape_matches_saxutils():
+    rng = np.random.default_rng(49)
+    alphabet = list("ab&<>;\"' \u00e9x")
+    for _ in range(300):
+        label = "".join(rng.choice(alphabet, int(rng.integers(0, 12))))
+        assert render._escape(label) == escape(label)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=("&lt;", "a>b<c", "\"q\" & 'r'"))
+    svg = render_svg(g, [(0, 0), (80, 0), (0, 80)], show_labels=True)
+    for label in g.labels:
+        assert f">{escape(label)}</text>" in svg
+
+
+def test_import_skips_network_modules():
+    # xml.sax.saxutils loads urllib.request and http.client: tens of ms of
+    # start-up in every CLI process.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    script = "import sys, gravlayout, gravlayout.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_render_deterministic_bytes():
