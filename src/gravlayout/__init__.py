@@ -32,6 +32,7 @@ from .engine import (
     repulsive_force,
     run_layout,
     schedule_gamma,
+    settled,
     step,
     terminal_gamma,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "repulsive_force",
     "run_layout",
     "schedule_gamma",
+    "settled",
     "step",
     "terminal_gamma",
     "generate_forest",

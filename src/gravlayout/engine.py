@@ -11,6 +11,8 @@ The impulse is clamped to magnitude i_max (direction preserved), scaled by
 sigma, and applied as a displacement. The gravity coefficient gamma_t grows
 over iterations according to a schedule, which is what lets drawings first
 untangle under the classical forces and only then compact toward the center.
+schedule_gamma gives gamma_t, terminal_gamma its final level, and settled is
+the stop rule; step and run_layout share one iteration body.
 
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
@@ -30,7 +32,8 @@ coordinate is one contiguous row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Integral, Real
 
@@ -105,6 +108,8 @@ class LayoutConfig:
             raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
             raise ValueError("k, i_max, and sigma must be positive")
+        if not (self.k * self.k < math.inf and (JITTER_TRIGGER * self.k) ** 2 >= sys.float_info.min):
+            raise ValueError(f"k must keep k^2 and (JITTER_TRIGGER * k)^2 normal floats, got {self.k!r}")
         if self.gamma_max < 0 or self.gamma_const < 0 or self.gamma_step <= 0:
             raise ValueError("gamma_max and gamma_const must be >= 0, gamma_step > 0")
         if self.block_len < 1 or self.max_iterations < 1:
@@ -132,6 +137,13 @@ def terminal_gamma(config: LayoutConfig) -> float:
     if config.schedule is Schedule.CONSTANT:
         return config.gamma_const
     return config.gamma_max
+
+
+def settled(state: LayoutState, config: LayoutConfig) -> bool:
+    """The stop rule: the strongest pre-clamp impulse of the last iteration
+    is below equilibrium_eps and gamma has reached the schedule's terminal
+    level. A start state (last_max_impulse inf) is never settled."""
+    return state.last_max_impulse < config.equilibrium_eps and state.gamma >= terminal_gamma(config) - 1e-12
 
 
 def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
@@ -177,19 +189,17 @@ def gravity_force(pv, xi, mass: float, gamma: float) -> np.ndarray:
 
 
 def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
-    """Gravity coefficient for iteration t under the configured schedule."""
-    if config.schedule is Schedule.NONE:
-        return 0.0
-    if config.schedule is Schedule.CONSTANT:
-        return config.gamma_const
+    """Gravity coefficient for iteration t under the configured schedule.
+    The flat schedules hold their terminal level from the start."""
     if config.schedule is Schedule.STEPPED_ITERATION:
         return min(config.gamma_max, config.gamma_step * (t // config.block_len))
+    if config.schedule is not Schedule.STEPPED_EQUILIBRIUM:
+        return terminal_gamma(config)
     # Stepped by equilibrium: raise gamma one step whenever the previous
     # iteration's strongest impulse dropped below the equilibrium tolerance.
-    gamma = state.gamma
     if state.last_max_impulse < config.equilibrium_eps:
-        gamma = min(config.gamma_max, gamma + config.gamma_step)
-    return gamma
+        return min(config.gamma_max, state.gamma + config.gamma_step)
+    return state.gamma
 
 
 def _splitmix64(x: int) -> int:
@@ -224,30 +234,25 @@ class _KernelScratch:
         self.rep = np.empty((2, n))
 
 
-def _repulsion(
-    pos: np.ndarray,
-    k: float,
-    rows: int,
-    scratch: _KernelScratch | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _repulsion(pos: np.ndarray, k: float, s: _KernelScratch) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Repulsion on every vertex from one snapshot, as a (2, n) array, plus
     the near-coincident pairs.
 
-    Walks the vertices `rows` at a time. For rows a..b it forms the
-    differences D[c, i, j] = pos[a + i, c] - pos[j, c] against every vertex,
-    d2 = sum_c D^2, then w = k^2 / d2 with the self term at zero, and the row
-    sums sum_j w D: row v's sums are the force on v. Both reductions are
-    einsum loops without BLAS; rows are summed whole and independently, so
-    the bits do not depend on `rows`, nor on a BLAS thread count. The result
-    lives in the scratch's force buffer, so a reused scratch overwrites it.
+    Walks the vertices as many rows at a time as the scratch's blocks hold.
+    For rows a..b it forms the differences D[c, i, j] = pos[a + i, c] -
+    pos[j, c] against every vertex, d2 = sum_c D^2, then w = k^2 / d2 with
+    the self term at zero, and the row sums sum_j w D: row v's sums are the
+    force on v. Both reductions are einsum loops without BLAS; rows are
+    summed whole and independently, so the bits do not depend on the block
+    rows, nor on a BLAS thread count. The result lives in the scratch's
+    force buffer, so the next call with that scratch overwrites it.
 
     Pairs closer than JITTER_TRIGGER * k come back as (u, v) with u < v in
     row-major order. Their d2 is floored well below the trigger: callers
     separate real pairs, the floor only guards coincident frozen pairs.
     """
-    n = pos.shape[0]
+    n, rows = pos.shape[0], s.d2.shape[0]
     p = pos.T
-    s = scratch if scratch is not None else _KernelScratch(n, rows)
     kk = k * k
     thresh2 = (JITTER_TRIGGER * k) ** 2
     floor2 = (1e-9 * k) ** 2
@@ -295,22 +300,16 @@ def _jitter(
 
 
 def _separated_repulsion(
-    pos: np.ndarray,
-    k: float,
-    seed: int,
-    t: int,
-    frozen: np.ndarray,
-    rows: int,
-    scratch: _KernelScratch | None = None,
+    pos: np.ndarray, k: float, seed: int, t: int, frozen: np.ndarray, s: _KernelScratch
 ) -> np.ndarray:
     """Separate near-coincident vertices in place (at most 8 rounds), then
     return the (2, n) repulsion at the separated positions. A step with no
     close pair makes one kernel pass."""
     for _ in range(8):
-        rep, close = _repulsion(pos, k, rows, scratch)
+        rep, close = _repulsion(pos, k, s)
         if not (close and _jitter(pos, close, k, seed, t, frozen)):
             return rep
-    return _repulsion(pos, k, rows, scratch)[0]
+    return _repulsion(pos, k, s)[0]
 
 
 class _Workspace:
@@ -333,8 +332,7 @@ class _Workspace:
         # Flat indices into the (2, n) coordinates: [x_u, y_u, x_v, y_v] per edge.
         eu, ev = g.edge_array.T
         self.ends = np.concatenate([eu, eu + n, ev, ev + n])
-        self.rows = _block_rows(n)
-        self.scratch = _KernelScratch(n, self.rows)
+        self.scratch = _KernelScratch(n, _block_rows(n))
         self.centroid = np.empty((2, 1))
         self.gravity = np.empty((2, n))
         # gamma * mass, recomputed only when gamma changes.
@@ -365,7 +363,9 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     """Iteration t at gravity gamma, in place on the (n, 2) positions; return
     the strongest impulse on a movable vertex. Runs fastest when pos is
     column-major, so each coordinate is one contiguous row of pos.T."""
-    imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.rows, ws.scratch)
+    if not pos.size:  # an empty drawing: no force, nothing to move
+        return 0.0
+    imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.scratch)
     p = pos.T
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
@@ -377,7 +377,8 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     grav *= ws.gravity_weights(gamma)
     imp += grav
     mag = np.sqrt(np.einsum("kv,kv->v", imp, imp))
-    scale = config.sigma * np.minimum(1.0, config.i_max / np.maximum(mag, 1e-300))
+    # sigma * min(1, i_max / mag), by a division that cannot overflow.
+    scale = config.sigma * (config.i_max / np.maximum(mag, config.i_max))
     imp *= scale
     if ws.movable is None:
         p += imp
@@ -403,6 +404,27 @@ def check_positions(positions, n: int | None = None) -> np.ndarray:
     return pos
 
 
+def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.ndarray, _Workspace]:
+    """A column-major copy of the checked positions, and a workspace. ValueError
+    when max_iterations could carry a vertex to where a squared distance
+    overflows: an iteration moves it at most sigma * i_max plus 8 jitter
+    nudges of JITTER_MAGNITUDE * k."""
+    pos = np.array(check_positions(positions, g.vertex_count), order="F")
+    per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
+    # min: an iteration count beyond the float range would not convert.
+    reach = float(np.abs(pos).max(initial=0.0)) + min(config.max_iterations, sys.float_info.max) * per_step
+    if 8 * reach * reach == math.inf:  # d2 of two vertices within reach on each axis
+        raise ValueError(f"vertices could reach {reach:.3g} in max_iterations, overflowing squared distances")
+    return pos, _Workspace(g, mass, frozen)
+
+
+def _next_state(state: LayoutState, pos: np.ndarray, ws: _Workspace, config: LayoutConfig) -> LayoutState:
+    """The iteration after state, in place on pos: its positions, column-major."""
+    t = state.t + 1
+    gamma = schedule_gamma(t, state, config)
+    return LayoutState(pos, t, gamma, _advance(pos, t, gamma, ws, config))
+
+
 def step(
     state: LayoutState,
     g: Graph,
@@ -414,14 +436,8 @@ def step(
     compute all impulses from the snapshot, then displace every movable
     vertex by sigma * (impulse clamped to i_max).
     """
-    n = g.vertex_count
-    pos = np.array(check_positions(state.positions, n), order="F")
-    t_next = state.t + 1
-    gamma = schedule_gamma(t_next, state, config)
-    if n == 0:
-        return LayoutState(pos, t_next, gamma, 0.0)
-    max_impulse = _advance(pos, t_next, gamma, _Workspace(g, mass, frozen), config)
-    return LayoutState(np.ascontiguousarray(pos), t_next, gamma, max_impulse)
+    pos, ws = _start(state.positions, g, mass, frozen, config)
+    return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))
 
 
 def run_layout(
@@ -434,24 +450,18 @@ def run_layout(
 ) -> np.ndarray:
     """Run the simulation to completion and return final positions.
 
-    Iterates until max_iterations, stopping early once gamma has reached the
-    schedule's terminal value and the strongest pre-clamp impulse has dropped
-    below equilibrium_eps. Fully deterministic for identical inputs, and
-    step-for-step identical to iterating :func:`step` by hand. The scratch
-    memory is allocated once per call and reused by every iteration.
+    Iterates until max_iterations, or until the state is :func:`settled`.
+    Fully deterministic for identical inputs, and step-for-step identical
+    to iterating :func:`step` by hand. The scratch memory is allocated once
+    per call and reused by every iteration. ValueError rather than
+    non-finite positions.
     """
     if initial is None:
         initial = initialize_positions(g, config.seed, config.k)
-    pos = np.array(check_positions(initial, g.vertex_count), order="F")
-    if g.vertex_count == 0:
-        return np.ascontiguousarray(pos)
-    ws = _Workspace(g, mass, frozen)
+    pos, ws = _start(initial, g, mass, frozen, config)
     state = LayoutState(positions=pos)
-    target = terminal_gamma(config)
-    while state.t < config.max_iterations:
-        t = state.t + 1
-        gamma = schedule_gamma(t, state, config)
-        state = LayoutState(pos, t, gamma, _advance(pos, t, gamma, ws, config))
-        if state.gamma >= target - 1e-12 and state.last_max_impulse < config.equilibrium_eps:
-            break
+    while g.vertex_count and state.t < config.max_iterations and not settled(state, config):
+        state = _next_state(state, pos, ws, config)
+    if not np.isfinite(pos).all():
+        raise ValueError("the layout diverged to non-finite positions")
     return np.ascontiguousarray(pos)

@@ -203,7 +203,8 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def parse_graph_json(text: str) -> Graph:
-    """Parse the JSON graph format: {"vertices": [names], "edges": [[i, j], ...]}."""
+    """Parse the JSON graph format: {"vertices": [names], "edges": [[i, j], ...]}.
+    Names are distinct JSON strings."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -214,7 +215,9 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphParseError('JSON graph must be an object with "vertices" and "edges"')
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
         raise GraphParseError('"vertices" and "edges" must be JSON arrays')
-    names = [str(x) for x in obj["vertices"]]
+    names = obj["vertices"]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise GraphParseError("vertex names must be distinct JSON strings")
     n = len(names)
     edges = []
     for pair in obj["edges"]:

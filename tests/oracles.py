@@ -76,15 +76,20 @@ def parse_edge_list_reference(text: str) -> Graph:
 
 def parse_graph_json_reference(text: str) -> Graph:
     """JSON graph parsing by plain checks on the decoded object: it must be
-    {"vertices": [...], "edges": [[i, j], ...]} with both lists, and each
-    edge two ints (not bools) naming distinct listed vertices."""
+    {"vertices": [...], "edges": [[i, j], ...]} with both lists, the names
+    distinct strings, and each edge two ints (not bools) naming distinct
+    listed vertices."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from None
     if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), list) and isinstance(obj.get("edges"), list)):
         raise GraphParseError("not a graph object")
-    n = len(obj["vertices"])
+    names = obj["vertices"]
+    for i, name in enumerate(names):
+        if type(name) is not str or name in names[:i]:
+            raise GraphParseError(f"bad vertex name {name!r}")
+    n = len(names)
     edges = set()
     for pair in obj["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -93,7 +98,7 @@ def parse_graph_json_reference(text: str) -> Graph:
         if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n) or i == j:
             raise GraphParseError(f"bad edge {pair!r}")
         edges.add((min(i, j), max(i, j)))
-    return Graph(n, tuple(sorted(edges)), labels=tuple(str(x) for x in obj["vertices"]))
+    return Graph(n, tuple(sorted(edges)), labels=tuple(names))
 
 
 # What a JSON document or a caller may put where a number is expected: valid

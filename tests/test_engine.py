@@ -1,7 +1,8 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from gravlayout import (
     repulsive_force,
     run_layout,
     schedule_gamma,
+    settled,
     step,
     terminal_gamma,
     uniform_centrality,
@@ -178,7 +180,7 @@ def test_layout_config_fuzz():
     # every documented constraint, or raises ValueError. One built only from
     # valid values must be accepted.
     rng = np.random.default_rng(100)
-    rejected = 0
+    rejected = raised = 0
     for _ in range(800):
         values, all_valid = {}, True
         for name in (f.name for f in fields(LayoutConfig)):
@@ -206,7 +208,84 @@ def test_layout_config_fuzz():
         assert min(cfg.k, cfg.i_max, cfg.sigma, cfg.gamma_step, cfg.equilibrium_eps) > 0
         assert min(cfg.gamma_max, cfg.gamma_const, cfg.seed) >= 0
         assert min(cfg.block_len, cfg.max_iterations) >= 1
+        raised += layout_raises(cfg)
     assert 100 < rejected < 700
+    assert 0 < raised < 800 - rejected
+
+
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def layout_raises(cfg):
+    """Whether one step under cfg, or a run_layout of it capped at 20
+    iterations, raised ValueError on a 4-vertex path. Each must otherwise
+    come back finite, with no warning on the way."""
+    mass = normalize_mass(degree_centrality(PATH4))
+    start = LayoutState(positions=initialize_positions(PATH4, cfg.seed, cfg.k))
+    runs = (
+        lambda: step(start, PATH4, mass, cfg).positions,
+        lambda: run_layout(PATH4, mass, replace(cfg, max_iterations=min(cfg.max_iterations, 20))),
+    )
+    raised = False
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert np.all(np.isfinite(run())), cfg
+            except ValueError:
+                raised = True
+    return raised
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k": 1e160}, {"k": 1e-300}, {"sigma": 1e200}, {"sigma": 1e300, "i_max": 1e300}, {"k": 1e300}],
+    ids=lambda kw: ",".join(f"{name}={value:g}" for name, value in kw.items()),
+)
+def test_config_a_run_cannot_carry_raises_value_error(kwargs):
+    # Each made run_layout return NaN positions, or raise OverflowError,
+    # before k was bounded and a run's reach checked.
+    mass = uniform_mass(PATH4)
+    runs = (
+        lambda cfg: run_layout(PATH4, mass, cfg),
+        lambda cfg: step(LayoutState(positions=np.zeros((4, 2))), PATH4, mass, cfg),
+    )
+    for run in runs:
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("error")
+            run(LayoutConfig(max_iterations=50, **kwargs))
+
+
+def test_reach_checked_from_the_start_positions():
+    mass = uniform_mass(PATH4)
+    far = LayoutState(positions=np.full((4, 2), 1e154))
+    for run in (
+        lambda: step(far, PATH4, mass, LayoutConfig()),
+        lambda: run_layout(PATH4, mass, LayoutConfig(), initial=far.positions),
+    ):
+        with pytest.raises(ValueError, match="overflowing squared distances"):
+            run()
+    with pytest.raises(ValueError, match="overflowing squared distances"):
+        step(LayoutState(positions=np.zeros((4, 2))), PATH4, mass, LayoutConfig(max_iterations=10**400))
+
+
+def test_run_layout_raises_rather_than_return_non_finite_positions():
+    # Within the reach bound, gravity at gamma 1e300 on coordinates near
+    # 1e154 still overflows to inf, which the clamp turns into NaN.
+    cfg = LayoutConfig(k=1e153, schedule=Schedule.CONSTANT, gamma_const=1e300, max_iterations=5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        run_layout(PATH4, uniform_mass(PATH4), cfg)
+
+
+def test_clamp_with_huge_i_max_stays_quiet():
+    # A zero impulse under i_max = 1e300: the clamp's i_max / mag must not overflow.
+    g = Graph.from_edges(2, [(0, 1)])
+    state = LayoutState(positions=np.array([[0.0, 0.0], [80.0, 0.0]]))
+    cfg = LayoutConfig(schedule=Schedule.NONE, i_max=1e300, sigma=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nxt = step(state, g, uniform_mass(g), cfg)
+    assert np.array_equal(nxt.positions, state.positions)
 
 
 def test_initialize_deterministic_and_in_range():
@@ -334,7 +413,7 @@ def test_jitter_across_block_boundary_follows_pair_rule():
     assert np.flatnonzero(np.any(want != pos, axis=1)).tolist() == [u, q, w]
     for block in (rows, 1, 7, n):
         got = pos.copy()
-        engine._separated_repulsion(got, k, seed, t, frozen, block)
+        engine._separated_repulsion(got, k, seed, t, frozen, engine._KernelScratch(n, block))
         assert np.array_equal(got, want)
     g = Graph(n)
     cfg = LayoutConfig(schedule=Schedule.NONE, seed=seed)
@@ -349,10 +428,10 @@ def test_repulsion_bits_do_not_depend_on_block_rows():
     n = 500
     pos = rng.uniform(-1200, 1200, (n, 2))
     pos[311] = pos[12]  # one coincident pair, floored the same way in every block
-    base, close = engine._repulsion(pos, 80.0, engine._block_rows(n))
+    base, close = engine._repulsion(pos, 80.0, engine._KernelScratch(n, engine._block_rows(n)))
     assert close == [(12, 311)]
     for rows in (1, 3, 64, n):
-        rep, pairs = engine._repulsion(pos, 80.0, rows)
+        rep, pairs = engine._repulsion(pos, 80.0, engine._KernelScratch(n, rows))
         assert np.array_equal(rep, base)
         assert pairs == close
 
@@ -427,6 +506,32 @@ def test_run_layout_matches_manual_step_loop():
     assert np.array_equal(auto, state.positions)
 
 
+@pytest.mark.parametrize(
+    ("schedule", "stop"),
+    [(Schedule.NONE, 1), (Schedule.CONSTANT, 1), (Schedule.STEPPED_ITERATION, 40), (Schedule.STEPPED_EQUILIBRIUM, 5)],
+    ids=lambda x: x.value if isinstance(x, Schedule) else str(x),
+)
+def test_run_layout_stops_where_step_loop_first_settles(schedule, stop):
+    # At eps 1e6 every impulse counts as settled, so each run stops at the
+    # first iteration its gamma reaches the schedule's terminal level (0 for
+    # none, 0.8 for the others): at once for none and constant, at t = 40 =
+    # 4 blocks of 10 for stepped, and for equilibrium after t = 1 (no
+    # previous impulse) plus 4 raises.
+    g = random_graph(np.random.default_rng(9), 8, 12)
+    mass = uniform_mass(g)
+    cfg = LayoutConfig(
+        schedule=schedule, gamma_const=0.8, gamma_max=0.8, block_len=10,
+        equilibrium_eps=1e6, seed=6, max_iterations=80,
+    )
+    auto = run_layout(g, mass, cfg)
+    state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
+    while state.t < cfg.max_iterations and not settled(state, cfg):
+        state = step(state, g, mass, cfg)
+    assert state.t == stop
+    assert state.gamma == terminal_gamma(cfg)
+    assert np.array_equal(auto, state.positions)
+
+
 def random_tree(rng, n):
     return Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
 
@@ -463,7 +568,7 @@ def test_reused_workspace_matches_fresh_scratch():
     first = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
     first[250] = first[17]  # frozen and coincident: their d2 is floored
     ws = engine._Workspace(g, mass, frozen)
-    assert engine._repulsion(first, cfg.k, ws.rows, ws.scratch)[1] == [(17, 250)]
+    assert engine._repulsion(first, cfg.k, ws.scratch)[1] == [(17, 250)]
     engine._advance(first, 1, 0.9, ws, cfg)
     # Alternating gammas: a stale cached gamma * mass would show.
     for coincident, gamma in itertools.product((False, True), (0.9, 1.1)):

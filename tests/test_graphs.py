@@ -209,7 +209,7 @@ def test_parse_graph_json_fuzz_against_reference():
     errors = 0
     for _ in range(600):
         n = int(rng.integers(0, 6))
-        vertices = [f"v{i}" if rng.random() < 0.9 else random_value(rng, 1) for i in range(n)]
+        vertices = [f"v{i}" if rng.random() < 0.95 else random_value(rng, 1) for i in range(n)]
         edges = []
         for _ in range(int(rng.integers(0, 7))):
             pair = [int(rng.integers(0, max(n, 1))) for _ in range(2)]
@@ -363,3 +363,14 @@ def test_json_errors():
             parse_graph_json(f'{{"vertices": ["a", "b"], "edges": {edges}}}')
     with pytest.raises(GraphParseError):
         parse_graph_json('{"vertices": 2, "edges": []}')
+
+
+@pytest.mark.parametrize("name", ["null", '{"a": 1}', "[1]", "true", "1.5", "7", '"x"'])
+def test_json_vertex_names_are_distinct_strings(name):
+    # Each parsed to a Python repr as a label ('None', "{'a': 1}", ...), and
+    # "x" twice gave two vertices with the same label.
+    text = f'{{"vertices": ["x", {name}], "edges": [[0, 1]]}}'
+    for parse in (parse_graph_json, parse_graph_json_reference):
+        with pytest.raises(GraphParseError, match="name"):
+            parse(text)
+    assert parse_graph_json('{"vertices": ["", "x", "é"], "edges": []}').labels == ("", "x", "é")
