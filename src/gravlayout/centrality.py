@@ -3,12 +3,13 @@
 Closeness and betweenness pick their path from the input. A graph is a
 forest exactly when m == n - C, C its component count from
 `graphs.connected_components`. On a forest both come from closed forms
-over subtree sizes, in O(n + m) time and O(n) memory once the components
-are labelled: each component is rooted at its first vertex by one
-multi-root level-synchronous sweep, and subtree sizes are summed level by
-level, deepest first. All counts are
-exact int64 and are converted to float once, exactly as Brandes' sums of
-integers on a tree are, so the bits equal the batched BFS path's while
+over subtree sizes. Each component is rooted at its first vertex by an
+Euler tour ranked by pointer jumping (`_euler_tour`): O(log N) rounds of
+O(m) numpy work for the largest component size N, whatever the depth, in
+O(n) memory. Parents and subtree sizes come from tour positions, and
+closeness's distance sums from one prefix sum over the tours. All counts
+are exact int64 and are converted to float once, exactly as Brandes' sums
+of integers on a tree are, so the bits equal the batched BFS path's while
 (N - 1)**2 < 2**53 for every component size N.
 
 Graphs with cycles keep the batched BFS of `graphs._bfs`, run from B
@@ -27,7 +28,7 @@ from numbers import Real
 
 import numpy as np
 
-from .graphs import Graph, _bfs, _neighbour_slots, connected_components
+from .graphs import Graph, _bfs, connected_components
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "uniform")
 
@@ -100,61 +101,107 @@ def _source_batches(n: int):
         yield np.arange(a, min(a + batch, n))
 
 
-def _rooted_forest(g: Graph):
-    """Each component rooted at its first vertex, or None when g has a cycle.
+def _euler_tour(g: Graph, labels: np.ndarray, roots: np.ndarray):
+    """Root each component of the forest g at roots[c], c its label, by an Euler tour.
 
-    Returns (levels, parent, size, top), all int64: levels[d] holds the
-    vertices at depth d, parent is -1 at the roots, size[v] counts the
-    vertices of v's subtree and top[v] is the root of v's component.
+    The tour of a component walks each edge down and back up, taking a
+    vertex's neighbours in CSR order; the tours are laid end to end in label
+    order. Returns (parent, size, enter, leave), all int64 of length n:
+    parent is -1 at the roots, size[v] counts the vertices of v's subtree,
+    and enter[v] and leave[v] are the tour positions of the arcs into and
+    out of v. A root's are one before its tour's first arc and one after
+    its last, so size == (leave - enter + 1) // 2 everywhere.
+
+    The arcs are the CSR positions. The successor of u -> v is the arc after
+    v -> u in v's row, wrapping to the row's start; each tour is cut before
+    its root's first arc and ranked by pointer jumping (Wyllie), so the
+    cost is O(m log N) for the largest component size N, whatever the
+    depth, in a few length-m arrays.
     """
-    n = g.vertex_count
+    indptr, indices = g.csr
+    arcs = indices.size
+    counts = np.bincount(labels, minlength=roots.size)
+    # The k-th arc in (head, tail) order is the twin of CSR arc k; the CSR
+    # position, in the key's low bits, orders the arcs of one head by tail.
+    # The key stays below 4 * n * m, which fits int64 wherever the length-n
+    # arrays fit in memory.
+    bits = arcs.bit_length()
+    twin = np.sort(indices << bits | np.arange(arcs)) & ((1 << bits) - 1)
+    # The next arc in the same CSR row, wrapping to the row's start.
+    after = np.arange(1, arcs + 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    after[indptr[rows + 1] - 1] = indptr[rows]
+    nxt = after[twin]
+    dist = np.ones(arcs, dtype=np.int64)
+    # A tour ends at the arc whose successor is its root's first arc.
+    roots = roots[indptr[roots + 1] > indptr[roots]]
+    ends = twin[indptr[roots + 1] - 1]
+    nxt[ends] = ends
+    dist[ends] = 0
+    # After r rounds dist counts the arcs to the end of the tour for every
+    # arc at most 2**r from it; a tour of 2N - 2 arcs needs 2**r >= 2N - 3.
+    for _ in range(max(2 * int(counts.max(initial=1)) - 4, 0).bit_length()):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    last = np.cumsum(2 * counts - 2) - 1
+    base = last[labels]
+    enter = base - 2 * counts[labels] + 2
+    leave = base + 1
+    # An arc points down exactly when the tour takes it before its twin.
+    down = np.flatnonzero(dist > dist[twin])
+    up = twin[down]
+    child = indices[down]
+    parent = np.full(labels.size, -1, dtype=np.int64)
+    parent[child] = indices[up]
+    enter[child] = base[child] - dist[down]
+    leave[child] = base[child] - dist[up]
+    return parent, (leave - enter + 1) // 2, enter, leave
+
+
+def _rooted_forest(g: Graph):
+    """Each component rooted at its first vertex by `_euler_tour`, or None
+    when g has a cycle.
+
+    Returns (labels, comp, parent, size, enter, leave): labels from
+    `connected_components`, comp[v] the size of v's component, the rest as
+    `_euler_tour` gives them.
+    """
     labels = connected_components(g)
     # Labels are numbered in order of first vertex, so each component's
     # first vertex is where the running maximum label rises.
     roots = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
-    if g.edge_count != n - roots.size:
+    if g.edge_count != g.vertex_count - roots.size:
         return None
-    indptr, indices = g.csr
-    parent = np.full(n, -1, dtype=np.int64)
-    levels = []
-    front = roots
-    while front.size:
-        levels.append(front)
-        slots, counts = _neighbour_slots(indptr, front)
-        parents = np.repeat(front, counts)
-        children = indices[slots]
-        # In a forest every neighbour but the parent is an unvisited child.
-        down = children != parent[parents]
-        front = children[down]
-        parent[front] = parents[down]
-    size = np.ones(n, dtype=np.int64)
-    for front in reversed(levels[1:]):
-        np.add.at(size, parent[front], size[front])
-    return levels, parent, size, roots[labels]
+    parent, size, enter, leave = _euler_tour(g, labels, roots)
+    return labels, size[roots][labels], parent, size, enter, leave
 
 
-def _forest_closeness(levels, parent, size, top) -> np.ndarray:
+def _forest_closeness(labels, comp, parent, size, enter, leave) -> np.ndarray:
     """Closeness on a forest: (N - 1) / D(v), D(v) the sum of v's distances."""
-    comp = size[top]
-    child = parent >= 0
-    dist_sum = np.zeros(size.size, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
     # A root's D is its component's sum of depths: the edge above v lies on
     # the root paths of exactly size[v] vertices.
-    np.add.at(dist_sum, top[child], size[child])
+    root_sum = np.zeros(labels.size, dtype=np.int64)
+    np.add.at(root_sum, labels[child], size[child])
     # Moving the centre from a parent to v brings size[v] vertices one hop
-    # nearer and the other comp - size[v] one hop farther.
-    for front in levels[1:]:
-        dist_sum[front] = dist_sum[parent[front]] + comp[front] - 2 * size[front]
-    values = np.zeros(size.size, dtype=float)
+    # nearer and the other comp - size[v] one hop farther. Each change is
+    # added where the tour enters v and taken back where it leaves, so the
+    # running sum at enter[v] holds the changes along v's root path.
+    change = comp[child] - 2 * size[child]
+    walk = np.zeros(2 * child.size + 1, dtype=np.int64)
+    walk[enter[child] + 1] = change
+    walk[leave[child] + 1] = -change
+    np.cumsum(walk, out=walk)
+    dist_sum = root_sum[labels] + walk[enter + 1]
+    values = np.zeros(comp.size, dtype=float)
     hit = comp > 1
     values[hit] = (comp[hit] - 1) / dist_sum[hit]
     return values
 
 
-def _forest_betweenness(levels, parent, size, top) -> np.ndarray:
+def _forest_betweenness(labels, comp, parent, size, enter, leave) -> np.ndarray:
     """Betweenness on a forest: ((N - 1)**2 - sum of s_i**2) / 2, where the s_i
     are the sizes of the parts that removing v leaves of its component."""
-    comp = size[top]
     child = parent >= 0
     # The parts are v's child subtrees and the comp - size[v] vertices above
     # v (none at a root). The difference counts ordered pairs, hence the 0.5.

@@ -179,46 +179,65 @@ def _add_layout_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + dest.replace("_", "-"), help=text, **spec)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_layout_command_flags(p: argparse.ArgumentParser) -> None:
+    _add_input_flags(p)
+    _add_layout_flags(p)
+    p.add_argument("--svg", help="write an SVG drawing here")
+    p.add_argument("--metrics", help="write a JSON metrics report here")
+    p.add_argument("--positions", help="write final positions as JSON here")
+    p.add_argument("--lombardi", action="store_true", help="circular-arc edge post-pass")
+    p.add_argument("--labels", action="store_true", help="draw vertex labels")
+
+
+def _add_gen_tree_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="-")
+
+
+def _add_gen_forest_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", required=True, help="comma-separated component sizes")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="-")
+
+
+def _add_metrics_flags(p: argparse.ArgumentParser) -> None:
+    _add_input_flags(p)
+    p.add_argument("--positions", required=True, help="positions JSON from layout")
+    p.add_argument("--out", default="-")
+
+
+# The subcommands in the order `--help` lists them: name, help, flags, handler.
+COMMANDS = {
+    "layout": ("lay out a graph; write SVG and metrics", _add_layout_command_flags, cmd_layout),
+    "gen-tree": ("generate a uniform random tree", _add_gen_tree_flags, cmd_gen_tree),
+    "gen-forest": ("generate a random forest", _add_gen_forest_flags, cmd_gen_forest),
+    "metrics": ("metrics report for an existing layout", _add_metrics_flags, cmd_metrics),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand registered. When command names a
+    subcommand, only its flags (and its -h) are added, otherwise every
+    subcommand's are: an argv that starts with command parses the same
+    either way, and the top-level help and errors list every subcommand."""
     parser = argparse.ArgumentParser(
         prog="gravlayout",
         description="Force-directed graph layout with centrality-weighted gravity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_layout = sub.add_parser("layout", help="lay out a graph; write SVG and metrics")
-    _add_input_flags(p_layout)
-    _add_layout_flags(p_layout)
-    p_layout.add_argument("--svg", help="write an SVG drawing here")
-    p_layout.add_argument("--metrics", help="write a JSON metrics report here")
-    p_layout.add_argument("--positions", help="write final positions as JSON here")
-    p_layout.add_argument("--lombardi", action="store_true", help="circular-arc edge post-pass")
-    p_layout.add_argument("--labels", action="store_true", help="draw vertex labels")
-    p_layout.set_defaults(func=cmd_layout)
-
-    p_tree = sub.add_parser("gen-tree", help="generate a uniform random tree")
-    p_tree.add_argument("--n", type=int, required=True)
-    p_tree.add_argument("--seed", type=int, default=0)
-    p_tree.add_argument("--out", default="-")
-    p_tree.set_defaults(func=cmd_gen_tree)
-
-    p_forest = sub.add_parser("gen-forest", help="generate a random forest")
-    p_forest.add_argument("--sizes", required=True, help="comma-separated component sizes")
-    p_forest.add_argument("--seed", type=int, default=0)
-    p_forest.add_argument("--out", default="-")
-    p_forest.set_defaults(func=cmd_gen_forest)
-
-    p_metrics = sub.add_parser("metrics", help="metrics report for an existing layout")
-    _add_input_flags(p_metrics)
-    p_metrics.add_argument("--positions", required=True, help="positions JSON from layout")
-    p_metrics.add_argument("--out", default="-")
-    p_metrics.set_defaults(func=cmd_metrics)
-
+    for name, (text, add_flags, func) in COMMANDS.items():
+        full = command not in COMMANDS or command == name
+        p = sub.add_parser(name, help=text, add_help=full)
+        if full:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

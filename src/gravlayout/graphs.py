@@ -2,14 +2,13 @@
 
 Every BFS in the package runs on one level-synchronous primitive, `_bfs`,
 over the graph's cached CSR adjacency. It searches from a batch of B
-sources at once; its working memory is O(B * (n + m)). Its frontier
-expansion, `_neighbour_slots`, is shared with the forest rooting sweep in
-`centrality`.
+sources at once; its working memory is O(B * (n + m)).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
@@ -42,6 +41,23 @@ def _endpoint_array(pairs) -> np.ndarray:
         return np.array(flat, dtype=np.int64).reshape(len(pairs), 2)
     except OverflowError:
         raise ValueError("edge endpoint out of int64 range") from None
+
+
+# Pairs with both ids in [0, KEY_BASE_MAX) sort as the one int64 key
+# major * base + minor, base = the largest id + 1 <= KEY_BASE_MAX.
+KEY_BASE_MAX = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _sorted_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 pairs (major[i], minor[i]) in lexicographic order, as two
+    arrays: one sort of an int64 key, or np.lexsort where that key could
+    overflow or an id is negative."""
+    if major.size and min(major.min(), minor.min()) >= 0:
+        base = int(max(major.max(), minor.max())) + 1
+        if base <= KEY_BASE_MAX:
+            return np.divmod(np.sort(major * base + minor), base)
+    order = np.lexsort((minor, major))
+    return major[order], minor[order]
 
 
 @dataclass(frozen=True)
@@ -102,8 +118,7 @@ class Graph:
         loops = np.flatnonzero(lo == hi)
         if loops.size:
             raise ValueError(f"self-loop at vertex {lo[loops[0]]}")
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
+        lo, hi = _sorted_pairs(lo, hi)
         first = np.ones(lo.size, dtype=bool)
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         return cls(vertex_count, np.column_stack((lo[first], hi[first])), labels)
@@ -126,7 +141,7 @@ class Graph:
         ea = self.edge_array
         heads = np.concatenate([ea[:, 0], ea[:, 1]])
         tails = np.concatenate([ea[:, 1], ea[:, 0]])
-        indices = tails[np.lexsort((tails, heads))]
+        indices = _sorted_pairs(heads, tails)[1]
         indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=self.vertex_count), out=indptr[1:])
         indptr.setflags(write=False)

@@ -6,7 +6,8 @@ instead of orientation predicates, the closed-form rank formula instead of
 Pearson-on-ranks, and a per-vertex loop over the public force primitives
 instead of the engine's blocked repulsion kernel. For graphs too large for
 path enumeration, per-source queue BFS loops over the tuple adjacency stand
-in for the library's batched CSR BFS, and per-vertex and per-run loops
+in for the library's batched CSR BFS, a level-by-level sweep stands in for
+the Euler tour that roots forests, and per-vertex and per-run loops
 stand in for its vectorised angular resolution and average ranks. A
 per-line loop stands in for the bulk edge-list parser, and plain checks on
 the decoded object for the JSON graph parser. `random_value` and
@@ -29,10 +30,12 @@ from gravlayout import (
     MassVector,
     attractive_force,
     centroid,
+    connected_components,
     gravity_force,
     repulsive_force,
 )
 from gravlayout.engine import TWO_PI
+from gravlayout.graphs import _neighbour_slots
 
 
 def adjacency_reference(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -233,6 +236,52 @@ def brandes_reference(g: Graph) -> np.ndarray:
                 bc[w] += delta[w]
     bc *= 0.5
     return bc
+
+
+def rooted_forest_reference(g: Graph, roots=None):
+    """(parent, size, closeness, betweenness) of the forest g, each component
+    rooted at roots[c] for label c (default: its first vertex), by a
+    level-synchronous sweep: one frontier expansion per BFS level, subtree
+    sizes summed level by level deepest first, and distance sums carried
+    down level by level. All counts are exact int64 until the last step."""
+    n = g.vertex_count
+    labels = connected_components(g)
+    if roots is None:
+        roots = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    roots = np.asarray(roots, dtype=np.int64)
+    indptr, indices = g.csr
+    parent = np.full(n, -1, dtype=np.int64)
+    levels = []
+    front = roots
+    while front.size:
+        levels.append(front)
+        slots, counts = _neighbour_slots(indptr, front)
+        parents = np.repeat(front, counts)
+        children = indices[slots]
+        # In a forest every neighbour but the parent is an unvisited child.
+        down = children != parent[parents]
+        front = children[down]
+        parent[front] = parents[down]
+    size = np.ones(n, dtype=np.int64)
+    for front in reversed(levels[1:]):
+        np.add.at(size, parent[front], size[front])
+    top = roots[labels]
+    comp = size[top]
+    child = parent >= 0
+    # Closeness: a root's distance sum is its component's sum of depths, and
+    # a step from a parent to v changes it by comp - 2 * size[v].
+    dist_sum = np.zeros(n, dtype=np.int64)
+    np.add.at(dist_sum, top[child], size[child])
+    for front in levels[1:]:
+        dist_sum[front] = dist_sum[parent[front]] + comp[front] - 2 * size[front]
+    closeness = np.zeros(n, dtype=float)
+    hit = comp > 1
+    closeness[hit] = (comp[hit] - 1) / dist_sum[hit]
+    # Betweenness: ((N - 1)**2 - sum of the squared part sizes) / 2.
+    squares = (comp - size) ** 2
+    np.add.at(squares, parent[child], size[child] ** 2)
+    betweenness = ((comp - 1) ** 2 - squares).astype(float) * 0.5
+    return parent, size, closeness, betweenness
 
 
 def components_reference(g: Graph) -> np.ndarray:

@@ -26,6 +26,7 @@ from oracles import (
     closeness_reference,
     random_graph,
     random_value,
+    rooted_forest_reference,
 )
 
 
@@ -180,19 +181,89 @@ def test_forest_path_bit_identical_to_reference(g):
     assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
 
 
+def fuzz_forest(rng):
+    """A seeded forest of up to five parts (paths, stars, caterpillars,
+    isolated vertices and random trees) with its vertex ids shuffled."""
+    edges, n = [], 0
+    for _ in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(5))
+        size = int(rng.integers(1, 40))
+        if kind == 0:  # path
+            part = [(i, i + 1) for i in range(size - 1)]
+        elif kind == 1:  # star, centre 0
+            part = [(0, i) for i in range(1, size)]
+        elif kind == 2:  # caterpillar: a spine with one to three legs per vertex
+            spine = max(1, size // 3)
+            feet = np.repeat(np.arange(spine), rng.integers(1, 4, size=spine)).tolist()
+            part = [(i, i + 1) for i in range(spine - 1)]
+            part += [(foot, spine + j) for j, foot in enumerate(feet)]
+            size = spine + len(feet)
+        elif kind == 3:  # isolated vertex
+            size, part = 1, []
+        else:
+            part = list(generate_random_tree(size, seed=int(rng.integers(1 << 30))).edges)
+        edges += [(u + n, v + n) for u, v in part]
+        n += size
+    return shuffled(Graph.from_edges(n, edges), rng)
+
+
+def test_euler_tour_fuzz_against_level_sweep():
+    rng = np.random.default_rng(71)
+    graphs = [Graph(0), Graph(1), Graph(2), Graph(2, ((0, 1),))]
+    graphs += [fuzz_forest(rng) for _ in range(60)]
+    for g in graphs:
+        rooted = centrality._rooted_forest(g)
+        assert rooted is not None
+        labels, comp, parent, size, enter, leave = rooted
+        want_parent, want_size, want_c, want_b = rooted_forest_reference(g)
+        assert np.array_equal(parent, want_parent)
+        assert np.array_equal(size, want_size)
+        assert np.array_equal(closeness_centrality(g).values, want_c)
+        assert np.array_equal(betweenness_centrality(g).values, want_b)
+        # Any vertex of a component can be its root.
+        count = int(labels.max(initial=-1)) + 1
+        roots = np.array([rng.choice(np.flatnonzero(labels == c)) for c in range(count)], dtype=np.int64)
+        parent, size, enter, leave = centrality._euler_tour(g, labels, roots)
+        want_parent, want_size = rooted_forest_reference(g, roots)[:2]
+        assert np.array_equal(parent, want_parent)
+        assert np.array_equal(size, want_size)
+        # The tours use each position 0..2m-1 once, and every subtree's
+        # interval lies inside its parent's.
+        child = parent >= 0
+        used = np.sort(np.concatenate([enter[child], leave[child]]))
+        assert np.array_equal(used, np.arange(2 * g.edge_count))
+        assert np.all(enter[parent[child]] < enter[child])
+        assert np.all(leave[child] < leave[parent[child]])
+
+
 def test_forest_path_long_shuffled_path():
-    # At 5000 levels the queue oracles are too slow; a path has exact
-    # closed forms. The vertex at position i lies on i * (n - 1 - i)
-    # unordered pairs' paths and has distance sum i(i+1)/2 + (n-1-i)(n-i)/2.
-    n = 5000
+    # At 100,000 levels the oracles are too slow; a path has exact closed
+    # forms. The vertex at position i lies on i * (n - 1 - i) unordered
+    # pairs' paths and has distance sum i(i+1)/2 + (n-1-i)(n-i)/2.
+    n = 100_000
     order = np.random.default_rng(61).permutation(n)
-    g = Graph.from_edges(n, zip(order[:-1].tolist(), order[1:].tolist()))
+    g = Graph.from_edges(n, np.column_stack((order[:-1], order[1:])))
     assert centrality._rooted_forest(g) is not None
     i = np.arange(n, dtype=np.int64)
     want_b = np.empty(n)
     want_b[order] = i * (n - 1 - i)
     want_c = np.empty(n)
     want_c[order] = (n - 1) / (i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2)
+    assert np.array_equal(betweenness_centrality(g).values, want_b)
+    assert np.array_equal(closeness_centrality(g).values, want_c)
+
+
+def test_forest_path_large_star():
+    # The centre lies on every pair of leaves' path and is one hop from
+    # each; a leaf is one hop from the centre and two from the other leaves.
+    leaves = 100_000
+    ids = np.random.default_rng(62).permutation(leaves + 1)
+    g = Graph.from_edges(leaves + 1, np.column_stack((np.full(leaves, ids[0]), ids[1:])))
+    assert centrality._rooted_forest(g) is not None
+    want_b = np.zeros(leaves + 1)
+    want_b[ids[0]] = leaves * (leaves - 1) // 2
+    want_c = np.full(leaves + 1, leaves / (2 * leaves - 1))
+    want_c[ids[0]] = 1.0
     assert np.array_equal(betweenness_centrality(g).values, want_b)
     assert np.array_equal(closeness_centrality(g).values, want_c)
 

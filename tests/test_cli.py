@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gravlayout import LayoutConfig, Schedule
-from gravlayout.cli import _build_config, _parse_positions, build_parser, main
+from gravlayout.cli import COMMANDS, _build_config, _parse_positions, build_parser, main
 from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
@@ -186,6 +186,35 @@ def test_parse_failure_fails(tmp_path, capsys):
 def test_unknown_flag_exits_nonzero(capsys):
     rc = main(["layout", "--does-not-exist"])
     assert rc != 0
+
+
+# One valid argv per subcommand; main builds only that subcommand's flags.
+VALID_ARGV = {
+    "layout": ["--in", "g.edges", "--schedule", "constant", "--gamma", "2", "--lombardi"],
+    "gen-tree": ["--n", "5", "--seed", "3"],
+    "gen-forest": ["--sizes", "2,3"],
+    "metrics": ["--in", "g.edges", "--positions", "p.json", "--centrality", "closeness"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"], ["--in", "g.edges"]]
+    + [[name, *tail] for name in COMMANDS for tail in ([], ["--help"], ["--bogus"], VALID_ARGV[name])]
+    + [[name, *VALID_ARGV[name], "extra"] for name in COMMANDS],
+)
+def test_command_parser_reads_like_the_full_parser(argv, capsys):
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    lean = parse(build_parser(argv[0] if argv else None))
+    assert lean == parse(build_parser())
+    if argv[1:] == VALID_ARGV.get(argv[0] if argv else None):
+        assert lean[0]["func"] is COMMANDS[argv[0]][2]
 
 
 def test_constant_schedule_requires_gamma(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gravlayout import (
     serialize_edge_list,
     serialize_graph_json,
 )
+from gravlayout.graphs import KEY_BASE_MAX, _sorted_pairs
 from oracles import (
     adjacency_reference,
     components_reference,
@@ -131,6 +132,35 @@ def test_from_edges_accepts_any_pair_source():
         Graph.from_edges(4, [(0, 4)])
     with pytest.raises(ValueError, match="not canonical"):
         Graph.from_edges(4, [(-1, 2)])
+
+
+def test_sorted_pairs_fuzz_against_lexsort():
+    # Id ranges on both sides of the largest key base, negative ids, and
+    # narrow ranges that repeat pairs.
+    rng = np.random.default_rng(29)
+    tops = [2, 7, 2000, 2**32 + 5, KEY_BASE_MAX - 1, KEY_BASE_MAX, 2**62]
+    for _ in range(300):
+        m = int(rng.integers(0, 50))
+        top = tops[int(rng.integers(len(tops)))]
+        low = -3 if rng.random() < 0.1 else max(0, top - int(rng.integers(1, 40)))
+        major, minor = rng.integers(low, top, size=(2, m), endpoint=True)
+        order = np.lexsort((minor, major))
+        got_major, got_minor = _sorted_pairs(major, minor)
+        assert got_major.dtype == got_minor.dtype == np.int64
+        assert np.array_equal(got_major, major[order])
+        assert np.array_equal(got_minor, minor[order])
+
+
+def test_from_edges_beyond_the_key_range():
+    rng = np.random.default_rng(31)
+    n = 2**33 + 7
+    for top in (50, 2**32 + 9, n - 1):
+        pairs = rng.integers(0, top, size=(40, 2), endpoint=True)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        want = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
+        g = Graph.from_edges(n, np.vstack([pairs, pairs[:5, ::-1]]))
+        assert g.vertex_count == n
+        assert g.edges == tuple(want)
 
 
 def _parse_outcome(parse, text):
