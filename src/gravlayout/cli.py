@@ -26,9 +26,8 @@ LAYOUT_FLAGS = {
     "k": ("k", "natural edge length"),
     "imax": ("i_max", "impulse magnitude cap"),
     "sigma": ("sigma", "displacement scale"),
-    "gamma_max": ("gamma_max", "gravity cap of the stepped schedules"),
+    "gamma_max": ("gamma_max", "gravity level of every schedule but none"),
     "schedule": ("schedule", "how gravity grows over the run"),
-    "gamma": ("gamma_const", "gravity level for --schedule constant"),
     "block": ("block_len", "iterations per gravity step"),
     "gamma_step": ("gamma_step", "gravity increment per step"),
     "eps": ("equilibrium_eps", "equilibrium impulse tolerance"),
@@ -85,10 +84,10 @@ def _parse_positions(text: str) -> np.ndarray:
 
 
 def _build_config(args: argparse.Namespace) -> LayoutConfig:
-    """The LayoutConfig the layout flags set; an unset --gamma keeps its default."""
+    """The LayoutConfig the layout flags set."""
     values = {field: getattr(args, dest) for dest, (field, _) in LAYOUT_FLAGS.items() if field}
     values["schedule"] = Schedule(values["schedule"])
-    return LayoutConfig(**{field: v for field, v in values.items() if v is not None})
+    return LayoutConfig(**values)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -174,8 +173,7 @@ def _add_layout_flags(p: argparse.ArgumentParser) -> None:
         if isinstance(default, Schedule):
             spec = {"choices": [s.value for s in Schedule], "default": default.value}
         else:
-            # --gamma stays None unless given: only --schedule constant uses it.
-            spec = {"type": type(default), "default": None if dest == "gamma" else default}
+            spec = {"type": type(default), "default": default}
         p.add_argument("--" + dest.replace("_", "-"), help=text, **spec)
 
 
@@ -242,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "layout" and args.schedule == Schedule.CONSTANT.value and args.gamma is None:
-        print("error: --schedule constant requires --gamma", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (GraphParseError, OSError, ValueError, OverflowError, KeyError, json.JSONDecodeError) as exc:

@@ -70,9 +70,12 @@ class LayoutConfig:
     k is the natural edge length: an isolated edge settles at length k where
     repulsion k^2/d and attraction d^2/k balance. Impulses are capped at
     i_max and scaled by sigma, so no vertex moves more than sigma * i_max
-    per iteration. The stepped schedule raises gamma by gamma_step every
-    block_len iterations (or at each approximate equilibrium), capped at
-    gamma_max.
+    per iteration.
+
+    gamma_max is the run's one gravity level: the constant schedule holds it
+    from the first iteration, the stepped schedule climbs to it by gamma_step
+    every block_len iterations, the equilibrium schedule by gamma_step at
+    each approximate equilibrium, and the none schedule ignores it.
     """
 
     k: float = 80.0
@@ -80,7 +83,6 @@ class LayoutConfig:
     sigma: float = 0.1
     gamma_max: float = 2.5
     schedule: Schedule = Schedule.STEPPED_ITERATION
-    gamma_const: float = 0.0
     block_len: int = 200
     gamma_step: float = 0.2
     equilibrium_eps: float = 1.0
@@ -90,7 +92,7 @@ class LayoutConfig:
     def __post_init__(self) -> None:
         # Numbers are stored as Python floats and ints, whatever Real or
         # Integral type they came as.
-        for name in ("k", "i_max", "sigma", "gamma_max", "gamma_const", "gamma_step", "equilibrium_eps"):
+        for name in ("k", "i_max", "sigma", "gamma_max", "gamma_step", "equilibrium_eps"):
             value = getattr(self, name)
             try:
                 number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
@@ -110,8 +112,8 @@ class LayoutConfig:
             raise ValueError("k, i_max, and sigma must be positive")
         if not (self.k * self.k < math.inf and (JITTER_TRIGGER * self.k) ** 2 >= sys.float_info.min):
             raise ValueError(f"k must keep k^2 and (JITTER_TRIGGER * k)^2 normal floats, got {self.k!r}")
-        if self.gamma_max < 0 or self.gamma_const < 0 or self.gamma_step <= 0:
-            raise ValueError("gamma_max and gamma_const must be >= 0, gamma_step > 0")
+        if self.gamma_max < 0 or self.gamma_step <= 0:
+            raise ValueError("gamma_max must be >= 0, gamma_step > 0")
         if self.block_len < 1 or self.max_iterations < 1:
             raise ValueError("block_len and max_iterations must be >= 1")
         if self.equilibrium_eps <= 0:
@@ -132,11 +134,7 @@ class LayoutState:
 
 def terminal_gamma(config: LayoutConfig) -> float:
     """The gravity level a run is heading for under its schedule."""
-    if config.schedule is Schedule.NONE:
-        return 0.0
-    if config.schedule is Schedule.CONSTANT:
-        return config.gamma_const
-    return config.gamma_max
+    return 0.0 if config.schedule is Schedule.NONE else config.gamma_max
 
 
 def settled(state: LayoutState, config: LayoutConfig) -> bool:
@@ -408,14 +406,25 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     """A column-major copy of the checked positions, and a workspace. ValueError
     when max_iterations could carry a vertex to where a squared distance
     overflows: an iteration moves it at most sigma * i_max plus 8 jitter
-    nudges of JITTER_MAGNITUDE * k."""
+    nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
+    gravity or the spring pull could overflow an impulse's squared magnitude:
+    no gamma of the run exceeds terminal_gamma."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
     # min: an iteration count beyond the float range would not convert.
     reach = float(np.abs(pos).max(initial=0.0)) + min(config.max_iterations, sys.float_info.max) * per_step
     if 8 * reach * reach == math.inf:  # d2 of two vertices within reach on each axis
         raise ValueError(f"vertices could reach {reach:.3g} in max_iterations, overflowing squared distances")
-    return pos, _Workspace(g, mass, frozen)
+    ws = _Workspace(g, mass, frozen)
+    # Within reach each axis of a difference is at most 2 * reach, so gravity
+    # gamma M (xi - p) is at most gamma * max(M) * 2 * reach on each axis, and
+    # the pull (|e| / k) e of one edge at most 8 * reach^2 / k in magnitude.
+    gravity = terminal_gamma(config) * float(ws.mass.max(initial=0.0)) * 2 * reach
+    pull = int(g.degrees.max(initial=0)) * (8 * reach * reach / config.k)
+    force = gravity + pull  # on each axis
+    if 2 * force * force == math.inf:
+        raise ValueError(f"gravity and spring forces within reach {reach:.3g} could overflow the impulses")
+    return pos, ws
 
 
 def _next_state(state: LayoutState, pos: np.ndarray, ws: _Workspace, config: LayoutConfig) -> LayoutState:

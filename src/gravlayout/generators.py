@@ -16,8 +16,6 @@ def _random_tree_edges(n: int, rng: random.Random, offset: int = 0) -> list[tupl
     """
     if n == 1:
         return []
-    if n == 2:
-        return [(offset, offset + 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -37,18 +35,12 @@ def _random_tree_edges(n: int, rng: random.Random, offset: int = 0) -> list[tupl
     return edges
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-
-
 def generate_random_tree(n: int, seed: int = 0) -> Graph:
-    """Uniform random labeled tree on n >= 1 vertices, deterministic per seed."""
+    """Uniform random labeled tree on n >= 1 vertices, deterministic per seed:
+    the one-component forest."""
     if n < 1:
         raise ValueError("tree needs at least one vertex")
-    _check_seed(seed)
-    rng = random.Random(seed)
-    return Graph.from_edges(n, _random_tree_edges(n, rng))
+    return generate_forest([n], seed)
 
 
 def generate_forest(sizes, seed: int = 0) -> Graph:
@@ -58,7 +50,8 @@ def generate_forest(sizes, seed: int = 0) -> Graph:
         raise ValueError("forest needs at least one component size")
     if any(s < 1 for s in sizes):
         raise ValueError("component sizes must be >= 1")
-    _check_seed(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     offset = 0

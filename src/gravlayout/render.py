@@ -86,17 +86,15 @@ def render_svg(
     arcs: list[ArcEdge] | None = None,
     *,
     k: float = 80.0,
-    vertex_radius: float | None = None,
-    edge_width: float | None = None,
-    edge_color: str = "#444444",
     show_labels: bool = False,
 ) -> str:
     """Serialize a drawing to a standalone SVG document.
 
     Edges are drawn first (lines, or circular-arc paths when arcs are
-    given), vertices on top as filled circles. The drawing keeps y-up
-    mathematical orientation via a flip transform, and the viewBox is the
-    drawing's bounding box padded by 0.1 * k.
+    given) in #444444 at width 0.01 * k, vertices on top as filled
+    circles of radius 0.05 * k. The drawing keeps y-up mathematical
+    orientation via a flip transform, and the viewBox is the drawing's
+    bounding box padded by 0.1 * k.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (g.vertex_count, 2):
@@ -104,8 +102,8 @@ def render_svg(
     bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
     if bad.size:
         raise RenderError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")
-    radius = 0.05 * k if vertex_radius is None else vertex_radius
-    width = 0.01 * k if edge_width is None else edge_width
+    radius = 0.05 * k
+    stroke = f'stroke="#444444" stroke-width="{_fmt(0.01 * k)}"'
     pad = 0.1 * k
 
     points = [pos] if g.vertex_count else []
@@ -130,14 +128,12 @@ def render_svg(
         arc = arc_by_edge.get((u, v))
         if arc is not None and not arc.straight:
             body.append(
-                f'<path d="{_arc_path(arc)}" fill="none" '
-                f'stroke="{edge_color}" stroke-width="{_fmt(width)}"/>'
+                f'<path d="{_arc_path(arc)}" fill="none" {stroke}/>'
             )
         else:
             body.append(
                 f'<line x1="{_fmt(pos[u, 0])}" y1="{_fmt(pos[u, 1])}" '
-                f'x2="{_fmt(pos[v, 0])}" y2="{_fmt(pos[v, 1])}" '
-                f'stroke="{edge_color}" stroke-width="{_fmt(width)}"/>'
+                f'x2="{_fmt(pos[v, 0])}" y2="{_fmt(pos[v, 1])}" {stroke}/>'
             )
     for v in range(g.vertex_count):
         fill = colors[v].css if colors is not None else "#5b7db1"

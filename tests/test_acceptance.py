@@ -86,7 +86,7 @@ def test_criterion_03_scaling_reduces_crossings():
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "degree")
         pos_s = gl.run_layout(g, mass, stepped_config(seed))
-        cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_const=2.5, seed=seed)
+        cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=seed)
         pos_c = gl.run_layout(g, mass, cfg_c)
         stepped.append(gl.count_crossings(g, pos_s))
         constant.append(gl.count_crossings(g, pos_c))
@@ -208,7 +208,7 @@ def test_criterion_08_engine_invariants():
     # per-step displacement cap
     capped = True
     state = gl.LayoutState(positions=init)
-    cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_const=2.5, seed=8)
+    cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=8)
     for _ in range(50):
         nxt = gl.step(state, g, mass, cfg_c)
         moved = np.linalg.norm(nxt.positions - state.positions, axis=1)

@@ -11,8 +11,8 @@ from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
 LAYOUT_VALUE_FLAGS = (
-    "--k", "--imax", "--sigma", "--gamma-max", "--schedule", "--gamma", "--block",
-    "--gamma-step", "--eps", "--max-iterations", "--seed", "--mass-floor",
+    "--k", "--imax", "--sigma", "--gamma-max", "--schedule", "--block", "--gamma-step",
+    "--eps", "--max-iterations", "--seed", "--mass-floor",
 )
 
 
@@ -190,7 +190,7 @@ def test_unknown_flag_exits_nonzero(capsys):
 
 # One valid argv per subcommand; main builds only that subcommand's flags.
 VALID_ARGV = {
-    "layout": ["--in", "g.edges", "--schedule", "constant", "--gamma", "2", "--lombardi"],
+    "layout": ["--in", "g.edges", "--schedule", "constant", "--gamma-max", "2", "--lombardi"],
     "gen-tree": ["--n", "5", "--seed", "3"],
     "gen-forest": ["--sizes", "2,3"],
     "metrics": ["--in", "g.edges", "--positions", "p.json", "--centrality", "closeness"],
@@ -217,12 +217,17 @@ def test_command_parser_reads_like_the_full_parser(argv, capsys):
         assert lean[0]["func"] is COMMANDS[argv[0]][2]
 
 
-def test_constant_schedule_requires_gamma(tmp_path, capsys):
+def test_gamma_flag_is_gone(tmp_path, capsys):
+    # --schedule constant holds --gamma-max; there is no separate --gamma.
+    # argparse reads --gamma as an ambiguous prefix of --gamma-max and
+    # --gamma-step, and exits 2 before anything runs.
     graph = tmp_path / "k2.edges"
     graph.write_text("a b\n")
-    rc = main(["layout", "--in", str(graph), "--schedule", "constant"])
-    assert rc == 2
+    positions = tmp_path / "p.json"
+    argv = ["layout", "--in", str(graph), "--schedule", "constant", "--gamma", "2", "--positions", str(positions)]
+    assert main(argv) == 2
     assert "--gamma" in capsys.readouterr().err
+    assert not positions.exists()
 
 
 def test_constant_schedule_with_gamma(tmp_path):
@@ -234,13 +239,14 @@ def test_constant_schedule_with_gamma(tmp_path):
             "layout",
             "--in", str(graph),
             "--schedule", "constant",
-            "--gamma", "2.5",
+            "--gamma-max", "2.5",
             "--metrics", str(metrics),
             "--max-iterations", "500",
         ]
     )
     assert rc == 0
-    assert json.loads(metrics.read_text())["config"]["gamma"] == 2.5
+    config = json.loads(metrics.read_text())["config"]
+    assert config["schedule"] == "constant" and config["gamma_max"] == 2.5 and "gamma" not in config
 
 
 @pytest.mark.parametrize(
@@ -347,7 +353,6 @@ def test_default_config_echo(tmp_path):
         ("sigma", 0.1),
         ("gamma_max", 2.5),
         ("schedule", "stepped"),
-        ("gamma", None),
         ("block", 200),
         ("gamma_step", 0.2),
         ("eps", 1.0),
@@ -383,9 +388,9 @@ def test_schedule_flag_accepts_exactly_the_schedule_values(capsys):
 
 
 def test_constant_schedule_flags_build_config():
-    args = _layout_args("--schedule", "constant", "--gamma", "1.5", "--block", "50", "--eps", "0.5")
+    args = _layout_args("--schedule", "constant", "--gamma-max", "1.5", "--block", "50", "--eps", "0.5")
     assert _build_config(args) == LayoutConfig(
-        schedule=Schedule.CONSTANT, gamma_const=1.5, block_len=50, equilibrium_eps=0.5
+        schedule=Schedule.CONSTANT, gamma_max=1.5, block_len=50, equilibrium_eps=0.5
     )
 
 

@@ -105,7 +105,7 @@ def test_schedule_stepped_by_iteration():
 
 def test_schedule_constant_and_none():
     state = LayoutState(positions=np.zeros((1, 2)))
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=2.5)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=2.5)
     assert schedule_gamma(0, state, cfg) == 2.5
     assert schedule_gamma(99999, state, cfg) == 2.5
     cfg = LayoutConfig(schedule=Schedule.NONE)
@@ -125,7 +125,18 @@ def test_schedule_stepped_by_equilibrium():
 def test_terminal_gamma():
     assert terminal_gamma(LayoutConfig()) == 2.5
     assert terminal_gamma(LayoutConfig(schedule=Schedule.NONE)) == 0.0
-    assert terminal_gamma(LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=1.2)) == 1.2
+    assert terminal_gamma(LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=1.2)) == 1.2
+
+
+@pytest.mark.parametrize("gamma_max", [2.5, 0.8, 0.0])
+def test_constant_schedule_is_stepped_at_one_step_per_iteration(gamma_max):
+    # gamma_max is the one gravity level: constant holds it from iteration 1,
+    # as stepped does when one step of gamma_max comes every iteration.
+    g = generate_random_tree(70, seed=2)
+    mass = normalize_mass(closeness_centrality(g))
+    constant = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=gamma_max, seed=2, max_iterations=300)
+    stepped = replace(constant, schedule=Schedule.STEPPED_ITERATION, block_len=1, gamma_step=gamma_max or 1.0)
+    assert np.array_equal(run_layout(g, mass, constant), run_layout(g, mass, stepped))
 
 
 def test_config_validation():
@@ -145,7 +156,7 @@ def test_config_validation():
         {"sigma": math.inf},
         {"gamma_max": math.nan},
         {"gamma_max": math.inf},
-        {"gamma_const": -math.inf},
+        {"gamma_max": -math.inf},
         {"gamma_step": math.nan},
         {"equilibrium_eps": math.inf},
         {"k": "80"},
@@ -168,7 +179,7 @@ POSITIVE = (0.5, 80.0, 3, np.float64(2.5), np.float32(0.25), Fraction(1, 3), np.
 NONNEGATIVE = (0.0, 0, 2.5, np.float32(1.5), Fraction(3, 2))
 CONFIG_VALUES = {
     "k": POSITIVE, "i_max": POSITIVE, "sigma": POSITIVE, "gamma_step": POSITIVE,
-    "equilibrium_eps": POSITIVE, "gamma_max": NONNEGATIVE, "gamma_const": NONNEGATIVE,
+    "equilibrium_eps": POSITIVE, "gamma_max": NONNEGATIVE,
     "block_len": (1, 200, np.int64(5), np.uint8(3)), "max_iterations": (1, 3000, np.int32(9)),
     "seed": (0, 7, 2**70, np.int32(3)), "schedule": tuple(Schedule),
 }
@@ -206,7 +217,7 @@ def test_layout_config_fuzz():
             else:
                 assert type(held) is float and math.isfinite(held) and held == float(given), (name, given)
         assert min(cfg.k, cfg.i_max, cfg.sigma, cfg.gamma_step, cfg.equilibrium_eps) > 0
-        assert min(cfg.gamma_max, cfg.gamma_const, cfg.seed) >= 0
+        assert min(cfg.gamma_max, cfg.seed) >= 0
         assert min(cfg.block_len, cfg.max_iterations) >= 1
         raised += layout_raises(cfg)
     assert 100 < rejected < 700
@@ -239,12 +250,21 @@ def layout_raises(cfg):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"k": 1e160}, {"k": 1e-300}, {"sigma": 1e200}, {"sigma": 1e300, "i_max": 1e300}, {"k": 1e300}],
-    ids=lambda kw: ",".join(f"{name}={value:g}" for name, value in kw.items()),
+    [
+        {"k": 1e160}, {"k": 1e-300}, {"sigma": 1e200}, {"sigma": 1e300, "i_max": 1e300}, {"k": 1e300},
+        {"k": 1e20, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
+        {"k": 1e153, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
+        {"k": 1e100, "gamma_max": 1e300, "gamma_step": 1e300, "block_len": 1},
+    ],
+    ids=lambda kw: ",".join(
+        f"{name}={value.value if isinstance(value, Schedule) else format(value, 'g')}" for name, value in kw.items()
+    ),
 )
 def test_config_a_run_cannot_carry_raises_value_error(kwargs):
-    # Each made run_layout return NaN positions, or raise OverflowError,
-    # before k was bounded and a run's reach checked.
+    # The first five made run_layout return NaN positions, or raise
+    # OverflowError, before k was bounded and a run's reach checked. The
+    # last three overflowed gravity with a RuntimeWarning on the way before
+    # the impulses were bounded within that reach.
     mass = uniform_mass(PATH4)
     runs = (
         lambda cfg: run_layout(PATH4, mass, cfg),
@@ -269,12 +289,68 @@ def test_reach_checked_from_the_start_positions():
         step(LayoutState(positions=np.zeros((4, 2))), PATH4, mass, LayoutConfig(max_iterations=10**400))
 
 
-def test_run_layout_raises_rather_than_return_non_finite_positions():
-    # Within the reach bound, gravity at gamma 1e300 on coordinates near
-    # 1e154 still overflows to inf, which the clamp turns into NaN.
-    cfg = LayoutConfig(k=1e153, schedule=Schedule.CONSTANT, gamma_const=1e300, max_iterations=5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        run_layout(PATH4, uniform_mass(PATH4), cfg)
+@pytest.mark.parametrize(
+    "k, schedule, scan",
+    [
+        (1.0, Schedule.CONSTANT, "gamma_max"),
+        (1e20, Schedule.CONSTANT, "gamma_max"),
+        (1e100, Schedule.STEPPED_ITERATION, "gamma_max"),
+        (1e-100, Schedule.NONE, "scale"),
+        (80.0, Schedule.NONE, "scale"),
+    ],
+)
+def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, schedule, scan):
+    # The largest power of two the bound admits, as gamma_max (gravity) or as
+    # the start's coordinate scale (spring pull), steps 20 times with finite
+    # impulses and no warning; twice that power raises. The none schedule
+    # ignores gamma_max, however large. The graph is a 100-leaf star with
+    # every leaf on one side, so the pulls on the centre add up.
+    g = Graph.from_edges(101, [(0, v) for v in range(1, 101)])
+    mass = normalize_mass(degree_centrality(g))
+    base = LayoutConfig(
+        k=k, schedule=schedule, gamma_max=2.0**1000, block_len=2, gamma_step=2.0**1000, max_iterations=20
+    )
+    unit = np.column_stack([np.ones(101), np.linspace(-1.0, 1.0, 101)])
+    unit[0] = (-1.0, 0.0)
+
+    def setup(power):
+        x = 2.0**power
+        return (replace(base, gamma_max=x), unit * k) if scan == "gamma_max" else (base, unit * x)
+
+    def admitted(power):
+        cfg, start = setup(power)
+        try:
+            engine._start(start, g, mass, None, cfg)
+        except ValueError:
+            return False
+        return True
+
+    power = next(p for p in range(1023, -1075, -1) if admitted(p))
+    cfg, start = setup(power + 1)
+    with pytest.raises(ValueError, match="could overflow the impulses"):
+        run_layout(g, mass, cfg, initial=start)
+    cfg, start = setup(power)
+    state = LayoutState(positions=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while state.t < cfg.max_iterations:
+            state = step(state, g, mass, cfg)
+            assert math.isfinite(state.last_max_impulse) and np.isfinite(state.positions).all()
+
+
+def test_run_layout_raises_rather_than_return_non_finite_positions(monkeypatch):
+    # A config that passes validation and the up-front bounds keeps every
+    # force term finite, so only a faulty iteration reaches this guard.
+    advance = engine._advance
+
+    def faulty(pos, *args):
+        out = advance(pos, *args)
+        pos[1, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(engine, "_advance", faulty)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_layout(PATH4, uniform_mass(PATH4), LayoutConfig(max_iterations=5))
 
 
 def test_clamp_with_huge_i_max_stays_quiet():
@@ -352,7 +428,7 @@ def test_step_displacement_never_exceeds_cap():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_graph(rng, 2, 14)
-        cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=2.5)
+        cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=2.5)
         state = LayoutState(
             positions=rng.uniform(-50, 50, (g.vertex_count, 2)), gamma=2.5
         )
@@ -377,7 +453,7 @@ def assert_step_matches_scalar_reference(state, g, mass, cfg):
 def test_step_matches_scalar_reference():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 8, 14)
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=1.3)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=1.3)
     state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
     assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
 
@@ -387,7 +463,7 @@ def test_step_matches_scalar_reference_across_blocks():
     n = 300
     assert engine._block_rows(n) < n // 3  # the kernel walks several blocks
     g = Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=0.7)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=0.7)
     state = LayoutState(positions=rng.uniform(-900, 900, (n, 2)), gamma=0.7)
     assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
 
@@ -441,7 +517,7 @@ def test_step_bits_do_not_depend_on_blas_threads():
 import hashlib, gravlayout as gl
 g = gl.generate_random_tree(1000, seed=21)
 mass = gl.normalize_mass(gl.degree_centrality(g))
-cfg = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_const=1.0, seed=21)
+cfg = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=1.0, seed=21)
 state = gl.LayoutState(positions=gl.initialize_positions(g, 21, cfg.k))
 for _ in range(4):
     state = gl.step(state, g, mass, cfg)
@@ -520,7 +596,7 @@ def test_run_layout_stops_where_step_loop_first_settles(schedule, stop):
     g = random_graph(np.random.default_rng(9), 8, 12)
     mass = uniform_mass(g)
     cfg = LayoutConfig(
-        schedule=schedule, gamma_const=0.8, gamma_max=0.8, block_len=10,
+        schedule=schedule, gamma_max=0.8, block_len=10,
         equilibrium_eps=1e6, seed=6, max_iterations=80,
     )
     auto = run_layout(g, mass, cfg)
@@ -562,7 +638,7 @@ def test_reused_workspace_matches_fresh_scratch():
     n = 300
     g = random_tree(rng, n)
     mass = uniform_mass(g)
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_const=0.9, seed=3)
+    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=0.9, seed=3)
     frozen = np.zeros(n, dtype=bool)
     frozen[[17, 250]] = True
     first = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))

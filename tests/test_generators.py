@@ -42,6 +42,16 @@ def test_tree_small_cases_cover_all_labeled_trees():
     assert len(seen) == 16
 
 
+def test_tree_is_the_one_component_forest():
+    for n in (1, 2, 3, 7, 70, 500):
+        for seed in range(5):
+            assert generate_random_tree(n, seed) == generate_forest([n], seed)
+    # Pinned bits: a two-vertex component draws nothing from the generator.
+    assert generate_forest([2, 4, 2, 3], seed=1).edges == (
+        (0, 1), (2, 3), (2, 5), (3, 4), (6, 7), (8, 9), (9, 10)
+    )
+
+
 def test_forest_two_components():
     g = generate_forest([3, 3], seed=2)
     assert g.vertex_count == 6
