@@ -124,7 +124,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
         report["config"] = _resolved_config(args)
         _write_text(args.metrics, json.dumps(report, indent=2) + "\n")
     if args.positions:
-        payload = {"positions": [[float(x), float(y)] for x, y in np.asarray(positions)]}
+        payload = {"positions": np.asarray(positions).tolist()}
         _write_text(args.positions, json.dumps(payload, indent=2) + "\n")
     return 0
 

@@ -20,11 +20,12 @@ block holds about BLOCK_ELEMENTS pairs. A run allocates its scratch once,
 in a workspace every iteration reuses: a (2, B, n) difference block, a
 (2, B, n) column broadcast filled once per kernel call, and a (B, n)
 squared-distance block (five arrays of at most 128 KiB), a (2, n) force
-buffer, the edge endpoint indices, and the gravity term's O(n) buffers with
-gamma * mass, recomputed only when gamma changes. No (n, n) array is ever
-formed.
-Squared distances and row sums are np.einsum loops, and no reduction in a
-step goes through BLAS, so the output bits do not depend on B or on the
+buffer and the edge endpoint indices. The springs, gravity and the clamp
+after the kernel work on O(n) and O(m) temporaries. No (n, n) array is
+ever formed.
+The kernel's squared distances and row sums are np.einsum loops, the other
+squared norms are add.reduce over the two coordinates, and no reduction in
+a step goes through BLAS, so the output bits do not depend on B or on the
 BLAS thread count. Positions are column-major inside a run, so each
 coordinate is one contiguous row.
 """
@@ -312,8 +313,7 @@ def _separated_repulsion(
 
 class _Workspace:
     """What every step of a run reuses: the checked masses and frozen mask,
-    the attraction endpoint indices, the kernel scratch and the gravity
-    term's buffers."""
+    the attraction endpoint indices and the kernel scratch."""
 
     def __init__(self, g: Graph, mass, frozen) -> None:
         n = g.vertex_count
@@ -331,18 +331,6 @@ class _Workspace:
         eu, ev = g.edge_array.T
         self.ends = np.concatenate([eu, eu + n, ev, ev + n])
         self.scratch = _KernelScratch(n, _block_rows(n))
-        self.centroid = np.empty((2, 1))
-        self.gravity = np.empty((2, n))
-        # gamma * mass, recomputed only when gamma changes.
-        self.gamma = None
-        self.gamma_mass = np.empty(n)
-
-    def gravity_weights(self, gamma: float) -> np.ndarray:
-        """gamma * mass, from the cache while gamma stays the same."""
-        if gamma != self.gamma:
-            np.multiply(gamma, self.mass, out=self.gamma_mass)
-            self.gamma = gamma
-        return self.gamma_mass
 
 
 def _add_attraction(imp: np.ndarray, p: np.ndarray, ends: np.ndarray, k: float) -> None:
@@ -351,7 +339,7 @@ def _add_attraction(imp: np.ndarray, p: np.ndarray, ends: np.ndarray, k: float) 
     half = ends.size // 2
     vals = p.ravel()[ends]  # [p_u, p_v]; becomes the bincount weights [-pull, +pull]
     e = (vals[:half] - vals[half:]).reshape(2, -1)  # p_u - p_v
-    length = np.sqrt(np.einsum("km,km->m", e, e))
+    length = np.sqrt(np.add.reduce(e * e, axis=0))
     np.multiply(e, length / k, out=vals[half:].reshape(2, -1))
     np.negative(vals[half:], out=vals[:half])
     imp += np.bincount(ends, vals, imp.size).reshape(imp.shape)
@@ -368,13 +356,8 @@ def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: Layo
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
     # Gravity gamma M (xi - p); the centroid xi is p.mean's sum-then-divide.
-    xi, grav = ws.centroid, ws.gravity
-    np.add.reduce(p, axis=1, keepdims=True, out=xi)
-    xi /= p.shape[1]
-    np.subtract(xi, p, out=grav)
-    grav *= ws.gravity_weights(gamma)
-    imp += grav
-    mag = np.sqrt(np.einsum("kv,kv->v", imp, imp))
+    imp += (np.add.reduce(p, axis=1, keepdims=True) / p.shape[1] - p) * (gamma * ws.mass)
+    mag = np.sqrt(np.add.reduce(imp * imp, axis=0))
     # sigma * min(1, i_max / mag), by a division that cannot overflow.
     scale = config.sigma * (config.i_max / np.maximum(mag, config.i_max))
     imp *= scale
@@ -407,8 +390,8 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     when max_iterations could carry a vertex to where a squared distance
     overflows: an iteration moves it at most sigma * i_max plus 8 jitter
     nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
-    gravity or the spring pull could overflow an impulse's squared magnitude:
-    no gamma of the run exceeds terminal_gamma."""
+    repulsion, gravity or the spring pull could overflow an impulse's squared
+    magnitude: no gamma of the run exceeds terminal_gamma."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
     # min: an iteration count beyond the float range would not convert.
@@ -419,11 +402,16 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     # Within reach each axis of a difference is at most 2 * reach, so gravity
     # gamma M (xi - p) is at most gamma * max(M) * 2 * reach on each axis, and
     # the pull (|e| / k) e of one edge at most 8 * reach^2 / k in magnitude.
+    # A pair at least JITTER_TRIGGER * k apart repels with k^2 / d, at most
+    # k / JITTER_TRIGGER; closer pairs are jittered apart first.
     gravity = terminal_gamma(config) * float(ws.mass.max(initial=0.0)) * 2 * reach
     pull = int(g.degrees.max(initial=0)) * (8 * reach * reach / config.k)
-    force = gravity + pull  # on each axis
+    repulsion = max(g.vertex_count - 1, 0) * config.k / JITTER_TRIGGER
+    force = repulsion + gravity + pull  # on each axis
     if 2 * force * force == math.inf:
-        raise ValueError(f"gravity and spring forces within reach {reach:.3g} could overflow the impulses")
+        raise ValueError(
+            f"repulsion, gravity and spring forces within reach {reach:.3g} could overflow the impulses"
+        )
     return pos, ws
 
 

@@ -255,6 +255,8 @@ def layout_raises(cfg):
         {"k": 1e20, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
         {"k": 1e153, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
         {"k": 1e100, "gamma_max": 1e300, "gamma_step": 1e300, "block_len": 1},
+        {"k": 1e150, "schedule": Schedule.NONE, "max_iterations": 20, "gap": 2e-6},
+        {"k": 1e153, "schedule": Schedule.NONE, "max_iterations": 20, "gap": 0.1},
     ],
     ids=lambda kw: ",".join(
         f"{name}={value.value if isinstance(value, Schedule) else format(value, 'g')}" for name, value in kw.items()
@@ -263,17 +265,24 @@ def layout_raises(cfg):
 def test_config_a_run_cannot_carry_raises_value_error(kwargs):
     # The first five made run_layout return NaN positions, or raise
     # OverflowError, before k was bounded and a run's reach checked. The
-    # last three overflowed gravity with a RuntimeWarning on the way before
-    # the impulses were bounded within that reach.
+    # next three overflowed gravity with a RuntimeWarning on the way before
+    # the impulses were bounded within that reach. The last two start with
+    # the path's vertices gap * k apart: their repulsion overflowed the
+    # impulses' squared magnitudes, so the clamp scaled every move to zero
+    # and the run returned its start unchanged, without a warning, before
+    # repulsion was bounded too.
     mass = uniform_mass(PATH4)
+    kwargs = dict(kwargs)
+    gap = kwargs.pop("gap", None)
+    start = np.zeros((4, 2)) if gap is None else np.column_stack([np.arange(4.0) * gap * kwargs["k"], np.zeros(4)])
     runs = (
-        lambda cfg: run_layout(PATH4, mass, cfg),
-        lambda cfg: step(LayoutState(positions=np.zeros((4, 2))), PATH4, mass, cfg),
+        lambda cfg: run_layout(PATH4, mass, cfg, initial=None if gap is None else start),
+        lambda cfg: step(LayoutState(positions=start), PATH4, mass, cfg),
     )
     for run in runs:
         with warnings.catch_warnings(), pytest.raises(ValueError):
             warnings.simplefilter("error")
-            run(LayoutConfig(max_iterations=50, **kwargs))
+            run(LayoutConfig(**{"max_iterations": 50, **kwargs}))
 
 
 def test_reach_checked_from_the_start_positions():
@@ -512,6 +521,29 @@ def test_repulsion_bits_do_not_depend_on_block_rows():
         assert pairs == close
 
 
+def test_two_vector_squared_norms_are_exactly_dx2_plus_dy2():
+    # A step forms squared norms two ways: the kernel's einsum over a
+    # (2, B, n) block view, and add.reduce of the squares over the (2, n)
+    # edge differences and impulses. Both must round exactly like
+    # dx * dx + dy * dy. A numpy whose einsum fused multiply-add would fail
+    # here, not only in drifting output hashes.
+    rng = np.random.default_rng(49)
+    for shape in ((2, 1), (2, 70), (2, 422), (2, 1, 5), (2, 7, 64), (2, 38, 422)):
+        for _ in range(20):
+            signs = rng.choice((-1.0, 1.0), shape)
+            d = signs * 10.0 ** rng.uniform(-150, 150, shape)
+            want = d[0] * d[0] + d[1] * d[1]
+            assert np.array_equal(np.add.reduce(d * d, axis=0), want)
+            if d.ndim == 3:
+                # The kernel's view: the first rows of a taller scratch block.
+                block = np.empty((2, shape[1] + 3, shape[2]))
+                view = block[:, : shape[1]]
+                view[...] = d
+                out = np.empty(shape[1:])
+                np.einsum("kij,kij->ij", view, view, out=out)
+                assert np.array_equal(out, want)
+
+
 def test_step_bits_do_not_depend_on_blas_threads():
     script = """
 import hashlib, gravlayout as gl
@@ -646,7 +678,7 @@ def test_reused_workspace_matches_fresh_scratch():
     ws = engine._Workspace(g, mass, frozen)
     assert engine._repulsion(first, cfg.k, ws.scratch)[1] == [(17, 250)]
     engine._advance(first, 1, 0.9, ws, cfg)
-    # Alternating gammas: a stale cached gamma * mass would show.
+    # Alternating gammas: gravity must follow the gamma of each call.
     for coincident, gamma in itertools.product((False, True), (0.9, 1.1)):
         pos = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
         if coincident:
