@@ -25,12 +25,12 @@ from .render import color_for, render_svg
 LAYOUT_FLAGS = {
     "k": ("k", "natural edge length"),
     "imax": ("i_max", "impulse magnitude cap"),
-    "sigma": ("sigma", "displacement scale"),
+    "sigma": ("sigma", "displacement scale: a move is at most sigma * imax"),
     "gamma_max": ("gamma_max", "gravity level of every schedule but none"),
     "schedule": ("schedule", "how gravity grows over the run"),
-    "block": ("block_len", "iterations per gravity step"),
+    "block": ("block_len", "most iterations per gravity level"),
     "gamma_step": ("gamma_step", "gravity increment per step"),
-    "eps": ("equilibrium_eps", "equilibrium impulse tolerance"),
+    "eps": ("equilibrium_eps", "longest move that counts as settled"),
     "max_iterations": ("max_iterations", "iteration budget"),
     "seed": ("seed", "seed of the initial positions and the jitter"),
     "mass_floor": (None, "smallest vertex mass; masses have mean 1"),

@@ -8,11 +8,22 @@ evaluated against the same position snapshot (synchronous update):
   gravity     f_g(v)    = gamma_t M[v] (xi - P[v])                toward the centroid xi
 
 The impulse is clamped to magnitude i_max (direction preserved), scaled by
-sigma, and applied as a displacement. The gravity coefficient gamma_t grows
-over iterations according to a schedule, which is what lets drawings first
-untangle under the classical forces and only then compact toward the center.
-schedule_gamma gives gamma_t, terminal_gamma its final level, and settled is
-the stop rule; step and run_layout share one iteration body.
+heat * sigma, and applied as a displacement. The gravity coefficient gamma_t
+grows over iterations according to a schedule, which is what lets drawings
+first untangle under the classical forces and only then compact toward the
+center. schedule_gamma gives gamma_t, terminal_gamma its final level, and
+settled is the stop rule; step and run_layout share one iteration body.
+
+The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
+2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
+and whenever gamma changes. An iteration whose energy E = sum |F|^2 over the
+movable vertices is not a new low for the level multiplies it by COOLING;
+WARM_AFTER new lows in a row divide it by COOLING, up to 1. Comparing with
+the level's lowest energy, not the previous one, keeps a layout from
+cycling at a fixed heat. So the moves shrink once the layout stops
+improving, the longest move of an iteration falls below equilibrium_eps,
+and the level ends: that is the equilibrium the equilibrium schedule waits
+for, and the settled state a run stops at.
 
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
@@ -24,10 +35,11 @@ buffer and the edge endpoint indices. The springs, gravity and the clamp
 after the kernel work on O(n) and O(m) temporaries. No (n, n) array is
 ever formed.
 The kernel's squared distances and row sums are np.einsum loops, the other
-squared norms are add.reduce over the two coordinates, and no reduction in
-a step goes through BLAS, so the output bits do not depend on B or on the
-BLAS thread count. Positions are column-major inside a run, so each
-coordinate is one contiguous row.
+squared norms are add.reduce over the two coordinates, the energy is
+add.reduce over the vertices, and no reduction in a step goes through BLAS,
+so the output bits do not depend on B or on the BLAS thread count.
+Positions are column-major inside a run, so each coordinate is one
+contiguous row.
 """
 
 from __future__ import annotations
@@ -50,6 +62,11 @@ TWO_PI = 2.0 * math.pi
 JITTER_TRIGGER = 1e-6
 JITTER_MAGNITUDE = 1e-3
 
+# The heat controller: the factor a non-improving iteration cools by, and the
+# run of new energy lows after which the heat recovers one factor.
+COOLING = 0.9
+WARM_AFTER = 5
+
 # Pair entries per block of the repulsion kernel: its scratch is five
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
@@ -70,20 +87,22 @@ class LayoutConfig:
 
     k is the natural edge length: an isolated edge settles at length k where
     repulsion k^2/d and attraction d^2/k balance. Impulses are capped at
-    i_max and scaled by sigma, so no vertex moves more than sigma * i_max
-    per iteration.
+    i_max and scaled by heat * sigma with the level's heat at most 1, so no
+    vertex moves more than sigma * i_max per iteration (8 = 0.1 k by default).
 
     gamma_max is the run's one gravity level: the constant schedule holds it
     from the first iteration, the stepped schedule climbs to it by gamma_step
-    every block_len iterations, the equilibrium schedule by gamma_step at
-    each approximate equilibrium, and the none schedule ignores it.
+    every block_len iterations, the equilibrium schedule by gamma_step once a
+    level has settled (its longest move below equilibrium_eps) or has run
+    block_len iterations, and the none schedule ignores it. A run stops
+    after max_iterations, or once it is settled at the schedule's final level.
     """
 
     k: float = 80.0
     i_max: float = 10.0
-    sigma: float = 0.1
+    sigma: float = 0.8
     gamma_max: float = 2.5
-    schedule: Schedule = Schedule.STEPPED_ITERATION
+    schedule: Schedule = Schedule.STEPPED_EQUILIBRIUM
     block_len: int = 200
     gamma_step: float = 0.2
     equilibrium_eps: float = 1.0
@@ -125,12 +144,24 @@ class LayoutConfig:
 
 @dataclass(frozen=True)
 class LayoutState:
-    """Positions plus iteration counter, current gamma, and last max impulse."""
+    """Positions after iteration t at gravity gamma, and the heat controller.
+
+    last_max_impulse is the longest move of iteration t, heat * sigma *
+    min(max |F|, i_max), with inf before the first. heat is the step factor
+    of the next iteration at this level, streak the run of new energy lows
+    that ends at t, lowest_energy the level's lowest energy so far, and
+    level_start the t the level began after. The defaults are a start state,
+    so LayoutState(positions=p) starts a run.
+    """
 
     positions: np.ndarray
     t: int = 0
     gamma: float = 0.0
     last_max_impulse: float = math.inf
+    heat: float = 1.0
+    streak: int = 0
+    lowest_energy: float = math.inf
+    level_start: int = 0
 
 
 def terminal_gamma(config: LayoutConfig) -> float:
@@ -139,9 +170,9 @@ def terminal_gamma(config: LayoutConfig) -> float:
 
 
 def settled(state: LayoutState, config: LayoutConfig) -> bool:
-    """The stop rule: the strongest pre-clamp impulse of the last iteration
-    is below equilibrium_eps and gamma has reached the schedule's terminal
-    level. A start state (last_max_impulse inf) is never settled."""
+    """The stop rule: the longest move of the last iteration is below
+    equilibrium_eps and gamma has reached the schedule's terminal level.
+    A start state (last_max_impulse inf) is never settled."""
     return state.last_max_impulse < config.equilibrium_eps and state.gamma >= terminal_gamma(config) - 1e-12
 
 
@@ -194,9 +225,10 @@ def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
         return min(config.gamma_max, config.gamma_step * (t // config.block_len))
     if config.schedule is not Schedule.STEPPED_EQUILIBRIUM:
         return terminal_gamma(config)
-    # Stepped by equilibrium: raise gamma one step whenever the previous
-    # iteration's strongest impulse dropped below the equilibrium tolerance.
-    if state.last_max_impulse < config.equilibrium_eps:
+    # Stepped by equilibrium: raise gamma one step once the previous
+    # iteration's longest move dropped below the equilibrium tolerance, or
+    # when iteration t would be the level's (block_len + 1)-th.
+    if state.last_max_impulse < config.equilibrium_eps or t - state.level_start > config.block_len:
         return min(config.gamma_max, state.gamma + config.gamma_step)
     return state.gamma
 
@@ -345,27 +377,34 @@ def _add_attraction(imp: np.ndarray, p: np.ndarray, ends: np.ndarray, k: float) 
     imp += np.bincount(ends, vals, imp.size).reshape(imp.shape)
 
 
-def _advance(pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: LayoutConfig) -> float:
-    """Iteration t at gravity gamma, in place on the (n, 2) positions; return
-    the strongest impulse on a movable vertex. Runs fastest when pos is
-    column-major, so each coordinate is one contiguous row of pos.T."""
+def _advance(
+    pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: LayoutConfig, heat: float = 1.0
+) -> tuple[float, float]:
+    """Iteration t at gravity gamma and the given heat, in place on the
+    (n, 2) positions; return the strongest impulse on a movable vertex and
+    the energy, the sum of the movable vertices' squared impulses. Runs
+    fastest when pos is column-major, so each coordinate is one contiguous
+    row of pos.T."""
     if not pos.size:  # an empty drawing: no force, nothing to move
-        return 0.0
+        return 0.0, 0.0
     imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.scratch)
     p = pos.T
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
     # Gravity gamma M (xi - p); the centroid xi is p.mean's sum-then-divide.
     imp += (np.add.reduce(p, axis=1, keepdims=True) / p.shape[1] - p) * (gamma * ws.mass)
-    mag = np.sqrt(np.add.reduce(imp * imp, axis=0))
-    # sigma * min(1, i_max / mag), by a division that cannot overflow.
-    scale = config.sigma * (config.i_max / np.maximum(mag, config.i_max))
+    mag2 = np.add.reduce(imp * imp, axis=0)
+    mag = np.sqrt(mag2)
+    # heat * sigma * min(1, i_max / mag), by a division that cannot overflow.
+    scale = (heat * config.sigma) * (config.i_max / np.maximum(mag, config.i_max))
     imp *= scale
     if ws.movable is None:
         p += imp
-        return float(mag.max())
+        return float(mag.max()), float(np.add.reduce(mag2))
     p[:, ws.movable] += imp[:, ws.movable]
-    return float(mag[ws.movable].max()) if ws.movable.any() else 0.0
+    if not ws.movable.any():
+        return 0.0, 0.0
+    return float(mag[ws.movable].max()), float(np.add.reduce(mag2[ws.movable]))
 
 
 def check_positions(positions, n: int | None = None) -> np.ndarray:
@@ -390,8 +429,9 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     when max_iterations could carry a vertex to where a squared distance
     overflows: an iteration moves it at most sigma * i_max plus 8 jitter
     nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
-    repulsion, gravity or the spring pull could overflow an impulse's squared
-    magnitude: no gamma of the run exceeds terminal_gamma."""
+    repulsion, gravity or the spring pull could overflow the energy, the sum
+    of the impulses' squared magnitudes: no gamma of the run exceeds
+    terminal_gamma."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
     # min: an iteration count beyond the float range would not convert.
@@ -408,7 +448,7 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     pull = int(g.degrees.max(initial=0)) * (8 * reach * reach / config.k)
     repulsion = max(g.vertex_count - 1, 0) * config.k / JITTER_TRIGGER
     force = repulsion + gravity + pull  # on each axis
-    if 2 * force * force == math.inf:
+    if 2 * max(g.vertex_count, 1) * force * force == math.inf:
         raise ValueError(
             f"repulsion, gravity and spring forces within reach {reach:.3g} could overflow the impulses"
         )
@@ -416,10 +456,21 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
 
 
 def _next_state(state: LayoutState, pos: np.ndarray, ws: _Workspace, config: LayoutConfig) -> LayoutState:
-    """The iteration after state, in place on pos: its positions, column-major."""
+    """The iteration after state, in place on pos: its positions, column-major.
+    A new gravity level starts at full heat with no energy record; then the
+    iteration's energy cools or warms the heat of the next one."""
     t = state.t + 1
     gamma = schedule_gamma(t, state, config)
-    return LayoutState(pos, t, gamma, _advance(pos, t, gamma, ws, config))
+    if gamma != state.gamma:
+        state = replace(state, heat=1.0, streak=0, lowest_energy=math.inf, level_start=state.t)
+    strongest, energy = _advance(pos, t, gamma, ws, config, state.heat)
+    move = state.heat * config.sigma * min(strongest, config.i_max)
+    heat, streak, lowest = state.heat * COOLING, 0, state.lowest_energy
+    if energy < lowest:
+        heat, streak, lowest = state.heat, state.streak + 1, energy
+        if streak == WARM_AFTER:
+            heat, streak = min(1.0, heat / COOLING), 0
+    return LayoutState(pos, t, gamma, move, heat, streak, lowest, state.level_start)
 
 
 def step(
@@ -431,7 +482,9 @@ def step(
 ) -> LayoutState:
     """One synchronous iteration: update gamma, separate coincident pairs,
     compute all impulses from the snapshot, then displace every movable
-    vertex by sigma * (impulse clamped to i_max).
+    vertex by heat * sigma * (impulse clamped to i_max), and cool or warm
+    the heat. The state carries the whole controller, so a loop of step
+    calls replays run_layout bit for bit.
     """
     pos, ws = _start(state.positions, g, mass, frozen, config)
     return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))

@@ -8,12 +8,15 @@ from gravlayout import (
     LayoutConfig,
     Schedule,
     augment_with_dummies,
+    degree_centrality,
     fit_arc,
+    generate_random_tree,
     layout_lombardi,
     normalize_mass,
     run_layout,
     uniform_centrality,
 )
+from gravlayout import engine
 
 
 def uniform_mass(g):
@@ -149,3 +152,26 @@ def test_lombardi_deterministic():
     pos2, arcs2 = layout_lombardi(g, mass, cfg)
     assert np.array_equal(pos1, pos2)
     assert arcs1 == arcs2
+
+
+def test_dummy_phase_settles_within_block_len(monkeypatch):
+    # Cooling whenever the energy is not below the previous iteration's lets
+    # the heat lock into a cycle: on half of these trees the dummy phase then
+    # ran all 3000 iterations. Compared with the level's lowest energy, every
+    # dummy phase here settles within block_len iterations.
+    last = []
+    next_state = engine._next_state
+
+    def recording(state, *args):
+        last[:] = [next_state(state, *args)]
+        return last[0]
+
+    monkeypatch.setattr(engine, "_next_state", recording)
+    for seed in range(10):
+        g = generate_random_tree(126, seed=seed)
+        cfg = LayoutConfig(seed=seed)
+        layout_lombardi(g, normalize_mass(degree_centrality(g)), cfg)
+        dummy_phase = last[0]  # the last engine run is the dummy phase
+        assert dummy_phase.positions.shape[0] == g.vertex_count + g.edge_count
+        assert dummy_phase.last_max_impulse < cfg.equilibrium_eps
+        assert dummy_phase.t <= cfg.block_len

@@ -350,9 +350,9 @@ def test_default_config_echo(tmp_path):
         ("centrality", "degree"),
         ("k", 80.0),
         ("imax", 10.0),
-        ("sigma", 0.1),
+        ("sigma", 0.8),
         ("gamma_max", 2.5),
-        ("schedule", "stepped"),
+        ("schedule", "equilibrium"),
         ("block", 200),
         ("gamma_step", 0.2),
         ("eps", 1.0),

@@ -20,6 +20,7 @@ from gravlayout import (
     compute_metrics,
     count_crossings,
     degree_centrality,
+    generate_forest,
     generate_random_tree,
     gravity_force,
     initialize_positions,
@@ -95,7 +96,7 @@ def test_gravity_force():
 
 
 def test_schedule_stepped_by_iteration():
-    cfg = LayoutConfig()
+    cfg = LayoutConfig(schedule=Schedule.STEPPED_ITERATION)
     state = LayoutState(positions=np.zeros((1, 2)))
     assert schedule_gamma(199, state, cfg) == 0.0
     assert schedule_gamma(200, state, cfg) == pytest.approx(0.2)
@@ -414,8 +415,9 @@ def test_net_impulse_isolated_vertex_is_gravity_plus_repulsion():
 
 
 def test_step_clamp_rule():
-    # two unconnected vertices at distance d feel repulsion k^2/d each
-    cfg = LayoutConfig(schedule=Schedule.NONE)
+    # two unconnected vertices at distance d feel repulsion k^2/d each; a
+    # start state is at full heat, so each moves sigma * min(impulse, i_max)
+    cfg = LayoutConfig(schedule=Schedule.NONE, sigma=0.1)
     for d, expected in ((256.0, 1.0), (1600.0, 0.4)):  # impulses 25 and 4
         g = Graph(2)
         state = LayoutState(positions=np.array([[0.0, 0.0], [d, 0.0]]))
@@ -725,16 +727,77 @@ def test_run_allocates_no_scratch_per_step(monkeypatch):
     assert counts[1] <= counts[0]
 
 
-def test_equilibrium_schedule_at_default_eps_matches_no_gravity():
-    # States the current behaviour: on this tree the strongest impulse never
-    # drops below the default equilibrium_eps, so the equilibrium schedule
-    # never raises gamma and the run is byte-identical to one without
-    # gravity. A change to the equilibrium trigger shows up here.
+def step_to_stop(g, mass, cfg, init, frozen=None):
+    """Drive step from a start state under run_layout's stop rule; return the
+    last state and the (first t, gamma) of every gravity level."""
+    state = LayoutState(positions=init)
+    levels = [(1, schedule_gamma(1, state, cfg))]
+    while state.t < cfg.max_iterations and not settled(state, cfg):
+        state = step(state, g, mass, cfg, frozen)
+        if state.gamma != levels[-1][1]:
+            levels.append((state.t, state.gamma))
+    return state, levels
+
+
+def test_equilibrium_schedule_climbs_to_gamma_max_and_settles():
+    # The default schedule on a tree where a fixed step never let a move fall
+    # below eps: the cooled moves settle level after level, gamma climbs by
+    # gamma_step to gamma_max, and the run stops settled at t = 1836.
     g = generate_random_tree(70, seed=3)
     mass = normalize_mass(closeness_centrality(g))
-    plain = run_layout(g, mass, LayoutConfig(schedule=Schedule.NONE, seed=3))
-    equilibrium = run_layout(g, mass, LayoutConfig(schedule=Schedule.STEPPED_EQUILIBRIUM, seed=3))
-    assert equilibrium.tobytes() == plain.tobytes()
+    cfg = LayoutConfig(seed=3)
+    assert cfg.schedule is Schedule.STEPPED_EQUILIBRIUM
+    state, levels = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
+    assert state.gamma == cfg.gamma_max and len(levels) == 14
+    assert settled(state, cfg) and state.t < 0.7 * cfg.max_iterations
+
+
+def test_step_loop_replays_default_run_to_its_equilibrium_stop():
+    # Heat, streak, the level's lowest energy and its start travel in the
+    # state, so step from a start state replays run_layout bit for bit.
+    g = generate_random_tree(70, seed=5)
+    mass = normalize_mass(degree_centrality(g))
+    cfg = LayoutConfig(seed=5)
+    init = initialize_positions(g, cfg.seed, cfg.k)
+    state, _ = step_to_stop(g, mass, cfg, init)
+    assert settled(state, cfg) and state.t < cfg.max_iterations
+    assert run_layout(g, mass, cfg).tobytes() == state.positions.tobytes()
+
+
+def test_equilibrium_levels_end_by_block_len_on_a_forest():
+    # At gamma 0 the components of a forest repel forever, so that level
+    # never settles: the cap of block_len iterations per level ends it, and
+    # gamma still reaches gamma_max before max_iterations.
+    g = generate_forest([9] * 5, seed=2)
+    mass = normalize_mass(degree_centrality(g))
+    cfg = LayoutConfig(seed=2)
+    state, levels = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
+    assert state.gamma == cfg.gamma_max and state.t < cfg.max_iterations
+    lengths = np.diff([t for t, _ in levels])
+    assert lengths[0] == cfg.block_len and lengths.max() <= cfg.block_len
+
+
+@pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
+def test_cooled_move_never_exceeds_cap(schedule):
+    # The longest move of every iteration is heat * sigma * min(max |F|,
+    # i_max) with heat in (0, 1], under every schedule; the controller does
+    # cool on these runs.
+    rng = np.random.default_rng(32)
+    heats = []
+    for _ in range(4):
+        g = random_graph(rng, 2, 14)
+        cfg = LayoutConfig(schedule=schedule, block_len=10, max_iterations=60)
+        mass = uniform_mass(g)
+        state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)))
+        while state.t < cfg.max_iterations:
+            nxt = step(state, g, mass, cfg)
+            moved = np.linalg.norm(nxt.positions - state.positions, axis=1)
+            assert moved.max() <= cfg.sigma * cfg.i_max + 1e-12
+            assert nxt.last_max_impulse == pytest.approx(moved.max(), abs=1e-9)
+            assert 0.0 < nxt.heat <= 1.0
+            heats.append(nxt.heat)
+            state = nxt
+    assert min(heats) < 1.0
 
 
 def test_translation_equivariance():
