@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .centrality import DEFAULT_MASS_FLOOR, MassVector
 from .engine import TWO_PI, LayoutConfig, Schedule, run_layout
 from .graphs import Graph
 
@@ -96,29 +95,23 @@ def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
     return CircularArc(center=(float(cx), float(cy)), radius=float(radius), ccw=offset_d < sweep_ccw)
 
 
-def layout_lombardi(
-    g: Graph, mass, config: LayoutConfig
-) -> tuple[np.ndarray, list[ArcEdge]]:
+def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, list[ArcEdge]]:
     """Main layout followed by the dummy phase; returns positions and arcs.
 
-    Original vertex positions are returned bit-identical to the plain
-    run_layout result. The dummy phase uses the classical forces only
-    (no gravity) with k halved, and dummies carry the floor mass.
+    The original vertices' positions are the plain run_layout result. The
+    dummy phase moves only the dummies, under the classical forces with k
+    halved; gravity is off, so every vertex gets unit mass.
     """
     pos = run_layout(g, mass, config)
-    m = g.edge_count
-    if m == 0:
+    if not g.edge_count:
         return pos, []
-    aug, mapping = augment_with_dummies(g)
+    aug = augment_with_dummies(g)[0]
     ea = g.edge_array
     midpoints = 0.5 * (pos[ea[:, 0]] + pos[ea[:, 1]])
     init = np.vstack([pos, midpoints])
-    mass_vals = mass.values if isinstance(mass, MassVector) else np.asarray(mass, dtype=float)
-    aug_mass = np.concatenate([mass_vals, np.full(m, DEFAULT_MASS_FLOOR)])
-    frozen = np.zeros(aug.vertex_count, dtype=bool)
-    frozen[: g.vertex_count] = True
+    frozen = np.arange(aug.vertex_count) < g.vertex_count
     dummy_config = replace(config, k=0.5 * config.k, schedule=Schedule.NONE)
-    aug_pos = run_layout(aug, aug_mass, dummy_config, initial=init, frozen=frozen)
+    aug_pos = run_layout(aug, np.ones(aug.vertex_count), dummy_config, initial=init, frozen=frozen)
     arcs = []
     for idx, (u, v) in enumerate(g.edges):
         control = aug_pos[g.vertex_count + idx]
@@ -132,4 +125,4 @@ def layout_lombardi(
                 geometry=geometry,
             )
         )
-    return aug_pos[: g.vertex_count], arcs
+    return pos, arcs

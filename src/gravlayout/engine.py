@@ -7,17 +7,21 @@ evaluated against the same position snapshot (synchronous update):
   attraction  f_a(u, v) = (|P[u] - P[v]| / k) (P[u] - P[v])       along each incident edge
   gravity     f_g(v)    = gamma_t M[v] (xi - P[v])                toward the centroid xi
 
-The impulse is clamped to magnitude i_max (direction preserved), scaled by
-heat * sigma, and applied as a displacement. The gravity coefficient gamma_t
-grows over iterations according to a schedule, which is what lets drawings
-first untangle under the classical forces and only then compact toward the
-center. schedule_gamma gives gamma_t, terminal_gamma its final level, and
-settled is the stop rule; step and run_layout share one iteration body.
+With no vertex frozen, the impulses are taken in the rest frame, less
+their mean: gravity sums to gamma_t n (xi - xi_M), xi_M the mass-weighted
+centroid, a push that only translates the drawing. Otherwise a frozen
+vertex's impulse is zero. The impulse is clamped to magnitude i_max
+(direction preserved), scaled by heat * sigma, and applied as a
+displacement. The gravity coefficient gamma_t grows over iterations
+according to a schedule, which is what lets drawings first untangle under
+the classical forces and only then compact toward the center.
+schedule_gamma gives gamma_t, terminal_gamma its final level, and settled
+is the stop rule; step and run_layout share one iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
 2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
-and whenever gamma changes. An iteration whose energy E = sum |F|^2 over the
-movable vertices is not a new low for the level multiplies it by COOLING;
+and whenever gamma changes. An iteration whose energy E = sum |F|^2 of the
+framed impulses is not a new low for the level multiplies it by COOLING;
 WARM_AFTER new lows in a row divide it by COOLING, up to 1. Comparing with
 the level's lowest energy, not the previous one, keeps a layout from
 cycling at a fixed heat. So the moves shrink once the layout stops
@@ -147,7 +151,8 @@ class LayoutState:
     """Positions after iteration t at gravity gamma, and the heat controller.
 
     last_max_impulse is the longest move of iteration t, heat * sigma *
-    min(max |F|, i_max), with inf before the first. heat is the step factor
+    min(max |F|, i_max) over the framed impulses F (rest-frame, or zero on a
+    frozen vertex), with inf before the first. heat is the step factor
     of the next iteration at this level, streak the run of new energy lows
     that ends at t, lowest_energy the level's lowest energy so far, and
     level_start the t the level began after. The defaults are a start state,
@@ -345,7 +350,8 @@ def _separated_repulsion(
 
 class _Workspace:
     """What every step of a run reuses: the checked masses and frozen mask,
-    the attraction endpoint indices and the kernel scratch."""
+    whether the run moves in its rest frame (nothing frozen), the attraction
+    endpoint indices and the kernel scratch."""
 
     def __init__(self, g: Graph, mass, frozen) -> None:
         n = g.vertex_count
@@ -357,8 +363,7 @@ class _Workspace:
         self.frozen = np.asarray(frozen, dtype=bool)
         if self.frozen.shape != (n,):
             raise ValueError(f"frozen mask length {self.frozen.shape} does not match {n} vertices")
-        # None when nothing is frozen, so the update needs no mask.
-        self.movable = ~self.frozen if self.frozen.any() else None
+        self.rest_frame = not self.frozen.any()
         # Flat indices into the (2, n) coordinates: [x_u, y_u, x_v, y_v] per edge.
         eu, ev = g.edge_array.T
         self.ends = np.concatenate([eu, eu + n, ev, ev + n])
@@ -381,30 +386,30 @@ def _advance(
     pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: LayoutConfig, heat: float = 1.0
 ) -> tuple[float, float]:
     """Iteration t at gravity gamma and the given heat, in place on the
-    (n, 2) positions; return the strongest impulse on a movable vertex and
-    the energy, the sum of the movable vertices' squared impulses. Runs
+    (n, 2) positions. The impulses are framed (less their mean when nothing
+    is frozen, zero on frozen vertices), clamped and applied; return the
+    strongest framed impulse and the energy, the sum of their squares. Runs
     fastest when pos is column-major, so each coordinate is one contiguous
     row of pos.T."""
     if not pos.size:  # an empty drawing: no force, nothing to move
         return 0.0, 0.0
     imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.scratch)
     p = pos.T
+    n = p.shape[1]
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
     # Gravity gamma M (xi - p); the centroid xi is p.mean's sum-then-divide.
-    imp += (np.add.reduce(p, axis=1, keepdims=True) / p.shape[1] - p) * (gamma * ws.mass)
+    imp += (np.add.reduce(p, axis=1, keepdims=True) / n - p) * (gamma * ws.mass)
+    if ws.rest_frame:  # the impulses' mean only translates the drawing
+        imp -= np.add.reduce(imp, axis=1, keepdims=True) / n
+    else:
+        imp[:, ws.frozen] = 0.0
     mag2 = np.add.reduce(imp * imp, axis=0)
     mag = np.sqrt(mag2)
     # heat * sigma * min(1, i_max / mag), by a division that cannot overflow.
-    scale = (heat * config.sigma) * (config.i_max / np.maximum(mag, config.i_max))
-    imp *= scale
-    if ws.movable is None:
-        p += imp
-        return float(mag.max()), float(np.add.reduce(mag2))
-    p[:, ws.movable] += imp[:, ws.movable]
-    if not ws.movable.any():
-        return 0.0, 0.0
-    return float(mag[ws.movable].max()), float(np.add.reduce(mag2[ws.movable]))
+    imp *= (heat * config.sigma) * (config.i_max / np.maximum(mag, config.i_max))
+    p += imp
+    return float(mag.max()), float(np.add.reduce(mag2))
 
 
 def check_positions(positions, n: int | None = None) -> np.ndarray:
@@ -430,7 +435,7 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     overflows: an iteration moves it at most sigma * i_max plus 8 jitter
     nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
     repulsion, gravity or the spring pull could overflow the energy, the sum
-    of the impulses' squared magnitudes: no gamma of the run exceeds
+    of the framed impulses' squared magnitudes: no gamma of the run exceeds
     terminal_gamma."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
@@ -447,8 +452,8 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     gravity = terminal_gamma(config) * float(ws.mass.max(initial=0.0)) * 2 * reach
     pull = int(g.degrees.max(initial=0)) * (8 * reach * reach / config.k)
     repulsion = max(g.vertex_count - 1, 0) * config.k / JITTER_TRIGGER
-    force = repulsion + gravity + pull  # on each axis
-    if 2 * max(g.vertex_count, 1) * force * force == math.inf:
+    force = repulsion + gravity + pull  # on each axis; twice that in the rest frame
+    if 8 * max(g.vertex_count, 1) * force * force == math.inf:
         raise ValueError(
             f"repulsion, gravity and spring forces within reach {reach:.3g} could overflow the impulses"
         )
@@ -481,10 +486,11 @@ def step(
     frozen: np.ndarray | None = None,
 ) -> LayoutState:
     """One synchronous iteration: update gamma, separate coincident pairs,
-    compute all impulses from the snapshot, then displace every movable
-    vertex by heat * sigma * (impulse clamped to i_max), and cool or warm
-    the heat. The state carries the whole controller, so a loop of step
-    calls replays run_layout bit for bit.
+    compute all impulses from the snapshot, take them in the rest frame (or
+    zero the frozen vertices' impulses), displace every vertex by heat *
+    sigma * (impulse clamped to i_max), and cool or warm the heat. The
+    state carries the whole controller, so a loop of step calls replays
+    run_layout bit for bit.
     """
     pos, ws = _start(state.positions, g, mass, frozen, config)
     return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))

@@ -34,7 +34,7 @@ def mass_for(g: gl.Graph, kind: str) -> gl.MassVector:
     return gl.normalize_mass(gl.compute_centrality(g, kind))
 
 
-def stepped_config(seed: int) -> gl.LayoutConfig:
+def default_config(seed: int) -> gl.LayoutConfig:
     return gl.LayoutConfig(seed=seed)
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_scaling_reduces_crossings():
     for seed in range(20):
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "degree")
-        pos_s = gl.run_layout(g, mass, stepped_config(seed))
+        pos_s = gl.run_layout(g, mass, default_config(seed))
         cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=seed)
         pos_c = gl.run_layout(g, mass, cfg_c)
         stepped.append(gl.count_crossings(g, pos_s))
@@ -100,7 +100,7 @@ def test_criterion_03_scaling_reduces_crossings():
         3,
         "scaling-reduces-crossings",
         ok,
-        f"median stepped={med_s}, constant={med_c}, wins={wins}/20, sign-test p={p:.2e}",
+        f"median equilibrium={med_s}, constant={med_c}, wins={wins}/20, sign-test p={p:.2e}",
     )
     assert ok
 
@@ -110,7 +110,7 @@ def test_criterion_04_tree_compactness():
     for seed in range(10):
         g = gl.generate_random_tree(126, seed=seed)
         mass = mass_for(g, "degree")
-        area_g = gl.bounding_area(gl.run_layout(g, mass, stepped_config(seed)))
+        area_g = gl.bounding_area(gl.run_layout(g, mass, default_config(seed)))
         area_0 = gl.bounding_area(gl.run_layout(g, mass, classical_config(seed)))
         ratios.append(area_g / area_0)
     med = statistics.median(ratios)
@@ -128,7 +128,7 @@ def test_criterion_05_centralization():
         cents = {kind: gl.compute_centrality(g, kind) for kind in kinds}
         pos_zero = gl.run_layout(g, mass_for(g, "uniform"), classical_config(seed))
         for kind in kinds:
-            pos = gl.run_layout(g, gl.normalize_mass(cents[kind]), stepped_config(seed))
+            pos = gl.run_layout(g, gl.normalize_mass(cents[kind]), default_config(seed))
             rho_grav[kind].append(gl.centrality_radius_correlation(cents[kind], pos))
             rho_zero[kind].append(gl.centrality_radius_correlation(cents[kind], pos_zero))
     ok = True
@@ -148,7 +148,7 @@ def test_criterion_06_forest_cohesion():
     for seed in range(5):
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "betweenness")
-        area_g = gl.bounding_area(gl.run_layout(g, mass, stepped_config(seed)))
+        area_g = gl.bounding_area(gl.run_layout(g, mass, default_config(seed)))
         area_0 = gl.bounding_area(gl.run_layout(g, mass, classical_config(seed)))
         ratios.append(area_g / area_0)
     med = statistics.median(ratios)
@@ -163,7 +163,7 @@ def test_criterion_07_trees_nearly_crossing_free():
     crossings = []
     for seed in range(20):
         g = gl.generate_random_tree(70, seed=seed)
-        pos = gl.run_layout(g, mass_for(g, "closeness"), stepped_config(seed))
+        pos = gl.run_layout(g, mass_for(g, "closeness"), default_config(seed))
         crossings.append(gl.count_crossings(g, pos))
     med = statistics.median(crossings)
     ok = med <= 2
