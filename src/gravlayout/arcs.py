@@ -23,12 +23,17 @@ COLLINEAR_AREA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CircularArc:
-    """Circle support of an arc: center, radius, and sweep direction from
-    the first endpoint to the second (ccw in y-up coordinates)."""
+    """Circle support of an arc: center, radius, and the signed angle swept
+    from the first endpoint to the second, in radians with |sweep| <= 2*pi
+    (positive = counter-clockwise in y-up coordinates)."""
 
     center: tuple[float, float]
     radius: float
-    ccw: bool
+    sweep: float
+
+    @property
+    def ccw(self) -> bool:
+        return self.sweep > 0
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,10 @@ def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
     theta_u = math.atan2(a[1] - cy, a[0] - cx)
     theta_v = math.atan2(b[1] - cy, b[0] - cx)
     theta_d = math.atan2(c[1] - cy, c[0] - cx)
-    sweep_ccw = (theta_v - theta_u) % TWO_PI
-    offset_d = (theta_d - theta_u) % TWO_PI
-    return CircularArc(center=(float(cx), float(cy)), radius=float(radius), ccw=offset_d < sweep_ccw)
+    sweep = (theta_v - theta_u) % TWO_PI
+    if (theta_d - theta_u) % TWO_PI >= sweep:  # p_d off the ccw sweep: turn clockwise
+        sweep = -((theta_u - theta_v) % TWO_PI)
+    return CircularArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
 
 
 def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, list[ArcEdge]]:

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcEdge
-from .engine import TWO_PI
 from .graphs import Graph
 
 
@@ -60,23 +59,38 @@ def _fmt(x: float) -> str:
 def _arc_path(arc: ArcEdge) -> str:
     geom = arc.geometry
     assert geom is not None
-    cx, cy = geom.center
     ux, uy = arc.p_u
     vx, vy = arc.p_v
-    theta_u = math.atan2(uy - cy, ux - cx)
-    theta_v = math.atan2(vy - cy, vx - cx)
-    if geom.ccw:
-        sweep = (theta_v - theta_u) % TWO_PI
-        sweep_flag = 1
-    else:
-        sweep = (theta_u - theta_v) % TWO_PI
-        sweep_flag = 0
-    large_flag = 1 if sweep > math.pi else 0
+    large_flag = int(abs(geom.sweep) > math.pi)
     r = _fmt(geom.radius)
     return (
         f"M {_fmt(ux)} {_fmt(uy)} "
-        f"A {r} {r} 0 {large_flag} {sweep_flag} {_fmt(vx)} {_fmt(vy)}"
+        f"A {r} {r} 0 {large_flag} {int(geom.ccw)} {_fmt(vx)} {_fmt(vy)}"
     )
+
+
+def _arc_bounds(arcs: list[ArcEdge]) -> np.ndarray:
+    """Points whose bounding box is the curved arcs' own: each arc's
+    endpoints, plus each axis extreme of its circle that lies on the
+    control's side of the chord, which is the side the arc runs on."""
+    curved = [a for a in arcs if not a.straight]
+    if not curved:
+        return np.empty((0, 2))
+    u = np.asarray([a.p_u for a in curved], dtype=float)
+    v = np.asarray([a.p_v for a in curved], dtype=float)
+    center = np.asarray([a.geometry.center for a in curved], dtype=float)
+    radius = np.asarray([a.geometry.radius for a in curved], dtype=float)[:, None]
+    chord = v - u
+
+    def side(p: np.ndarray) -> np.ndarray:
+        return chord[:, 0] * (p[:, 1] - u[:, 1]) - chord[:, 1] * (p[:, 0] - u[:, 0])
+
+    control_side = side(np.asarray([a.control for a in curved], dtype=float))
+    points = [u, v]
+    for e in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        extreme = center + radius * np.asarray(e)
+        points.append(extreme[side(extreme) * control_side > 0])
+    return np.vstack(points)
 
 
 def render_svg(
@@ -94,7 +108,7 @@ def render_svg(
     given) in #444444 at width 0.01 * k, vertices on top as filled
     circles of radius 0.05 * k. The drawing keeps y-up mathematical
     orientation via a flip transform, and the viewBox is the drawing's
-    bounding box padded by 0.1 * k.
+    bounding box, vertices and every drawn arc, padded by 0.1 * k.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (g.vertex_count, 2):
@@ -108,7 +122,7 @@ def render_svg(
 
     points = [pos] if g.vertex_count else []
     if arcs:
-        points.append(np.asarray([a.control for a in arcs], dtype=float))
+        points.append(_arc_bounds(arcs))
     if points:
         allpts = np.vstack(points)
         xmin, ymin = allpts.min(axis=0)

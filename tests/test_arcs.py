@@ -158,7 +158,10 @@ def test_dummy_phase_settles_within_block_len(monkeypatch):
     # Cooling whenever the energy is not below the previous iteration's lets
     # the heat lock into a cycle: on half of these trees the dummy phase then
     # ran all 3000 iterations. Compared with the level's lowest energy, every
-    # dummy phase here settles within block_len iterations.
+    # dummy phase here settles within block_len iterations. It must also
+    # leave the frozen original vertices where the main layout put them:
+    # layout_lombardi returns the main layout's positions, so only the dummy
+    # phase's own final positions can show a frozen vertex moving.
     last = []
     next_state = engine._next_state
 
@@ -170,8 +173,9 @@ def test_dummy_phase_settles_within_block_len(monkeypatch):
     for seed in range(10):
         g = generate_random_tree(126, seed=seed)
         cfg = LayoutConfig(seed=seed)
-        layout_lombardi(g, normalize_mass(degree_centrality(g)), cfg)
+        pos, arcs = layout_lombardi(g, normalize_mass(degree_centrality(g)), cfg)
         dummy_phase = last[0]  # the last engine run is the dummy phase
         assert dummy_phase.positions.shape[0] == g.vertex_count + g.edge_count
+        assert dummy_phase.positions[: g.vertex_count].tobytes() == pos.tobytes()
         assert dummy_phase.last_max_impulse < cfg.equilibrium_eps
         assert dummy_phase.t <= cfg.block_len

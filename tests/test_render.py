@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +16,8 @@ from gravlayout import (
     RenderError,
     Schedule,
     color_for,
+    degree_centrality,
+    generate_random_tree,
     layout_lombardi,
     normalize_mass,
     render_svg,
@@ -160,3 +164,75 @@ def test_render_deterministic_bytes():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     pos = [(0.12345, 1.9), (50.0, -3.25), (90.0, 40.0)]
     assert render_svg(g, pos) == render_svg(g, pos)
+
+
+@functools.lru_cache(maxsize=None)
+def lombardi_tree(n, seed):
+    """Default Lombardi drawing of a random tree with degree mass, and its SVG."""
+    g = generate_random_tree(n, seed=seed)
+    cfg = LayoutConfig(seed=seed)
+    pos, arcs = layout_lombardi(g, normalize_mass(degree_centrality(g)), cfg)
+    return arcs, render_svg(g, pos, arcs=arcs, k=cfg.k)
+
+
+def cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def arc_samples(arc, count=721):
+    """count points along the arc from p_u to p_v through the control; the
+    direction comes from which side of the chord the control lies on."""
+    u, v, d = (np.asarray(p, dtype=float) for p in (arc.p_u, arc.p_v, arc.control))
+    c = np.asarray(arc.geometry.center)
+    theta_u = math.atan2(u[1] - c[1], u[0] - c[0])
+    theta_v = math.atan2(v[1] - c[1], v[0] - c[0])
+    if cross(d - u, v - u) > 0:
+        sweep = (theta_v - theta_u) % (2 * math.pi)
+    else:
+        sweep = -((theta_u - theta_v) % (2 * math.pi))
+    angles = theta_u + sweep * np.linspace(0.0, 1.0, count)
+    return c + arc.geometry.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+LOMBARDI_TREES = [(n, seed) for n in (70, 126, 174) for seed in range(4)]
+
+
+@pytest.mark.parametrize("n, seed", LOMBARDI_TREES)
+def test_viewbox_contains_every_arc(n, seed):
+    # An arc can run far beyond every vertex and its own control: at n = 126,
+    # seed 3 one reaches about 79,000 units past them.
+    arcs, svg = lombardi_tree(n, seed)
+    x, y, w, h = (float(t) for t in ET.fromstring(svg).attrib["viewBox"].split())
+    # the group flips y, so drawing y spans [-(y + h), -y]
+    lo, hi = np.array([x, -(y + h)]), np.array([x + w, -y])
+    tol = 1e-3
+    for arc in arcs:
+        if arc.straight:
+            continue
+        pts = arc_samples(arc)
+        assert np.allclose(pts[[0, -1]], [arc.p_u, arc.p_v])
+        assert (pts >= lo - tol).all() and (pts <= hi + tol).all(), arc.edge
+
+
+def test_arc_flags_match_chord_oracle():
+    # Trig-free oracle: the arc through the control d is the large one when
+    # the angle u-d-v is acute, and turns counter-clockwise when d lies right
+    # of the chord u -> v. A right angle at d is a semicircle, where rounding
+    # may pick either large flag, so such arcs are skipped; none is here.
+    checked = skipped = 0
+    for n, seed in LOMBARDI_TREES:
+        arcs, svg = lombardi_tree(n, seed)
+        curved = [a for a in arcs if not a.straight]
+        paths = [p.attrib["d"].split() for p in ET.fromstring(svg).iter(SVG_NS + "path")]
+        assert len(paths) == len(curved)
+        for arc, tokens in zip(curved, paths):
+            large, sweep = int(tokens[7]), int(tokens[8])
+            u, v, d = (np.asarray(p, dtype=float) for p in (arc.p_u, arc.p_v, arc.control))
+            dot = float(np.dot(u - d, v - d))
+            if abs(dot) <= 1e-9 * np.linalg.norm(u - d) * np.linalg.norm(v - d):
+                skipped += 1
+                continue
+            assert large == int(dot > 0), arc.edge
+            assert sweep == int(cross(d - u, v - u) > 0), arc.edge
+            checked += 1
+    assert checked > 1000 and skipped < 10
