@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import TWO_PI, LayoutConfig, Schedule, run_layout
+from .engine import TWO_PI, LayoutConfig, run_layout
 from .graphs import Graph
 
 # A triangle flatter than this fraction of k^2 is treated as collinear.
@@ -116,7 +116,7 @@ def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, l
     midpoints = 0.5 * (pos[ea[:, 0]] + pos[ea[:, 1]])
     init = np.vstack([pos, midpoints])
     frozen = np.arange(aug.vertex_count) < g.vertex_count
-    dummy_config = replace(config, k=0.5 * config.k, schedule=Schedule.NONE)
+    dummy_config = replace(config, k=0.5 * config.k, gamma_max=0.0)
     aug_pos = run_layout(aug, np.ones(aug.vertex_count), dummy_config, initial=init, frozen=frozen)
     arcs = []
     for idx, (u, v) in enumerate(g.edges):

@@ -26,7 +26,7 @@ LAYOUT_FLAGS = {
     "k": ("k", "natural edge length"),
     "imax": ("i_max", "impulse magnitude cap"),
     "sigma": ("sigma", "displacement scale: a move is at most sigma * imax"),
-    "gamma_max": ("gamma_max", "gravity level of every schedule but none"),
+    "gamma_max": ("gamma_max", "gravity level every schedule heads for; 0 turns gravity off"),
     "schedule": ("schedule", "how gravity grows over the run"),
     "block": ("block_len", "most iterations per gravity level"),
     "gamma_step": ("gamma_step", "gravity increment per step"),
@@ -38,9 +38,9 @@ LAYOUT_FLAGS = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """A file's text, or stdin's for '-', less one leading byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _write_text(path: str, text: str) -> None:

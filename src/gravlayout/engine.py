@@ -15,8 +15,8 @@ vertex's impulse is zero. The impulse is clamped to magnitude i_max
 displacement. The gravity coefficient gamma_t grows over iterations
 according to a schedule, which is what lets drawings first untangle under
 the classical forces and only then compact toward the center.
-schedule_gamma gives gamma_t, terminal_gamma its final level, and settled
-is the stop rule; step and run_layout share one iteration body.
+schedule_gamma gives gamma_t, at most gamma_max, and settled is the stop
+rule; step and run_layout share one iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
 2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
@@ -52,12 +52,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .centrality import MassVector, check_masses
-from .graphs import Graph
+from .graphs import Graph, _check_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +79,6 @@ BLOCK_ELEMENTS = 16384
 class Schedule(Enum):
     """How the gravity coefficient evolves over iterations."""
 
-    NONE = "none"
     CONSTANT = "constant"
     STEPPED_ITERATION = "stepped"
     STEPPED_EQUILIBRIUM = "equilibrium"
@@ -98,8 +97,8 @@ class LayoutConfig:
     from the first iteration, the stepped schedule climbs to it by gamma_step
     every block_len iterations, the equilibrium schedule by gamma_step once a
     level has settled (its longest move below equilibrium_eps) or has run
-    block_len iterations, and the none schedule ignores it. A run stops
-    after max_iterations, or once it is settled at the schedule's final level.
+    block_len iterations; gamma_max 0 turns gravity off. A run stops after
+    max_iterations, or once it is settled at gamma_max.
     """
 
     k: float = 80.0
@@ -126,10 +125,7 @@ class LayoutConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, number)
         for name in ("block_len", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if not isinstance(self.schedule, Schedule):
             raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
@@ -170,15 +166,15 @@ class LayoutState:
 
 
 def terminal_gamma(config: LayoutConfig) -> float:
-    """The gravity level a run is heading for under its schedule."""
-    return 0.0 if config.schedule is Schedule.NONE else config.gamma_max
+    """The gravity level a run is heading for: gamma_max, under every schedule."""
+    return config.gamma_max
 
 
 def settled(state: LayoutState, config: LayoutConfig) -> bool:
     """The stop rule: the longest move of the last iteration is below
-    equilibrium_eps and gamma has reached the schedule's terminal level.
-    A start state (last_max_impulse inf) is never settled."""
-    return state.last_max_impulse < config.equilibrium_eps and state.gamma >= terminal_gamma(config) - 1e-12
+    equilibrium_eps and gamma has reached gamma_max. A start state
+    (last_max_impulse inf) is never settled."""
+    return state.last_max_impulse < config.equilibrium_eps and state.gamma >= config.gamma_max - 1e-12
 
 
 def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
@@ -225,11 +221,11 @@ def gravity_force(pv, xi, mass: float, gamma: float) -> np.ndarray:
 
 def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     """Gravity coefficient for iteration t under the configured schedule.
-    The flat schedules hold their terminal level from the start."""
+    The constant schedule holds gamma_max from the start."""
     if config.schedule is Schedule.STEPPED_ITERATION:
         return min(config.gamma_max, config.gamma_step * (t // config.block_len))
-    if config.schedule is not Schedule.STEPPED_EQUILIBRIUM:
-        return terminal_gamma(config)
+    if config.schedule is Schedule.CONSTANT:
+        return config.gamma_max
     # Stepped by equilibrium: raise gamma one step once the previous
     # iteration's longest move dropped below the equilibrium tolerance, or
     # when iteration t would be the level's (block_len + 1)-th.
@@ -436,7 +432,7 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
     repulsion, gravity or the spring pull could overflow the energy, the sum
     of the framed impulses' squared magnitudes: no gamma of the run exceeds
-    terminal_gamma."""
+    gamma_max."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
     # min: an iteration count beyond the float range would not convert.
@@ -449,7 +445,7 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     # the pull (|e| / k) e of one edge at most 8 * reach^2 / k in magnitude.
     # A pair at least JITTER_TRIGGER * k apart repels with k^2 / d, at most
     # k / JITTER_TRIGGER; closer pairs are jittered apart first.
-    gravity = terminal_gamma(config) * float(ws.mass.max(initial=0.0)) * 2 * reach
+    gravity = config.gamma_max * float(ws.mass.max(initial=0.0)) * 2 * reach
     pull = int(g.degrees.max(initial=0)) * (8 * reach * reach / config.k)
     repulsion = max(g.vertex_count - 1, 0) * config.k / JITTER_TRIGGER
     force = repulsion + gravity + pull  # on each axis; twice that in the rest frame

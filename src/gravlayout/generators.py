@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graphs import Graph
+from .graphs import Graph, _check_integer
 
 
 def _random_tree_edges(n: int, rng: random.Random, offset: int = 0) -> list[tuple[int, int]]:
@@ -38,18 +38,20 @@ def _random_tree_edges(n: int, rng: random.Random, offset: int = 0) -> list[tupl
 def generate_random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform random labeled tree on n >= 1 vertices, deterministic per seed:
     the one-component forest."""
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError("tree needs at least one vertex")
     return generate_forest([n], seed)
 
 
 def generate_forest(sizes, seed: int = 0) -> Graph:
-    """Disjoint union of random trees with the given component sizes."""
-    sizes = list(sizes)
+    """Disjoint union of random trees with the given component sizes. Sizes
+    and seed are integers, Python or numpy (not bool)."""
+    sizes = [_check_integer("component size", s) for s in sizes]
     if not sizes:
         raise ValueError("forest needs at least one component size")
     if any(s < 1 for s in sizes):
         raise ValueError("component sizes must be >= 1")
+    seed = _check_integer("seed", seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rng = random.Random(seed)

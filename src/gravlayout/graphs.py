@@ -23,6 +23,14 @@ class GraphParseError(ValueError):
     """Raised when graph input text is malformed."""
 
 
+def _check_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _endpoint_array(pairs) -> np.ndarray:
     """Edge endpoints as a fresh (m, 2) int64 array; ValueError unless every
     pair holds two integers (Python or numpy, bool excluded)."""
@@ -80,8 +88,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.vertex_count
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ValueError(f"vertex_count must be an integer, got {n!r}")
+        _check_integer("vertex_count", n)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         ea = _endpoint_array(self.edges)

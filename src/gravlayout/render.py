@@ -18,6 +18,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _xml_char(c: str) -> bool:
+    """Whether XML 1.0 allows c: tab, LF, CR and U+0020 on, less the
+    surrogates, U+FFFE and U+FFFF."""
+    return c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
 class RenderError(ValueError):
     """Raised when a drawing cannot be serialized."""
 
@@ -157,11 +163,14 @@ def render_svg(
         )
     if show_labels:
         for v in range(g.vertex_count):
+            label = g.label_of(v)
+            if not all(map(_xml_char, label)):
+                raise RenderError(f"the label of vertex {v} holds a character XML 1.0 forbids")
             # counter-flip each label so text is not mirrored by the group transform
             body.append(
                 f'<text transform="translate({_fmt(pos[v, 0] + 1.2 * radius)} '
                 f'{_fmt(pos[v, 1])}) scale(1,-1)" font-size="{_fmt(1.5 * radius)}" '
-                f'fill="#222222">{_escape(g.label_of(v))}</text>'
+                f'fill="#222222">{_escape(label)}</text>'
             )
 
     lines = [

@@ -39,7 +39,7 @@ def default_config(seed: int) -> gl.LayoutConfig:
 
 
 def classical_config(seed: int) -> gl.LayoutConfig:
-    return gl.LayoutConfig(schedule=gl.Schedule.NONE, seed=seed)
+    return gl.LayoutConfig(gamma_max=0.0, seed=seed)
 
 
 def sign_test_two_sided(wins: int, losses: int) -> float:
@@ -285,7 +285,7 @@ def test_criterion_09_lombardi_phase():
 
     # triangle controls strictly outside their chords
     g = gl.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    cfg = gl.LayoutConfig(schedule=gl.Schedule.NONE, seed=3)
+    cfg = gl.LayoutConfig(gamma_max=0.0, seed=3)
     pos, arcs = gl.layout_lombardi(g, mass_for(g, "uniform"), cfg)
     center = pos.mean(axis=0)
     outward_ok = len(arcs) == 3

@@ -6,7 +6,6 @@ import pytest
 from gravlayout import (
     Graph,
     LayoutConfig,
-    Schedule,
     augment_with_dummies,
     degree_centrality,
     fit_arc,
@@ -96,7 +95,7 @@ def test_lombardi_no_edges():
 
 def test_lombardi_k2_straight():
     g = Graph.from_edges(2, [(0, 1)])
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=2)
+    cfg = LayoutConfig(gamma_max=0.0, seed=2)
     pos, arcs = layout_lombardi(g, uniform_mass(g), cfg)
     assert len(arcs) == 1
     assert arcs[0].straight
@@ -104,7 +103,7 @@ def test_lombardi_k2_straight():
 
 def test_lombardi_triangle_bows_outward():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=3)
+    cfg = LayoutConfig(gamma_max=0.0, seed=3)
     pos, arcs = layout_lombardi(g, uniform_mass(g), cfg)
     center = pos.mean(axis=0)
 

@@ -1,5 +1,7 @@
+import io
 import json
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 
 import numpy as np
@@ -148,7 +150,7 @@ def test_layout_lombardi_flag(tmp_path):
         [
             "layout",
             "--in", str(graph),
-            "--schedule", "none",
+            "--gamma-max", "0",
             "--lombardi",
             "--max-iterations", "800",
             "--svg", str(svg),
@@ -167,6 +169,48 @@ def test_layout_json_input(tmp_path):
     )
     assert rc == 0
     assert json.loads(metrics.read_text())["crossings"] == 0
+
+
+@pytest.mark.parametrize(
+    ("name", "text"),
+    [
+        ("g.edges", "a b\nb c\nc a\n"),
+        ("g.json", json.dumps({"vertices": ["a", "b", "c"], "edges": [[0, 1], [1, 2], [0, 2]]})),
+    ],
+    ids=["edges", "json"],
+)
+def test_input_with_byte_order_mark_loads_as_without(tmp_path, monkeypatch, name, text):
+    # Windows editors save UTF-8 with a leading U+FEFF. It is not part of the
+    # first vertex name (the triangle stays 3 vertices, not a 4-vertex path)
+    # and does not stop JSON from parsing: in a graph file, a positions file
+    # or on stdin, whose format auto-detection must also see past it.
+    graph, positions = tmp_path / name, tmp_path / "given.json"
+    drawn, piped, report = tmp_path / "p.json", tmp_path / "stdin.json", tmp_path / "m.json"
+    outputs = []
+    for bom in ("", "\ufeff"):
+        graph.write_text(bom + text, encoding="utf-8")
+        assert main(["layout", "--in", str(graph), "--max-iterations", "50", "--positions", str(drawn)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(bom + text))
+        assert main(["layout", "--in", "-", "--max-iterations", "50", "--positions", str(piped)]) == 0
+        positions.write_text(bom + drawn.read_text(), encoding="utf-8")
+        assert main(["metrics", "--in", str(graph), "--positions", str(positions), "--out", str(report)]) == 0
+        outputs.append((drawn.read_text(), piped.read_text(), report.read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == outputs[0][1]
+    assert len(json.loads(outputs[0][0])["positions"]) == 3
+
+
+def test_labels_xml_cannot_hold_fail_cleanly(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": ["ok", "a\u0001b"], "edges": [[0, 1]]}))
+    svg = tmp_path / "g.svg"
+    argv = ["layout", "--in", str(graph), "--max-iterations", "20", "--svg", str(svg)]
+    assert main(argv + ["--labels"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vertex 1" in err and "Traceback" not in err
+    assert not svg.exists()
+    assert main(argv) == 0  # without --labels the names are never written
+    assert len(list(ET.fromstring(svg.read_text()).iter("{http://www.w3.org/2000/svg}circle"))) == 2
 
 
 def test_unreadable_file_fails(tmp_path, capsys):
@@ -369,7 +413,7 @@ def test_every_config_field_set_by_exactly_one_flag():
     default = LayoutConfig()
     setters = {}
     for flag in LAYOUT_VALUE_FLAGS:
-        config = _build_config(_layout_args(flag, "none" if flag == "--schedule" else "7"))
+        config = _build_config(_layout_args(flag, "constant" if flag == "--schedule" else "7"))
         changed = [f.name for f in fields(config) if getattr(config, f.name) != getattr(default, f.name)]
         assert len(changed) <= 1, (flag, changed)
         for name in changed:
@@ -381,7 +425,7 @@ def test_every_config_field_set_by_exactly_one_flag():
 def test_schedule_flag_accepts_exactly_the_schedule_values(capsys):
     for schedule in Schedule:
         assert _build_config(_layout_args("--schedule", schedule.value)).schedule is schedule
-    for bad in ("STEPPED", "stepped_iteration", "Schedule.NONE", ""):
+    for bad in ("STEPPED", "stepped_iteration", "none", ""):
         with pytest.raises(SystemExit):
             _layout_args("--schedule", bad)
     assert "invalid choice" in capsys.readouterr().err

@@ -105,12 +105,13 @@ def test_schedule_stepped_by_iteration():
 
 
 def test_schedule_constant_and_none():
+    # No gravity is gamma_max 0, under every schedule.
     state = LayoutState(positions=np.zeros((1, 2)))
     cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=2.5)
     assert schedule_gamma(0, state, cfg) == 2.5
     assert schedule_gamma(99999, state, cfg) == 2.5
-    cfg = LayoutConfig(schedule=Schedule.NONE)
-    assert schedule_gamma(500, state, cfg) == 0.0
+    for schedule in Schedule:
+        assert schedule_gamma(500, state, LayoutConfig(schedule=schedule, gamma_max=0.0)) == 0.0
 
 
 def test_schedule_stepped_by_equilibrium():
@@ -125,8 +126,31 @@ def test_schedule_stepped_by_equilibrium():
 
 def test_terminal_gamma():
     assert terminal_gamma(LayoutConfig()) == 2.5
-    assert terminal_gamma(LayoutConfig(schedule=Schedule.NONE)) == 0.0
-    assert terminal_gamma(LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=1.2)) == 1.2
+    for schedule, gamma_max in itertools.product(Schedule, (0.0, 1.2, 2.0**1000)):
+        assert terminal_gamma(LayoutConfig(schedule=schedule, gamma_max=gamma_max)) == gamma_max
+
+
+@pytest.mark.parametrize("kind", ["degree", "closeness"])
+def test_gravity_off_is_one_run_under_every_schedule(kind):
+    # At gamma_max 0 no schedule ever leaves gamma 0, so the three schedules
+    # make the same run bit for bit, free and with frozen vertices, and stop
+    # at the same iteration, after many of stepped's block_len 5 levels.
+    g = generate_forest([12, 9, 1], seed=4)
+    mass = normalize_mass(closeness_centrality(g) if kind == "closeness" else degree_centrality(g))
+    frozen = np.arange(g.vertex_count) % 3 == 0
+    for mask in (None, frozen):
+        runs = set()
+        for schedule in Schedule:
+            cfg = LayoutConfig(schedule=schedule, gamma_max=0.0, block_len=5, seed=5)
+            state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
+            while state.t < cfg.max_iterations and not settled(state, cfg):
+                state = step(state, g, mass, cfg, frozen=mask)
+                assert state.gamma == 0.0
+            assert state.t > 8 * cfg.block_len
+            auto = run_layout(g, mass, cfg, frozen=mask)
+            assert np.array_equal(auto, state.positions)
+            runs.add((state.t, auto.tobytes()))
+        assert len(runs) == 1
 
 
 @pytest.mark.parametrize("gamma_max", [2.5, 0.8, 0.0])
@@ -149,7 +173,7 @@ def test_config_validation():
         LayoutConfig(block_len=0)
     with pytest.raises(ValueError):
         LayoutConfig(equilibrium_eps=0.0)
-    LayoutConfig(gamma_max=0.0)  # allowed: disables gravity under stepped schedule
+    LayoutConfig(gamma_max=0.0)  # allowed: turns gravity off
     bad = [
         {"k": math.nan},
         {"k": math.inf},
@@ -256,8 +280,8 @@ def layout_raises(cfg):
         {"k": 1e20, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
         {"k": 1e153, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
         {"k": 1e100, "gamma_max": 1e300, "gamma_step": 1e300, "block_len": 1},
-        {"k": 1e150, "schedule": Schedule.NONE, "max_iterations": 20, "gap": 2e-6},
-        {"k": 1e153, "schedule": Schedule.NONE, "max_iterations": 20, "gap": 0.1},
+        {"k": 1e150, "gamma_max": 0.0, "max_iterations": 20, "gap": 2e-6},
+        {"k": 1e153, "gamma_max": 0.0, "max_iterations": 20, "gap": 0.1},
     ],
     ids=lambda kw: ",".join(
         f"{name}={value.value if isinstance(value, Schedule) else format(value, 'g')}" for name, value in kw.items()
@@ -305,16 +329,17 @@ def test_reach_checked_from_the_start_positions():
         (1.0, Schedule.CONSTANT, "gamma_max"),
         (1e20, Schedule.CONSTANT, "gamma_max"),
         (1e100, Schedule.STEPPED_ITERATION, "gamma_max"),
-        (1e-100, Schedule.NONE, "scale"),
-        (80.0, Schedule.NONE, "scale"),
+        (1e-100, Schedule.CONSTANT, "scale"),
+        (80.0, Schedule.CONSTANT, "scale"),
     ],
 )
 def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, schedule, scan):
     # The largest power of two the bound admits, as gamma_max (gravity) or as
     # the start's coordinate scale (spring pull), steps 20 times with finite
-    # impulses and no warning; twice that power raises. The none schedule
-    # ignores gamma_max, however large. The graph is a 100-leaf star with
-    # every leaf on one side, so the pulls on the centre add up.
+    # impulses and no warning; twice that power raises. The scale rows turn
+    # gravity off (gamma_max 0), so they probe the spring pull alone. The
+    # graph is a 100-leaf star with every leaf on one side, so the pulls on
+    # the centre add up.
     g = Graph.from_edges(101, [(0, v) for v in range(1, 101)])
     mass = normalize_mass(degree_centrality(g))
     base = LayoutConfig(
@@ -325,7 +350,9 @@ def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, schedule
 
     def setup(power):
         x = 2.0**power
-        return (replace(base, gamma_max=x), unit * k) if scan == "gamma_max" else (base, unit * x)
+        if scan == "gamma_max":
+            return replace(base, gamma_max=x), unit * k
+        return replace(base, gamma_max=0.0), unit * x
 
     def admitted(power):
         cfg, start = setup(power)
@@ -367,7 +394,7 @@ def test_clamp_with_huge_i_max_stays_quiet():
     # A zero impulse under i_max = 1e300: the clamp's i_max / mag must not overflow.
     g = Graph.from_edges(2, [(0, 1)])
     state = LayoutState(positions=np.array([[0.0, 0.0], [80.0, 0.0]]))
-    cfg = LayoutConfig(schedule=Schedule.NONE, i_max=1e300, sigma=1e-300)
+    cfg = LayoutConfig(gamma_max=0.0, i_max=1e300, sigma=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nxt = step(state, g, uniform_mass(g), cfg)
@@ -387,7 +414,7 @@ def test_initialize_deterministic_and_in_range():
 def test_net_impulse_k2_at_natural_length():
     g = Graph.from_edges(2, [(0, 1)])
     state = LayoutState(positions=np.array([[0.0, 0.0], [80.0, 0.0]]), gamma=0.0)
-    cfg = LayoutConfig(schedule=Schedule.NONE)
+    cfg = LayoutConfig(gamma_max=0.0)
     for v in (0, 1):
         assert np.all(net_impulse(v, state, g, uniform_mass(g), cfg) == 0.0)
 
@@ -417,7 +444,7 @@ def test_net_impulse_isolated_vertex_is_gravity_plus_repulsion():
 def test_step_clamp_rule():
     # two unconnected vertices at distance d feel repulsion k^2/d each; a
     # start state is at full heat, so each moves sigma * min(impulse, i_max)
-    cfg = LayoutConfig(schedule=Schedule.NONE, sigma=0.1)
+    cfg = LayoutConfig(gamma_max=0.0, sigma=0.1)
     for d, expected in ((256.0, 1.0), (1600.0, 0.4)):  # impulses 25 and 4
         g = Graph(2)
         state = LayoutState(positions=np.array([[0.0, 0.0], [d, 0.0]]))
@@ -429,7 +456,7 @@ def test_step_clamp_rule():
 def test_step_zero_impulse_fixed_point():
     g = Graph.from_edges(2, [(0, 1)])
     state = LayoutState(positions=np.array([[0.0, 0.0], [80.0, 0.0]]))
-    nxt = step(state, g, uniform_mass(g), LayoutConfig(schedule=Schedule.NONE))
+    nxt = step(state, g, uniform_mass(g), LayoutConfig(gamma_max=0.0))
     assert np.array_equal(nxt.positions, state.positions)
     assert nxt.t == state.t + 1
     assert nxt.last_max_impulse == 0.0
@@ -525,7 +552,7 @@ def test_jitter_across_block_boundary_follows_pair_rule():
         engine._separated_repulsion(got, k, seed, t, frozen, engine._KernelScratch(n, block))
         assert np.array_equal(got, want)
     g = Graph(n)
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=seed)
+    cfg = LayoutConfig(gamma_max=0.0, seed=seed)
     nxt = step(LayoutState(positions=pos, t=t - 1), g, uniform_mass(g), cfg, frozen=frozen)
     assert np.array_equal(nxt.positions[v], pos[v])
     assert not np.array_equal(nxt.positions[u], pos[u])
@@ -600,7 +627,7 @@ def test_gamma_monotone_and_capped():
 
 def test_run_layout_k2_natural_length():
     g = Graph.from_edges(2, [(0, 1)])
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=17)
+    cfg = LayoutConfig(gamma_max=0.0, seed=17)
     pos = run_layout(g, uniform_mass(g), cfg)
     length = np.linalg.norm(pos[0] - pos[1])
     assert 0.95 * 80 <= length <= 1.05 * 80
@@ -639,20 +666,23 @@ def test_run_layout_matches_manual_step_loop():
 
 
 @pytest.mark.parametrize(
-    ("schedule", "stop"),
-    [(Schedule.NONE, 1), (Schedule.CONSTANT, 1), (Schedule.STEPPED_ITERATION, 40), (Schedule.STEPPED_EQUILIBRIUM, 5)],
-    ids=lambda x: x.value if isinstance(x, Schedule) else str(x),
+    ("schedule", "gamma_max", "stop"),
+    [
+        pytest.param(Schedule.STEPPED_EQUILIBRIUM, 0.0, 1, id="none-1"),  # no gravity
+        pytest.param(Schedule.CONSTANT, 0.8, 1, id="constant-1"),
+        pytest.param(Schedule.STEPPED_ITERATION, 0.8, 40, id="stepped-40"),
+        pytest.param(Schedule.STEPPED_EQUILIBRIUM, 0.8, 5, id="equilibrium-5"),
+    ],
 )
-def test_run_layout_stops_where_step_loop_first_settles(schedule, stop):
+def test_run_layout_stops_where_step_loop_first_settles(schedule, gamma_max, stop):
     # At eps 1e6 every impulse counts as settled, so each run stops at the
-    # first iteration its gamma reaches the schedule's terminal level (0 for
-    # none, 0.8 for the others): at once for none and constant, at t = 40 =
-    # 4 blocks of 10 for stepped, and for equilibrium after t = 1 (no
-    # previous impulse) plus 4 raises.
+    # first iteration its gamma reaches gamma_max: at once for gamma_max 0
+    # and for constant, at t = 40 = 4 blocks of 10 for stepped, and for
+    # equilibrium after t = 1 (no previous impulse) plus 4 raises.
     g = random_graph(np.random.default_rng(9), 8, 12)
     mass = uniform_mass(g)
     cfg = LayoutConfig(
-        schedule=schedule, gamma_max=0.8, block_len=10,
+        schedule=schedule, gamma_max=gamma_max, block_len=10,
         equilibrium_eps=1e6, seed=6, max_iterations=80,
     )
     auto = run_layout(g, mass, cfg)
@@ -812,16 +842,20 @@ def test_equilibrium_levels_end_by_block_len_on_a_forest():
     assert lengths[0] == cfg.block_len and lengths.max() <= cfg.block_len
 
 
-@pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
-def test_cooled_move_never_exceeds_cap(schedule):
+@pytest.mark.parametrize(
+    ("schedule", "gamma_max"),
+    [pytest.param(s, 2.5, id=s.value) for s in Schedule]
+    + [pytest.param(Schedule.STEPPED_EQUILIBRIUM, 0.0, id="none")],  # no gravity
+)
+def test_cooled_move_never_exceeds_cap(schedule, gamma_max):
     # The longest move of every iteration is heat * sigma * min(max |F|,
-    # i_max) with heat in (0, 1], under every schedule; the controller does
-    # cool on these runs.
+    # i_max) with heat in (0, 1], under every schedule and with gravity off;
+    # the controller does cool on these runs.
     rng = np.random.default_rng(32)
     heats = []
     for _ in range(4):
         g = random_graph(rng, 2, 14)
-        cfg = LayoutConfig(schedule=schedule, block_len=10, max_iterations=60)
+        cfg = LayoutConfig(schedule=schedule, gamma_max=gamma_max, block_len=10, max_iterations=60)
         mass = uniform_mass(g)
         state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)))
         while state.t < cfg.max_iterations:
@@ -862,7 +896,7 @@ def test_jitter_separates_coincident_vertices():
     g = Graph(3)
     pos = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
     state = LayoutState(positions=pos)
-    nxt = step(state, g, uniform_mass(g), LayoutConfig(schedule=Schedule.NONE))
+    nxt = step(state, g, uniform_mass(g), LayoutConfig(gamma_max=0.0))
     assert np.all(np.isfinite(nxt.positions))
     assert np.linalg.norm(nxt.positions[0] - nxt.positions[1]) > 0
 
@@ -872,7 +906,7 @@ def test_jitter_never_moves_frozen_vertices():
     pos = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
     frozen = np.array([True, False, True])
     state = LayoutState(positions=pos)
-    nxt = step(state, g, uniform_mass(g), LayoutConfig(schedule=Schedule.NONE), frozen=frozen)
+    nxt = step(state, g, uniform_mass(g), LayoutConfig(gamma_max=0.0), frozen=frozen)
     assert np.array_equal(nxt.positions[0], pos[0])
     assert np.array_equal(nxt.positions[2], pos[2])
     assert not np.array_equal(nxt.positions[1], pos[1])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gravlayout import connected_components, generate_forest, generate_random_tree
@@ -85,3 +86,35 @@ def test_forest_deterministic():
     a = generate_forest([5, 7, 9], seed=4)
     b = generate_forest([5, 7, 9], seed=4)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    ("func", "args", "kwargs"),
+    [
+        (generate_forest, ([2.5],), {}),
+        (generate_forest, ([3, "4"],), {}),
+        (generate_forest, ([True, 3],), {}),
+        (generate_forest, ([3, np.float64(4.0)],), {}),
+        (generate_forest, ([3],), {"seed": "x"}),
+        (generate_forest, ([3],), {"seed": True}),
+        (generate_forest, ([3],), {"seed": 1.5}),
+        (generate_random_tree, ("5",), {}),
+        (generate_random_tree, (5.0,), {}),
+        (generate_random_tree, (True,), {}),
+        (generate_random_tree, (5,), {"seed": None}),
+    ],
+    ids=lambda x: getattr(x, "__name__", None) or repr(x),
+)
+def test_generators_take_only_integers(func, args, kwargs):
+    # Sizes, n and seed are integers as LayoutConfig takes them: Python or
+    # numpy, never bool. Before, some of these raised TypeError and the
+    # others (a bool size or seed, seed 1.5) made a graph.
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(*args, **kwargs)
+
+
+def test_generators_take_numpy_integers():
+    want = generate_forest([3, 4], seed=2)
+    assert generate_forest(np.array([3, 4]), seed=np.uint8(2)) == want
+    assert generate_forest([np.int32(3), 4], seed=np.int64(2)) == want
+    assert generate_random_tree(np.int16(7), seed=np.int64(5)) == generate_random_tree(7, seed=5)

@@ -8,7 +8,6 @@ import pytest
 from gravlayout import (
     Graph,
     LayoutConfig,
-    Schedule,
     bounding_area,
     centrality_radius_correlation,
     compute_metrics,
@@ -286,7 +285,7 @@ def test_edge_length_scale_behavior():
 def test_k2_layout_edge_length_near_k():
     g = Graph.from_edges(2, [(0, 1)])
     mass = normalize_mass(uniform_centrality(g))
-    pos = run_layout(g, mass, LayoutConfig(schedule=Schedule.NONE, seed=11))
+    pos = run_layout(g, mass, LayoutConfig(gamma_max=0.0, seed=11))
     mean, cv = edge_length_stats(g, pos)
     assert mean == pytest.approx(80.0, rel=0.05)
     assert cv == 0.0

@@ -14,7 +14,6 @@ from gravlayout import (
     Graph,
     LayoutConfig,
     RenderError,
-    Schedule,
     color_for,
     degree_centrality,
     generate_random_tree,
@@ -89,7 +88,7 @@ def test_render_empty_graph_valid():
 
 def test_render_straight_arcedge_matches_line_rendering():
     g = Graph.from_edges(2, [(0, 1)])
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=2)
+    cfg = LayoutConfig(gamma_max=0.0, seed=2)
     pos, arcs = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
     assert arcs[0].straight
     with_arcs = render_svg(g, pos, arcs=arcs)
@@ -102,7 +101,7 @@ def test_render_straight_arcedge_matches_line_rendering():
 
 def test_render_curved_arcs_use_paths():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    cfg = LayoutConfig(schedule=Schedule.NONE, seed=3)
+    cfg = LayoutConfig(gamma_max=0.0, seed=3)
     pos, arcs = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
     svg = render_svg(g, pos, arcs=arcs)
     curved = sum(not a.straight for a in arcs)
@@ -137,6 +136,27 @@ def test_render_labels_escaped():
     svg = render_svg(g, [(0, 0), (80, 0)], show_labels=True)
     texts = [t.text for t in ET.fromstring(svg).iter(SVG_NS + "text")]
     assert texts == ["a<b", "x&y"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["\x00", "a\x01b", "\x0b", "\x0c", "\x1f", "\ud800", "x\udfff", "\ufffe", "\uffff"],
+    ids=lambda s: s.encode("unicode_escape").decode(),
+)
+def test_render_rejects_labels_xml_cannot_hold(bad):
+    # XML 1.0 has no way to write these characters, escaped or not, so the
+    # document would not parse; the error names the vertex by its index.
+    g = Graph.from_edges(2, [(0, 1)], labels=("ok", bad))
+    with pytest.raises(RenderError, match="vertex 1"):
+        render_svg(g, [(0, 0), (80, 0)], show_labels=True)
+    assert count_tags(render_svg(g, [(0, 0), (80, 0)]), "circle") == 2
+
+
+def test_render_labels_keep_every_legal_character():
+    labels = ("a\tb", "\x7f\x85\ud7ff", "\ue000\ufffd\U00010000\U0010ffff", " ")
+    g = Graph(4, labels=labels)
+    svg = render_svg(g, np.zeros((4, 2)) + np.arange(4)[:, None], show_labels=True)
+    assert tuple(t.text for t in ET.fromstring(svg).iter(SVG_NS + "text")) == labels
 
 
 def test_label_escape_matches_saxutils():
