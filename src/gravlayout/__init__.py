@@ -2,8 +2,8 @@
 
 The simulation combines pairwise repulsion, spring attraction along edges,
 and a gravitational pull toward the drawing centroid whose per-vertex
-strength comes from network centrality. Gravity is scaled up over the run,
-which lets drawings untangle first and compact afterwards. Includes
+strength comes from network centrality. A run starts from an untangled
+radial drawing, and gravity is scaled up over the run to compact it. Includes
 drawing-quality metrics, random tree/forest generators, a circular-arc
 edge post-pass, and an SVG renderer.
 """

@@ -28,7 +28,7 @@ from numbers import Real
 
 import numpy as np
 
-from .graphs import Graph, _bfs, connected_components
+from .graphs import Graph, _bfs, _first_vertices, connected_components
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "uniform")
 
@@ -167,9 +167,7 @@ def _rooted_forest(g: Graph):
     `_euler_tour` gives them.
     """
     labels = connected_components(g)
-    # Labels are numbered in order of first vertex, so each component's
-    # first vertex is where the running maximum label rises.
-    roots = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    roots = _first_vertices(labels)
     if g.edge_count != g.vertex_count - roots.size:
         return None
     parent, size, enter, leave = _euler_tour(g, labels, roots)

@@ -38,8 +38,10 @@ LAYOUT_FLAGS = {
 
 
 def _read_text(path: str) -> str:
-    """A file's text, or stdin's for '-', less one leading byte-order mark."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    """A file's UTF-8 text, or stdin's bytes as UTF-8 for '-', less one
+    leading byte-order mark. Stdin is decoded here, not in the interpreter's
+    I/O encoding, so a piped file reads as the same file given by path."""
+    text = sys.stdin.buffer.read().decode("utf-8") if path == "-" else Path(path).read_text(encoding="utf-8")
     return text.removeprefix("\ufeff")
 
 

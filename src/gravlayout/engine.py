@@ -12,11 +12,11 @@ their mean: gravity sums to gamma_t n (xi - xi_M), xi_M the mass-weighted
 centroid, a push that only translates the drawing. Otherwise a frozen
 vertex's impulse is zero. The impulse is clamped to magnitude i_max
 (direction preserved), scaled by heat * sigma, and applied as a
-displacement. The gravity coefficient gamma_t grows over iterations
-according to a schedule, which is what lets drawings first untangle under
-the classical forces and only then compact toward the center.
-schedule_gamma gives gamma_t, at most gamma_max, and settled is the stop
-rule; step and run_layout share one iteration body.
+displacement. A run starts from initialize_positions, a radial drawing
+that leaves trees untangled, and the gravity coefficient gamma_t grows over
+iterations according to a schedule, which compacts the drawing toward the
+center. schedule_gamma gives gamma_t, at most gamma_max, and settled is the
+stop rule; step and run_layout share one iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
 2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
@@ -56,8 +56,8 @@ from numbers import Real
 
 import numpy as np
 
-from .centrality import MassVector, check_masses
-from .graphs import Graph, _check_integer
+from .centrality import MassVector, _euler_tour, check_masses
+from .graphs import Graph, _bfs_parents, _check_integer, _first_vertices, connected_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +65,9 @@ TWO_PI = 2.0 * math.pi
 # of magnitude JITTER_MAGNITUDE * k before forces are evaluated.
 JITTER_TRIGGER = 1e-6
 JITTER_MAGNITUDE = 1e-3
+
+# The standard deviation of the start's Gaussian jitter, as a fraction of k.
+START_JITTER = 0.02
 
 # The heat controller: the factor a non-improving iteration cools by, and the
 # run of new energy lows after which the heat recovers one factor.
@@ -97,8 +100,11 @@ class LayoutConfig:
     from the first iteration, the stepped schedule climbs to it by gamma_step
     every block_len iterations, the equilibrium schedule by gamma_step once a
     level has settled (its longest move below equilibrium_eps) or has run
-    block_len iterations; gamma_max 0 turns gravity off. A run stops after
-    max_iterations, or once it is settled at gamma_max.
+    block_len iterations; gamma_max 0 turns gravity off. Both stepped
+    schedules start at gamma_step, not 0: the radial start of
+    initialize_positions has nothing to untangle without gravity, and it
+    holds up under steps of 0.5. A run stops after max_iterations, or once
+    it is settled at gamma_max.
     """
 
     k: float = 80.0
@@ -107,7 +113,7 @@ class LayoutConfig:
     gamma_max: float = 2.5
     schedule: Schedule = Schedule.STEPPED_EQUILIBRIUM
     block_len: int = 200
-    gamma_step: float = 0.2
+    gamma_step: float = 0.5
     equilibrium_eps: float = 1.0
     max_iterations: int = 3000
     seed: int = 0
@@ -177,12 +183,97 @@ def settled(state: LayoutState, config: LayoutConfig) -> bool:
     return state.last_max_impulse < config.equilibrium_eps and state.gamma >= config.gamma_max - 1e-12
 
 
+def _rooted(forest: Graph, labels: np.ndarray, roots: np.ndarray):
+    """(size, enter, leave) of `centrality._euler_tour` of the forest from
+    roots[c], c the label, and each vertex's depth below its root: the
+    running sum of +1 where the tour goes down an edge and -1 where it
+    comes back up."""
+    parent, size, enter, leave = _euler_tour(forest, labels, roots)
+    child = np.flatnonzero(parent >= 0)
+    walk = np.zeros(2 * child.size + 1, dtype=np.int64)  # tour position p at p + 1
+    walk[enter[child] + 1] = 1
+    walk[leave[child] + 1] = -1
+    return size, enter, leave, np.cumsum(walk)[enter + 1]
+
+
+def _deepest(labels: np.ndarray, depth: np.ndarray, count: int) -> np.ndarray:
+    """Per component label, its deepest vertex, the smallest on a tie."""
+    most = np.zeros(count, dtype=np.int64)
+    np.maximum.at(most, labels, depth)
+    far = np.flatnonzero(depth == most[labels])
+    return far[np.unique(labels[far], return_index=True)[1]]
+
+
+def _shelf_corners(sides: np.ndarray) -> np.ndarray:
+    """Lower-left corners of squares with the given sides, packed largest
+    first, left to right, on shelves of width sqrt(sum of sides^2)."""
+    width = math.sqrt(float(np.add.reduce(sides * sides)))
+    corners = np.empty((sides.size, 2))
+    x = y = shelf = 0.0
+    for c in np.argsort(-sides, kind="stable").tolist():
+        side = float(sides[c])
+        if x and x + side > width:  # the first square of a shelf always fits
+            x, y, shelf = 0.0, y + shelf, 0.0
+        corners[c] = (x, y)
+        x += side
+        shelf = max(shelf, side)
+    return corners
+
+
 def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
-    """Uniform random positions in the square of side k * sqrt(|V|) centered at origin."""
+    """A seeded radial drawing (Eades, "Drawing free trees", Bull. ICA 5, 1992),
+    as the (n, 2) start of a run.
+
+    A BFS from each component's first vertex spans a forest of g (a forest
+    is its own). Two sweeps find a longest path of each tree, whose middle
+    becomes its root: a tree's center. A vertex of depth d sits at radius
+    d * k in the middle of its wedge. A vertex's wedge is size / N of the
+    circle for a subtree of size vertices in a component of N; its
+    children's wedges follow one another, in tour order, after a share of
+    1 / N it keeps for itself. Nested wedges keep the edges of one depth
+    band apart, so a tree starts with few crossings, as a rule none.
+    Components are packed in squares of side 2 * radius + k, largest first,
+    on shelves of width sqrt(sum of the sides^2), and the packing is
+    centered at the origin. Then every coordinate gets Gaussian jitter of
+    START_JITTER * k from np.random.default_rng(seed), so that no start is
+    exactly symmetric and each seed starts elsewhere.
+
+    Euler tours do the sweeps, and a level-synchronous BFS spans a graph
+    with cycles, in O(n + m) memory and without BLAS; the shelves walk the
+    components in a Python loop.
+    """
     n = g.vertex_count
-    rng = np.random.default_rng(seed)
-    half = 0.5 * k * math.sqrt(n)
-    return rng.uniform(-half, half, size=(n, 2))
+    if not n:
+        return np.zeros((0, 2))
+    labels = connected_components(g)
+    first = _first_vertices(labels)
+    count = first.size
+    forest = g
+    if g.edge_count != n - count:  # a cycle: hang every vertex from its BFS parent
+        parent = _bfs_parents(g, first)
+        child = np.flatnonzero(parent >= 0)
+        forest = Graph.from_edges(n, np.column_stack((parent[child], child)))
+    # Sweep 1: the deepest vertex a below the first vertex ends a longest
+    # path; sweep 2: the deepest vertex b below a is its other end. The
+    # root is the ancestor of b (in the tree rooted at a) halfway down.
+    a = _deepest(labels, _rooted(forest, labels, first)[3], count)
+    _, enter, leave, depth = _rooted(forest, labels, a)
+    b = _deepest(labels, depth, count)[labels]
+    middle = (enter <= enter[b]) & (leave[b] <= leave) & (depth == depth[b] // 2)
+    root = np.empty(count, dtype=np.int64)
+    root[labels[middle]] = np.flatnonzero(middle)
+    size, enter, _, depth = _rooted(forest, labels, root)
+    # v's preorder index: of the tour's arcs up to the one into v, depth[v]
+    # more go down than up, and each down arc enters one vertex.
+    before = (enter - enter[root][labels] + depth) // 2
+    angle = TWO_PI * (before + 0.5 * size) / size[root][labels]
+    pos = np.column_stack((np.cos(angle), np.sin(angle))) * (k * depth)[:, None]
+    radius = np.zeros(count)
+    np.maximum.at(radius, labels, k * depth)
+    side = 2.0 * radius + k
+    pos += (_shelf_corners(side) + 0.5 * side[:, None])[labels]
+    pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
+    return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
 
 
 def repulsive_force(pu, pv, k: float) -> np.ndarray:
@@ -221,15 +312,23 @@ def gravity_force(pv, xi, mass: float, gamma: float) -> np.ndarray:
 
 def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     """Gravity coefficient for iteration t under the configured schedule.
-    The constant schedule holds gamma_max from the start."""
+
+    No schedule has a gravity-free level, so a start state (gamma 0) steps
+    straight to min(gamma_max, gamma_step). The constant schedule holds
+    gamma_max from the start; the stepped schedule runs min(gamma_max,
+    gamma_step * (1 + t // block_len)); the equilibrium schedule raises
+    gamma by gamma_step from 0, once the previous iteration's longest move
+    fell below equilibrium_eps, or when iteration t would be the level's
+    (block_len + 1)-th. gamma_max 0 keeps gravity off."""
     if config.schedule is Schedule.STEPPED_ITERATION:
-        return min(config.gamma_max, config.gamma_step * (t // config.block_len))
+        return min(config.gamma_max, config.gamma_step * (1 + t // config.block_len))
     if config.schedule is Schedule.CONSTANT:
         return config.gamma_max
-    # Stepped by equilibrium: raise gamma one step once the previous
-    # iteration's longest move dropped below the equilibrium tolerance, or
-    # when iteration t would be the level's (block_len + 1)-th.
-    if state.last_max_impulse < config.equilibrium_eps or t - state.level_start > config.block_len:
+    if (
+        state.gamma == 0.0
+        or state.last_max_impulse < config.equilibrium_eps
+        or t - state.level_start > config.block_len
+    ):
         return min(config.gamma_max, state.gamma + config.gamma_step)
     return state.gamma
 

@@ -46,6 +46,10 @@ def generate_random_tree(n: int, seed: int = 0) -> Graph:
 def generate_forest(sizes, seed: int = 0) -> Graph:
     """Disjoint union of random trees with the given component sizes. Sizes
     and seed are integers, Python or numpy (not bool)."""
+    try:
+        sizes = list(sizes)
+    except TypeError:
+        raise ValueError(f"sizes must be an iterable of component sizes, got {sizes!r}") from None
     sizes = [_check_integer("component size", s) for s in sizes]
     if not sizes:
         raise ValueError("forest needs at least one component size")

@@ -325,6 +325,28 @@ def _bfs(g: Graph, sources, paths: bool = False):
     return dist.reshape(sources.size, n), sigma, dag
 
 
+def _bfs_parents(g: Graph, roots) -> np.ndarray:
+    """The parent of every vertex in one BFS from all the roots at once, -1
+    at the roots and at vertices they do not reach. Each vertex hangs from
+    its smallest neighbour on the level before its own, so with one root
+    per component the parents span a forest of g, in O(n + m) memory."""
+    indptr, indices = g.csr
+    parent = np.full(g.vertex_count, -1, dtype=np.int64)
+    seen = np.zeros(g.vertex_count, dtype=bool)
+    front = np.unique(np.asarray(roots, dtype=np.int64))
+    seen[front] = True
+    while front.size:
+        slots, counts = _neighbour_slots(indptr, front)
+        heads = np.repeat(front, counts)
+        tails = indices[slots]
+        fresh = ~seen[tails]
+        # Heads ascend, so a vertex's first appearance names its smallest parent.
+        front, first = np.unique(tails[fresh], return_index=True)
+        parent[front] = heads[fresh][first]
+        seen[front] = True
+    return parent
+
+
 def bfs_distances(g: Graph, s: int) -> DistanceVector:
     """Exact unweighted shortest-path hop counts from s; unreachable marked -1."""
     if not (0 <= s < g.vertex_count):
@@ -361,3 +383,10 @@ def connected_components(g: Graph) -> np.ndarray:
     labels = np.unique(root, return_inverse=True)[1].astype(np.int64, copy=False)
     labels.setflags(write=False)
     return labels
+
+
+def _first_vertices(labels: np.ndarray) -> np.ndarray:
+    """The first vertex of each component, by label, from the labels of
+    `connected_components`: they are numbered in order of first vertex, so
+    each component's first vertex is where the running maximum rises."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))

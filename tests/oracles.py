@@ -34,7 +34,7 @@ from gravlayout import (
     gravity_force,
     repulsive_force,
 )
-from gravlayout.engine import TWO_PI
+from gravlayout.engine import START_JITTER, TWO_PI
 from gravlayout.graphs import _neighbour_slots
 
 
@@ -364,6 +364,103 @@ def random_graph(rng: np.random.Generator, n_lo: int = 2, n_hi: int = 10) -> Gra
     p = float(rng.uniform(0.1, 0.9))
     chosen = [pair for pair in pairs if rng.random() < p]
     return Graph.from_edges(n, chosen)
+
+
+def random_start(g: Graph, seed: int, k: float) -> np.ndarray:
+    """Uniform random positions in the square of side k * sqrt(|V|) centered
+    at the origin: the start of every run before the radial start, kept for
+    the criteria that reproduce the paper's claims from a tangled start."""
+    n = g.vertex_count
+    rng = np.random.default_rng(seed)
+    half = 0.5 * k * math.sqrt(n)
+    return rng.uniform(-half, half, size=(n, 2))
+
+
+def radial_start_reference(g: Graph, seed: int, k: float) -> np.ndarray:
+    """The radial start of `initialize_positions` by BFS and DFS loops over
+    the tuple adjacency, in place of Euler tours.
+
+    Per component: level-by-level BFS parents from its first vertex (each
+    vertex under its smallest neighbour on the level above), a longest path
+    a - b from two BFS sweeps over that tree (the deepest vertex, smallest
+    on a tie), and its middle, the vertex on the path at depth L // 2 below
+    a, as the root. A DFS from the root takes a vertex's children in
+    ascending order, starting after its parent and wrapping around, as the
+    tour does. Shelves, centering and jitter as documented."""
+    n = g.vertex_count
+    if not n:
+        return np.zeros((0, 2))
+    adj = adjacency_reference(g)
+    labels = components_reference(g)
+    count = int(labels.max()) + 1
+    members = [[] for _ in range(count)]
+    for v in range(n):
+        members[int(labels[v])].append(v)
+    tree: list[list[int]] = [[] for _ in range(n)]
+    for comp in members:
+        level, seen = [comp[0]], {comp[0]}
+        while level:
+            nxt = {}
+            for u in level:
+                for w in adj[u]:
+                    if w not in seen:
+                        nxt[w] = min(nxt.get(w, u), u)
+            for w, u in nxt.items():
+                tree[u].append(w)
+                tree[w].append(u)
+            seen.update(nxt)
+            level = sorted(nxt)
+    tree = [sorted(nbrs) for nbrs in tree]
+
+    def sweep(source):
+        parent, dist, queue = {source: -1}, {source: 0}, deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in tree[u]:
+                if w not in dist:
+                    parent[w], dist[w] = u, dist[u] + 1
+                    queue.append(w)
+        far = min(dist, key=lambda v: (-dist[v], v))
+        return far, parent, dist
+
+    pos = np.zeros((n, 2))
+    sides = []
+    for comp in members:
+        a = sweep(comp[0])[0]
+        b, parent, dist = sweep(a)
+        root = b
+        while dist[root] > dist[b] // 2:
+            root = parent[root]
+        # Iterative DFS: preorder index, depth and subtree size.
+        order, depth, up = [], {root: 0}, {root: -1}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            nbrs = tree[v]
+            start = nbrs.index(up[v]) + 1 if up[v] >= 0 else 0
+            kids = [w for w in nbrs[start:] + nbrs[:start] if w != up[v]]
+            for w in kids:
+                up[w], depth[w] = v, depth[v] + 1
+            stack.extend(reversed(kids))
+        size = {v: 1 for v in order}
+        for v in reversed(order[1:]):
+            size[up[v]] += size[v]
+        for index, v in enumerate(order):
+            angle = TWO_PI * (index + 0.5 * size[v]) / len(order)
+            pos[v] = (depth[v] * k * math.cos(angle), depth[v] * k * math.sin(angle))
+        sides.append(2.0 * k * max(depth.values()) + k)
+    width = math.sqrt(sum(side * side for side in sides))
+    x = y = shelf = 0.0
+    for c in sorted(range(count), key=lambda c: -sides[c]):
+        if x and x + sides[c] > width:
+            x, y, shelf = 0.0, y + shelf, 0.0
+        for v in members[c]:
+            pos[v] += (x + 0.5 * sides[c], y + 0.5 * sides[c])
+        x += sides[c]
+        shelf = max(shelf, sides[c])
+    pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
+    return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
 
 
 def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 import gravlayout as gl
 from conftest import acceptance_lines
-from oracles import brute_betweenness, parametric_crossings, random_graph, spearman_formula
+from oracles import brute_betweenness, parametric_crossings, random_graph, random_start, spearman_formula
 
 K = 80.0
 
@@ -34,12 +34,20 @@ def mass_for(g: gl.Graph, kind: str) -> gl.MassVector:
     return gl.normalize_mass(gl.compute_centrality(g, kind))
 
 
-def default_config(seed: int) -> gl.LayoutConfig:
-    return gl.LayoutConfig(seed=seed)
-
-
 def classical_config(seed: int) -> gl.LayoutConfig:
     return gl.LayoutConfig(gamma_max=0.0, seed=seed)
+
+
+# Criteria 3 to 7 reproduce the paper's claims, which start tangled: from a
+# uniform random start, with gravity climbing by 0.2. The default radial
+# start untangles much of what the paper credits to scaling, so the same
+# checks at the same seeds and bounds run on the defaults separately.
+PAPER = (random_start, 0.2)
+DEFAULT = (gl.initialize_positions, gl.LayoutConfig().gamma_step)
+
+
+def layout(g: gl.Graph, mass, config: gl.LayoutConfig, start) -> np.ndarray:
+    return gl.run_layout(g, mass, config, initial=start(g, config.seed, K))
 
 
 def sign_test_two_sided(wins: int, losses: int) -> float:
@@ -79,15 +87,15 @@ def test_criterion_02_betweenness_oracle():
     assert ok
 
 
-def test_criterion_03_scaling_reduces_crossings():
+def check_03_scaling_reduces_crossings(start, gamma_step):
     sizes = [35, 35, 35, 35, 34]  # five components, 174 vertices
     stepped, constant = [], []
     for seed in range(20):
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "degree")
-        pos_s = gl.run_layout(g, mass, default_config(seed))
+        pos_s = layout(g, mass, gl.LayoutConfig(seed=seed, gamma_step=gamma_step), start)
         cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=seed)
-        pos_c = gl.run_layout(g, mass, cfg_c)
+        pos_c = layout(g, mass, cfg_c, start)
         stepped.append(gl.count_crossings(g, pos_s))
         constant.append(gl.count_crossings(g, pos_c))
     med_s = statistics.median(stepped)
@@ -96,39 +104,33 @@ def test_criterion_03_scaling_reduces_crossings():
     losses = sum(s > c for s, c in zip(stepped, constant))
     p = sign_test_two_sided(wins, losses)
     ok = med_s < med_c and p < 0.05
-    report(
-        3,
-        "scaling-reduces-crossings",
-        ok,
-        f"median equilibrium={med_s}, constant={med_c}, wins={wins}/20, sign-test p={p:.2e}",
-    )
-    assert ok
+    detail = f"median equilibrium={med_s}, constant={med_c}, wins={wins}/20, losses={losses}, sign-test p={p:.2e}"
+    return ok, detail
 
 
-def test_criterion_04_tree_compactness():
+def check_04_tree_compactness(start, gamma_step):
     ratios = []
     for seed in range(10):
         g = gl.generate_random_tree(126, seed=seed)
         mass = mass_for(g, "degree")
-        area_g = gl.bounding_area(gl.run_layout(g, mass, default_config(seed)))
-        area_0 = gl.bounding_area(gl.run_layout(g, mass, classical_config(seed)))
+        area_g = gl.bounding_area(layout(g, mass, gl.LayoutConfig(seed=seed, gamma_step=gamma_step), start))
+        area_0 = gl.bounding_area(layout(g, mass, classical_config(seed), start))
         ratios.append(area_g / area_0)
     med = statistics.median(ratios)
-    ok = med < 0.5
-    report(4, "tree-compactness", ok, f"median area ratio={med:.3f} over 10 seeds")
-    assert ok
+    return med < 0.5, f"median area ratio={med:.3f} over 10 seeds"
 
 
-def test_criterion_05_centralization():
+def check_05_centralization(start, gamma_step):
     kinds = ("degree", "closeness", "betweenness")
     rho_grav = {kind: [] for kind in kinds}
     rho_zero = {kind: [] for kind in kinds}
     for seed in range(10):
         g = gl.generate_random_tree(70, seed=seed)
         cents = {kind: gl.compute_centrality(g, kind) for kind in kinds}
-        pos_zero = gl.run_layout(g, mass_for(g, "uniform"), classical_config(seed))
+        pos_zero = layout(g, mass_for(g, "uniform"), classical_config(seed), start)
         for kind in kinds:
-            pos = gl.run_layout(g, gl.normalize_mass(cents[kind]), default_config(seed))
+            cfg = gl.LayoutConfig(seed=seed, gamma_step=gamma_step)
+            pos = layout(g, gl.normalize_mass(cents[kind]), cfg, start)
             rho_grav[kind].append(gl.centrality_radius_correlation(cents[kind], pos))
             rho_zero[kind].append(gl.centrality_radius_correlation(cents[kind], pos_zero))
     ok = True
@@ -138,37 +140,75 @@ def test_criterion_05_centralization():
         med_0 = statistics.median(rho_zero[kind])
         ok = ok and med_g < -0.3 and med_0 > med_g
         details.append(f"{kind}: grav={med_g:.2f} vs zero={med_0:.2f}")
-    report(5, "centralization", ok, "; ".join(details))
-    assert ok
+    return ok, "; ".join(details)
 
 
-def test_criterion_06_forest_cohesion():
+def check_06_forest_cohesion(start, gamma_step):
     sizes = [22] * 2 + [21] * 18  # 422 vertices, 20 trees
     ratios = []
     for seed in range(5):
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "betweenness")
-        area_g = gl.bounding_area(gl.run_layout(g, mass, default_config(seed)))
-        area_0 = gl.bounding_area(gl.run_layout(g, mass, classical_config(seed)))
+        area_g = gl.bounding_area(layout(g, mass, gl.LayoutConfig(seed=seed, gamma_step=gamma_step), start))
+        area_0 = gl.bounding_area(layout(g, mass, classical_config(seed), start))
         ratios.append(area_g / area_0)
     med = statistics.median(ratios)
-    ok = med < 0.5
-    report(6, "forest-cohesion", ok, f"median area ratio={med:.3f} over 5 seeds")
-    assert ok
+    return med < 0.5, f"median area ratio={med:.3f} over 5 seeds"
 
 
-def test_criterion_07_trees_nearly_crossing_free():
+def check_07_trees_nearly_crossing_free(start, gamma_step):
     # closeness-based mass: the smoothest of the three centralities, so the
     # compaction phase disturbs the untangled tree least
     crossings = []
     for seed in range(20):
         g = gl.generate_random_tree(70, seed=seed)
-        pos = gl.run_layout(g, mass_for(g, "closeness"), default_config(seed))
+        cfg = gl.LayoutConfig(seed=seed, gamma_step=gamma_step)
+        pos = layout(g, mass_for(g, "closeness"), cfg, start)
         crossings.append(gl.count_crossings(g, pos))
     med = statistics.median(crossings)
-    ok = med <= 2
-    report(7, "trees-nearly-crossing-free", ok, f"median crossings={med} over 20 seeds")
+    return med <= 2, f"median crossings={med} over 20 seeds"
+
+
+def test_criterion_03_scaling_reduces_crossings():
+    ok, detail = check_03_scaling_reduces_crossings(*PAPER)
+    report(3, "scaling-reduces-crossings", ok, detail)
     assert ok
+
+
+def test_criterion_04_tree_compactness():
+    ok, detail = check_04_tree_compactness(*PAPER)
+    report(4, "tree-compactness", ok, detail)
+    assert ok
+
+
+def test_criterion_05_centralization():
+    ok, detail = check_05_centralization(*PAPER)
+    report(5, "centralization", ok, detail)
+    assert ok
+
+
+def test_criterion_06_forest_cohesion():
+    ok, detail = check_06_forest_cohesion(*PAPER)
+    report(6, "forest-cohesion", ok, detail)
+    assert ok
+
+
+def test_criterion_07_trees_nearly_crossing_free():
+    ok, detail = check_07_trees_nearly_crossing_free(*PAPER)
+    report(7, "trees-nearly-crossing-free", ok, detail)
+    assert ok
+
+
+def test_criteria_03_04_05_07_hold_from_the_default_start():
+    results = [
+        (3, check_03_scaling_reduces_crossings(*DEFAULT)),
+        (4, check_04_tree_compactness(*DEFAULT)),
+        (5, check_05_centralization(*DEFAULT)),
+        (7, check_07_trees_nearly_crossing_free(*DEFAULT)),
+    ]
+    for num, (ok, detail) in results:
+        report(num, "default start and config", ok, detail)
+    assert all(ok for _, (ok, _) in results)
 
 
 def test_criterion_08_engine_invariants():

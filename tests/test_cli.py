@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -9,6 +11,7 @@ import pytest
 
 from gravlayout import LayoutConfig, Schedule
 from gravlayout.cli import COMMANDS, _build_config, _parse_positions, build_parser, main
+from conftest import SRC
 from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
@@ -190,7 +193,7 @@ def test_input_with_byte_order_mark_loads_as_without(tmp_path, monkeypatch, name
     for bom in ("", "\ufeff"):
         graph.write_text(bom + text, encoding="utf-8")
         assert main(["layout", "--in", str(graph), "--max-iterations", "50", "--positions", str(drawn)]) == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(bom + text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO((bom + text).encode("utf-8"))))
         assert main(["layout", "--in", "-", "--max-iterations", "50", "--positions", str(piped)]) == 0
         positions.write_text(bom + drawn.read_text(), encoding="utf-8")
         assert main(["metrics", "--in", str(graph), "--positions", str(positions), "--out", str(report)]) == 0
@@ -198,6 +201,21 @@ def test_input_with_byte_order_mark_loads_as_without(tmp_path, monkeypatch, name
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == outputs[0][1]
     assert len(json.loads(outputs[0][0])["positions"]) == 3
+
+
+def test_stdin_is_utf8_whatever_the_io_encoding(tmp_path):
+    # Under a latin-1 I/O encoding a BOM read as text is three characters,
+    # and the triangle became a 4-vertex path; stdin is decoded as UTF-8
+    # from its bytes, as files are.
+    drawn = tmp_path / "p.json"
+    env = dict(os.environ, PYTHONIOENCODING="latin-1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["layout", "--in", "-", "--max-iterations", "20", "--positions", str(drawn)]
+    subprocess.run(
+        [sys.executable, "-m", "gravlayout", *argv],
+        input="\ufeffa b\nb c\nc a\n".encode("utf-8"), env=env, check=True,
+    )
+    assert len(json.loads(drawn.read_text())["positions"]) == 3
 
 
 def test_labels_xml_cannot_hold_fail_cleanly(tmp_path, capsys):
@@ -398,7 +416,7 @@ def test_default_config_echo(tmp_path):
         ("gamma_max", 2.5),
         ("schedule", "equilibrium"),
         ("block", 200),
-        ("gamma_step", 0.2),
+        ("gamma_step", 0.5),
         ("eps", 1.0),
         ("max_iterations", 3000),
         ("seed", 0),

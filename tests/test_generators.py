@@ -118,3 +118,10 @@ def test_generators_take_numpy_integers():
     assert generate_forest(np.array([3, 4]), seed=np.uint8(2)) == want
     assert generate_forest([np.int32(3), 4], seed=np.int64(2)) == want
     assert generate_random_tree(np.int16(7), seed=np.int64(5)) == generate_random_tree(7, seed=5)
+
+
+@pytest.mark.parametrize("sizes", [5, None, 2.5])
+def test_forest_sizes_must_be_iterable(sizes):
+    # Before, these raised TypeError ("'int' object is not iterable").
+    with pytest.raises(ValueError, match="iterable of component sizes"):
+        generate_forest(sizes)
