@@ -8,7 +8,7 @@ drawing-quality metrics, random tree/forest generators, a circular-arc
 edge post-pass, and an SVG renderer.
 """
 
-from .arcs import ArcEdge, CircularArc, augment_with_dummies, fit_arc, layout_lombardi
+from .arcs import ArcEdge, CircularArc, fit_arc, layout_lombardi
 from .centrality import (
     CENTRALITY_KINDS,
     DEFAULT_MASS_FLOOR,
@@ -66,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcEdge",
     "CircularArc",
-    "augment_with_dummies",
     "fit_arc",
     "layout_lombardi",
     "CENTRALITY_KINDS",

@@ -1,16 +1,22 @@
-"""Circular-arc edges via a dummy-vertex post-pass.
+"""Circular-arc edges in closed form: tangent angles, as in Lombardi drawings.
 
-After the main layout, every edge gets a midpoint dummy vertex; a second
-force phase moves only the dummies (original vertices stay frozen, so the
-gravity placement is untouched) under the classical forces with natural
-length k/2 for the half-edges. Each settled dummy position becomes the
-control point of a circular arc through the edge's endpoints.
+A Lombardi drawing (Duncan, Eppstein, Goodrich, Kobourov, Nöllenburg, GD
+2010) draws each edge as a circular arc so that the edge tangents at every
+vertex are equally spaced. After the main layout, each vertex v of degree d
+gets d equally spaced tangents, turned by the rotation theta_v that best
+fits its chords taken counter-clockwise: the circular mean of (chord angle
+- 2 pi i / d), as in the tangent-based method of Chernobelskiy et al. (GD
+2011). Each end of an edge then wishes its tangent to leave the chord by
+delta, its tangent minus its chord angle wrapped to (-pi, pi], and the edge
+takes the arc of sweep delta_v - delta_u, the compromise between its two
+ends. No vertex moves: the arcs are fitted through the main layout's
+positions, and each arc's midpoint is its control point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +44,8 @@ class CircularArc:
 
 @dataclass(frozen=True)
 class ArcEdge:
-    """One drawn edge: endpoints, its dummy control position, and geometry.
+    """One drawn edge: endpoints, the arc's midpoint as its control point,
+    and geometry.
 
     geometry is a CircularArc through both endpoints and the control point,
     or None when the three points are collinear and the edge stays straight.
@@ -53,23 +60,6 @@ class ArcEdge:
     @property
     def straight(self) -> bool:
         return self.geometry is None
-
-
-def augment_with_dummies(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """Replace each edge {u, v} by a path u - d - v through a fresh dummy.
-
-    Dummy ids continue after the original ids, following canonical edge
-    order. Returns the augmented graph and the edge -> dummy id mapping.
-    """
-    n = g.vertex_count
-    mapping: dict[tuple[int, int], int] = {}
-    new_edges: list[tuple[int, int]] = []
-    for idx, (u, v) in enumerate(g.edges):
-        d = n + idx
-        mapping[(u, v)] = d
-        new_edges.append((u, d))
-        new_edges.append((v, d))
-    return Graph.from_edges(n + g.edge_count, new_edges), mapping
 
 
 def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
@@ -101,34 +91,49 @@ def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
     return CircularArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
 
 
-def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, list[ArcEdge]]:
-    """Main layout followed by the dummy phase; returns positions and arcs.
+def _sweeps(pos: np.ndarray, ea: np.ndarray) -> np.ndarray:
+    """Each edge's compromise sweep, delta_v - delta_u, from its ends' wishes.
 
-    The original vertices' positions are the plain run_layout result. The
-    dummy phase moves only the dummies, under the classical forces with k
-    halved; gravity is off, so every vertex gets unit mass.
+    An arc of sweep s leaves u at s / 2 clockwise of the chord and v at
+    s / 2 counter-clockwise of its chord, so it meets both wishes when
+    delta_u = -s / 2 and delta_v = s / 2, and splits the difference when
+    they disagree.
+
+    Half-edge h < m leaves u = ea[h, 0], half-edge m + h leaves v. One sort
+    by (vertex, chord angle) ranks each half-edge i among its vertex's d
+    chords, counter-clockwise; its slot is 2 pi i / d.
+    """
+    n, m = pos.shape[0], ea.shape[0]
+    tail = np.concatenate((ea[:, 0], ea[:, 1]))
+    head = np.concatenate((ea[:, 1], ea[:, 0]))
+    d = pos[head] - pos[tail]
+    chord = np.arctan2(d[:, 1], d[:, 0])
+    order = np.lexsort((chord, tail))
+    degree = np.bincount(tail, minlength=n)
+    rank = np.empty(2 * m, dtype=np.int64)
+    rank[order] = np.arange(2 * m) - (np.cumsum(degree) - degree)[tail[order]]
+    slot = TWO_PI * rank / degree[tail]
+    rest = chord - slot
+    theta = np.arctan2(np.bincount(tail, np.sin(rest), n), np.bincount(tail, np.cos(rest), n))
+    wish = math.pi - (math.pi - (theta[tail] - rest)) % TWO_PI  # wrapped to (-pi, pi]
+    return wish[m:] - wish[:m]
+
+
+def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, list[ArcEdge]]:
+    """Main layout, then closed-form tangent arcs; returns positions and arcs.
+
+    The positions are the plain run_layout result: the arcs move no vertex.
+    An edge of sweep s has its midpoint at the chord's midpoint plus
+    tan(s / 4) times half the chord turned clockwise, and fit_arc draws its
+    circle through that control point, scaled by k.
     """
     pos = run_layout(g, mass, config)
-    if not g.edge_count:
-        return pos, []
-    aug = augment_with_dummies(g)[0]
     ea = g.edge_array
-    midpoints = 0.5 * (pos[ea[:, 0]] + pos[ea[:, 1]])
-    init = np.vstack([pos, midpoints])
-    frozen = np.arange(aug.vertex_count) < g.vertex_count
-    dummy_config = replace(config, k=0.5 * config.k, gamma_max=0.0)
-    aug_pos = run_layout(aug, np.ones(aug.vertex_count), dummy_config, initial=init, frozen=frozen)
-    arcs = []
-    for idx, (u, v) in enumerate(g.edges):
-        control = aug_pos[g.vertex_count + idx]
-        geometry = fit_arc(pos[u], pos[v], control, scale=config.k)
-        arcs.append(
-            ArcEdge(
-                edge=(u, v),
-                p_u=(float(pos[u, 0]), float(pos[u, 1])),
-                p_v=(float(pos[v, 0]), float(pos[v, 1])),
-                control=(float(control[0]), float(control[1])),
-                geometry=geometry,
-            )
-        )
-    return pos, arcs
+    pu, pv = pos[ea[:, 0]], pos[ea[:, 1]]
+    half = 0.5 * (pv - pu)
+    bulge = np.tan(0.25 * _sweeps(pos, ea))[:, None] * np.column_stack((half[:, 1], -half[:, 0]))
+    controls = pu + half + bulge
+    return pos, [
+        ArcEdge((u, v), tuple(a), tuple(b), tuple(c), fit_arc(a, b, c, scale=config.k))
+        for (u, v), a, b, c in zip(g.edges, pu.tolist(), pv.tolist(), controls.tolist())
+    ]

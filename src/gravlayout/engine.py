@@ -7,10 +7,9 @@ evaluated against the same position snapshot (synchronous update):
   attraction  f_a(u, v) = (|P[u] - P[v]| / k) (P[u] - P[v])       along each incident edge
   gravity     f_g(v)    = gamma_t M[v] (xi - P[v])                toward the centroid xi
 
-With no vertex frozen, the impulses are taken in the rest frame, less
-their mean: gravity sums to gamma_t n (xi - xi_M), xi_M the mass-weighted
-centroid, a push that only translates the drawing. Otherwise a frozen
-vertex's impulse is zero. The impulse is clamped to magnitude i_max
+The impulses are taken in the rest frame, less their mean: gravity sums
+to gamma_t n (xi - xi_M), xi_M the mass-weighted centroid, a push that
+only translates the drawing. The impulse is clamped to magnitude i_max
 (direction preserved), scaled by heat * sigma, and applied as a
 displacement. A run starts from initialize_positions, a radial drawing
 that leaves trees untangled, and the gravity coefficient gamma_t grows over
@@ -21,7 +20,7 @@ stop rule; step and run_layout share one iteration body.
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
 2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
 and whenever gamma changes. An iteration whose energy E = sum |F|^2 of the
-framed impulses is not a new low for the level multiplies it by COOLING;
+rest-frame impulses is not a new low for the level multiplies it by COOLING;
 WARM_AFTER new lows in a row divide it by COOLING, up to 1. Comparing with
 the level's lowest energy, not the previous one, keeps a layout from
 cycling at a fixed heat. So the moves shrink once the layout stops
@@ -153,12 +152,12 @@ class LayoutState:
     """Positions after iteration t at gravity gamma, and the heat controller.
 
     last_max_impulse is the longest move of iteration t, heat * sigma *
-    min(max |F|, i_max) over the framed impulses F (rest-frame, or zero on a
-    frozen vertex), with inf before the first. heat is the step factor
-    of the next iteration at this level, streak the run of new energy lows
-    that ends at t, lowest_energy the level's lowest energy so far, and
-    level_start the t the level began after. The defaults are a start state,
-    so LayoutState(positions=p) starts a run.
+    min(max |F|, i_max) over the rest-frame impulses F, with inf before the
+    first. heat is the step factor of the next iteration at this level,
+    streak the run of new energy lows that ends at t, lowest_energy the
+    level's lowest energy so far, and level_start the t the level began
+    after. The defaults are a start state, so LayoutState(positions=p)
+    starts a run.
     """
 
     positions: np.ndarray
@@ -379,8 +378,8 @@ def _repulsion(pos: np.ndarray, k: float, s: _KernelScratch) -> tuple[np.ndarray
     force buffer, so the next call with that scratch overwrites it.
 
     Pairs closer than JITTER_TRIGGER * k come back as (u, v) with u < v in
-    row-major order. Their d2 is floored well below the trigger: callers
-    separate real pairs, the floor only guards coincident frozen pairs.
+    row-major order. Their d2 is floored well below the trigger, a guard
+    against a division by zero: callers separate such pairs first.
     """
     n, rows = pos.shape[0], s.d2.shape[0]
     p = pos.T
@@ -410,55 +409,37 @@ def _repulsion(pos: np.ndarray, k: float, s: _KernelScratch) -> tuple[np.ndarray
     return s.rep, close
 
 
-def _jitter(
-    pos: np.ndarray,
-    pairs: list[tuple[int, int]],
-    k: float,
-    seed: int,
-    t: int,
-    frozen: np.ndarray,
-) -> bool:
-    """Nudge one vertex of each pair in place: the first unfrozen one, each
-    vertex at most once. Return whether anything moved."""
+def _jitter(pos: np.ndarray, pairs: list[tuple[int, int]], k: float, seed: int, t: int) -> bool:
+    """Nudge the second vertex of each pair in place, each vertex at most
+    once. Return whether anything moved."""
     moved = set()
-    for u, v in pairs:
-        target = v if not frozen[v] else (u if not frozen[u] else None)
-        if target is None or target in moved:
-            continue
-        pos[target] += _jitter_vector(seed, t, target, k)
-        moved.add(target)
+    for _, v in pairs:
+        if v not in moved:
+            pos[v] += _jitter_vector(seed, t, v, k)
+            moved.add(v)
     return bool(moved)
 
 
-def _separated_repulsion(
-    pos: np.ndarray, k: float, seed: int, t: int, frozen: np.ndarray, s: _KernelScratch
-) -> np.ndarray:
+def _separated_repulsion(pos: np.ndarray, k: float, seed: int, t: int, s: _KernelScratch) -> np.ndarray:
     """Separate near-coincident vertices in place (at most 8 rounds), then
     return the (2, n) repulsion at the separated positions. A step with no
     close pair makes one kernel pass."""
     for _ in range(8):
         rep, close = _repulsion(pos, k, s)
-        if not (close and _jitter(pos, close, k, seed, t, frozen)):
+        if not (close and _jitter(pos, close, k, seed, t)):
             return rep
     return _repulsion(pos, k, s)[0]
 
 
 class _Workspace:
-    """What every step of a run reuses: the checked masses and frozen mask,
-    whether the run moves in its rest frame (nothing frozen), the attraction
+    """What every step of a run reuses: the checked masses, the attraction
     endpoint indices and the kernel scratch."""
 
-    def __init__(self, g: Graph, mass, frozen) -> None:
+    def __init__(self, g: Graph, mass) -> None:
         n = g.vertex_count
         self.mass = mass.values if isinstance(mass, MassVector) else check_masses(mass)
         if self.mass.shape != (n,):
             raise ValueError(f"mass vector length {self.mass.shape} does not match {n} vertices")
-        if frozen is None:
-            frozen = np.zeros(n, dtype=bool)
-        self.frozen = np.asarray(frozen, dtype=bool)
-        if self.frozen.shape != (n,):
-            raise ValueError(f"frozen mask length {self.frozen.shape} does not match {n} vertices")
-        self.rest_frame = not self.frozen.any()
         # Flat indices into the (2, n) coordinates: [x_u, y_u, x_v, y_v] per edge.
         eu, ev = g.edge_array.T
         self.ends = np.concatenate([eu, eu + n, ev, ev + n])
@@ -481,24 +462,20 @@ def _advance(
     pos: np.ndarray, t: int, gamma: float, ws: _Workspace, config: LayoutConfig, heat: float = 1.0
 ) -> tuple[float, float]:
     """Iteration t at gravity gamma and the given heat, in place on the
-    (n, 2) positions. The impulses are framed (less their mean when nothing
-    is frozen, zero on frozen vertices), clamped and applied; return the
-    strongest framed impulse and the energy, the sum of their squares. Runs
-    fastest when pos is column-major, so each coordinate is one contiguous
-    row of pos.T."""
+    (n, 2) positions. The impulses are taken in the rest frame (less their
+    mean), clamped and applied; return the strongest rest-frame impulse and
+    the energy, the sum of their squares. Runs fastest when pos is
+    column-major, so each coordinate is one contiguous row of pos.T."""
     if not pos.size:  # an empty drawing: no force, nothing to move
         return 0.0, 0.0
-    imp = _separated_repulsion(pos, config.k, config.seed, t, ws.frozen, ws.scratch)
+    imp = _separated_repulsion(pos, config.k, config.seed, t, ws.scratch)
     p = pos.T
     n = p.shape[1]
     if ws.ends.size:
         _add_attraction(imp, p, ws.ends, config.k)
     # Gravity gamma M (xi - p); the centroid xi is p.mean's sum-then-divide.
     imp += (np.add.reduce(p, axis=1, keepdims=True) / n - p) * (gamma * ws.mass)
-    if ws.rest_frame:  # the impulses' mean only translates the drawing
-        imp -= np.add.reduce(imp, axis=1, keepdims=True) / n
-    else:
-        imp[:, ws.frozen] = 0.0
+    imp -= np.add.reduce(imp, axis=1, keepdims=True) / n  # the mean only translates the drawing
     mag2 = np.add.reduce(imp * imp, axis=0)
     mag = np.sqrt(mag2)
     # heat * sigma * min(1, i_max / mag), by a division that cannot overflow.
@@ -524,13 +501,13 @@ def check_positions(positions, n: int | None = None) -> np.ndarray:
     return pos
 
 
-def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.ndarray, _Workspace]:
+def _start(positions, g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, _Workspace]:
     """A column-major copy of the checked positions, and a workspace. ValueError
     when max_iterations could carry a vertex to where a squared distance
     overflows: an iteration moves it at most sigma * i_max plus 8 jitter
     nudges of JITTER_MAGNITUDE * k. ValueError too when, within that reach,
     repulsion, gravity or the spring pull could overflow the energy, the sum
-    of the framed impulses' squared magnitudes: no gamma of the run exceeds
+    of the rest-frame impulses' squared magnitudes: no gamma of the run exceeds
     gamma_max."""
     pos = np.array(check_positions(positions, g.vertex_count), order="F")
     per_step = config.sigma * config.i_max + 8 * JITTER_MAGNITUDE * config.k
@@ -538,7 +515,7 @@ def _start(positions, g: Graph, mass, frozen, config: LayoutConfig) -> tuple[np.
     reach = float(np.abs(pos).max(initial=0.0)) + min(config.max_iterations, sys.float_info.max) * per_step
     if 8 * reach * reach == math.inf:  # d2 of two vertices within reach on each axis
         raise ValueError(f"vertices could reach {reach:.3g} in max_iterations, overflowing squared distances")
-    ws = _Workspace(g, mass, frozen)
+    ws = _Workspace(g, mass)
     # Within reach each axis of a difference is at most 2 * reach, so gravity
     # gamma M (xi - p) is at most gamma * max(M) * 2 * reach on each axis, and
     # the pull (|e| / k) e of one edge at most 8 * reach^2 / k in magnitude.
@@ -578,16 +555,20 @@ def step(
     g: Graph,
     mass,
     config: LayoutConfig,
-    frozen: np.ndarray | None = None,
+    frozen: None = None,
 ) -> LayoutState:
     """One synchronous iteration: update gamma, separate coincident pairs,
-    compute all impulses from the snapshot, take them in the rest frame (or
-    zero the frozen vertices' impulses), displace every vertex by heat *
-    sigma * (impulse clamped to i_max), and cool or warm the heat. The
-    state carries the whole controller, so a loop of step calls replays
-    run_layout bit for bit.
+    compute all impulses from the snapshot, take them in the rest frame,
+    displace every vertex by heat * sigma * (impulse clamped to i_max), and
+    cool or warm the heat. The state carries the whole controller, so a
+    loop of step calls replays run_layout bit for bit.
+
+    Every vertex moves: frozen must be None (perfbench's step replay passes
+    it positionally), and any other value raises ValueError.
     """
-    pos, ws = _start(state.positions, g, mass, frozen, config)
+    if frozen is not None:
+        raise ValueError("step moves every vertex: frozen must be None")
+    pos, ws = _start(state.positions, g, mass, config)
     return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))
 
 
@@ -597,7 +578,6 @@ def run_layout(
     config: LayoutConfig,
     *,
     initial: np.ndarray | None = None,
-    frozen: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the simulation to completion and return final positions.
 
@@ -609,7 +589,7 @@ def run_layout(
     """
     if initial is None:
         initial = initialize_positions(g, config.seed, config.k)
-    pos, ws = _start(initial, g, mass, frozen, config)
+    pos, ws = _start(initial, g, mass, config)
     state = LayoutState(positions=pos)
     while g.vertex_count and state.t < config.max_iterations and not settled(state, config):
         state = _next_state(state, pos, ws, config)

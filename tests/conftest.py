@@ -1,10 +1,14 @@
 """Shared pytest wiring: collects acceptance-criterion result lines and
 prints them in the terminal summary, where pytest capture cannot swallow
-them; runs scripts under different BLAS thread counts."""
+them; runs scripts under different BLAS thread counts; lays out the
+Lombardi drawings that several test modules check, once per session."""
 
+import functools
 import os
 import subprocess
 import sys
+
+from gravlayout import LayoutConfig, degree_centrality, generate_random_tree, layout_lombardi, normalize_mass
 
 acceptance_lines: list[str] = []
 
@@ -25,6 +29,18 @@ def blas_thread_hashes(script: str, counts=("1", "4")) -> list[str]:
         )
         hashes.append(out.stdout.strip())
     return hashes
+
+
+LOMBARDI_TREES = [(n, seed) for n in (70, 126, 174) for seed in range(4)]
+
+
+@functools.lru_cache(maxsize=None)
+def lombardi_tree(n, seed):
+    """(g, positions, arcs) of the default Lombardi drawing of a random tree
+    with degree mass."""
+    g = generate_random_tree(n, seed=seed)
+    pos, arcs = layout_lombardi(g, normalize_mass(degree_centrality(g)), LayoutConfig(seed=seed))
+    return g, pos, arcs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

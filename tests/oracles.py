@@ -480,11 +480,11 @@ def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig
     return total
 
 
-def separate_coincident(pos, k: float, frozen, nudge, trigger: float = 1e-6, rounds: int = 8):
+def separate_coincident(pos, k: float, nudge, trigger: float = 1e-6, rounds: int = 8):
     """The engine's jitter rule, pair by pair. Each round lists the pairs u < v
     closer than trigger * k in ascending (u, v) order from the round's
-    snapshot, then moves the first unfrozen vertex of each pair by nudge(vertex),
-    each vertex at most once. Stops after a round with no pair or no move.
+    snapshot, then moves the second vertex v of each pair by nudge(v), each
+    vertex at most once. Stops after a round with no pair.
     """
     pos = np.array(pos, dtype=float)
     n = len(pos)
@@ -495,15 +495,45 @@ def separate_coincident(pos, k: float, frozen, nudge, trigger: float = 1e-6, rou
             for v in range(u + 1, n)
             if (pos[u, 0] - pos[v, 0]) ** 2 + (pos[u, 1] - pos[v, 1]) ** 2 < (trigger * k) ** 2
         ]
-        moved: list[int] = []
-        for u, v in pairs:
-            target = v if not frozen[v] else (u if not frozen[u] else None)
-            if target is not None and target not in moved:
-                pos[target] += nudge(target)
-                moved.append(target)
-        if not moved:
+        if not pairs:
             break
+        moved: list[int] = []
+        for _, v in pairs:
+            if v not in moved:
+                pos[v] += nudge(v)
+                moved.append(v)
     return pos
+
+
+def tangent_gap(g: Graph, positions, arcs=None) -> float:
+    """Mean, over vertices of degree >= 2, of 2*pi/deg minus the smallest
+    angle between adjacent edge tangents; 0.0 when no vertex has degree >= 2.
+
+    Each tangent is the direction from the vertex to a point of the drawn
+    edge a short step away: along the chord for a straight edge, and for a
+    curved ArcEdge the point of its circle 1e-6 of the sweep from that end.
+    """
+    pos = np.asarray(positions, dtype=float)
+    drawn = {a.edge: a for a in arcs or ()}
+    directions: list[list[float]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        arc = drawn.get((u, v))
+        for end, other, turn in ((u, v, 1e-6), (v, u, -1e-6)):
+            if arc is None or arc.straight:
+                near = pos[other]
+            else:
+                cx, cy = arc.geometry.center
+                start = math.atan2(pos[end, 1] - cy, pos[end, 0] - cx) + turn * arc.geometry.sweep
+                near = np.array([cx, cy]) + arc.geometry.radius * np.array([math.cos(start), math.sin(start)])
+            directions[end].append(math.atan2(near[1] - pos[end, 1], near[0] - pos[end, 0]))
+    gaps = []
+    for angles in directions:
+        if len(angles) < 2:
+            continue
+        angles.sort()
+        between = [b - a for a, b in zip(angles, angles[1:])] + [TWO_PI - (angles[-1] - angles[0])]
+        gaps.append(TWO_PI / len(angles) - min(between))
+    return sum(gaps) / len(gaps) if gaps else 0.0
 
 
 def angular_resolution_reference(g: Graph, positions) -> float:

@@ -305,8 +305,8 @@ def test_criterion_08_engine_invariants():
 def test_criterion_09_lombardi_phase():
     tol = 1e-6 * K
 
-    # frozen originals, bit for bit, on several graphs
-    frozen_ok = True
+    # the main layout's positions, bit for bit, on several graphs
+    positions_ok = True
     endpoint_ok = True
     for seed in (1, 2):
         g = gl.generate_random_tree(12, seed=seed)
@@ -314,7 +314,7 @@ def test_criterion_09_lombardi_phase():
         cfg = gl.LayoutConfig(seed=seed, max_iterations=600)
         plain = gl.run_layout(g, mass, cfg)
         pos, arcs = gl.layout_lombardi(g, mass, cfg)
-        frozen_ok = frozen_ok and bool(np.array_equal(pos, plain))
+        positions_ok = positions_ok and bool(np.array_equal(pos, plain))
         for arc in arcs:
             if arc.straight:
                 continue
@@ -337,12 +337,12 @@ def test_criterion_09_lombardi_phase():
         side_ctrl = chord[0] * (ctrl[1] - pos[u][1]) - chord[1] * (ctrl[0] - pos[u][0])
         outward_ok = outward_ok and bool(side_ctrl * side_center < 0)
 
-    ok = frozen_ok and endpoint_ok and outward_ok
+    ok = positions_ok and endpoint_ok and outward_ok
     report(
         9,
         "lombardi-phase",
         ok,
-        f"frozen={frozen_ok}, endpoints-within-{tol:g}={endpoint_ok}, "
+        f"positions-as-run_layout={positions_ok}, endpoints-within-{tol:g}={endpoint_ok}, "
         f"triangle-outward={outward_ok}",
     )
     assert ok

@@ -142,24 +142,22 @@ def test_terminal_gamma():
 @pytest.mark.parametrize("kind", ["degree", "closeness"])
 def test_gravity_off_is_one_run_under_every_schedule(kind):
     # At gamma_max 0 no schedule ever leaves gamma 0, so the three schedules
-    # make the same run bit for bit, free and with frozen vertices, and stop
-    # at the same iteration, after many of stepped's block_len 5 levels.
+    # make the same run bit for bit and stop at the same iteration, after
+    # many of stepped's block_len 5 levels.
     g = generate_forest([12, 9, 1], seed=4)
     mass = normalize_mass(closeness_centrality(g) if kind == "closeness" else degree_centrality(g))
-    frozen = np.arange(g.vertex_count) % 3 == 0
-    for mask in (None, frozen):
-        runs = set()
-        for schedule in Schedule:
-            cfg = LayoutConfig(schedule=schedule, gamma_max=0.0, block_len=5, seed=5)
-            state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
-            while state.t < cfg.max_iterations and not settled(state, cfg):
-                state = step(state, g, mass, cfg, frozen=mask)
-                assert state.gamma == 0.0
-            assert state.t > 8 * cfg.block_len
-            auto = run_layout(g, mass, cfg, frozen=mask)
-            assert np.array_equal(auto, state.positions)
-            runs.add((state.t, auto.tobytes()))
-        assert len(runs) == 1
+    runs = set()
+    for schedule in Schedule:
+        cfg = LayoutConfig(schedule=schedule, gamma_max=0.0, block_len=5, seed=5)
+        state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
+        while state.t < cfg.max_iterations and not settled(state, cfg):
+            state = step(state, g, mass, cfg)
+            assert state.gamma == 0.0
+        assert state.t > 8 * cfg.block_len
+        auto = run_layout(g, mass, cfg)
+        assert np.array_equal(auto, state.positions)
+        runs.add((state.t, auto.tobytes()))
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("gamma_max", [2.5, 0.8, 0.0])
@@ -366,7 +364,7 @@ def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, schedule
     def admitted(power):
         cfg, start = setup(power)
         try:
-            engine._start(start, g, mass, None, cfg)
+            engine._start(start, g, mass, cfg)
         except ValueError:
             return False
         return True
@@ -552,15 +550,11 @@ def test_step_displacement_never_exceeds_cap():
             state = nxt
 
 
-def assert_step_matches_scalar_reference(state, g, mass, cfg, frozen=None):
-    # The scalar impulses in the step's frame: less their mean when nothing
-    # is frozen, zero on the frozen vertices otherwise.
-    nxt = step(state, g, mass, cfg, frozen)
+def assert_step_matches_scalar_reference(state, g, mass, cfg):
+    # The scalar impulses in the step's rest frame: less their mean.
+    nxt = step(state, g, mass, cfg)
     imps = np.array([net_impulse(v, state, g, mass, cfg) for v in range(g.vertex_count)])
-    if frozen is None:
-        imps -= imps.mean(axis=0)
-    else:
-        imps[frozen] = 0.0
+    imps -= imps.mean(axis=0)
     for v, imp in enumerate(imps):
         mag = float(np.linalg.norm(imp))
         want = cfg.sigma * imp * min(1.0, cfg.i_max / mag) if mag else np.zeros(2)
@@ -576,11 +570,9 @@ def test_step_matches_scalar_reference():
     assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
 
 
-@pytest.mark.parametrize("frozen_every", [None, 3], ids=["free", "frozen"])
-def test_step_matches_scalar_reference_with_degree_mass(frozen_every):
+def test_step_matches_scalar_reference_with_degree_mass():
     # Unequal masses: gravity's net push gamma n (xi - xi_M) is far from
-    # zero here. A free step takes it out with the impulses' mean; a step
-    # with every third vertex frozen zeroes those impulses instead.
+    # zero here. The step takes it out with the impulses' mean.
     rng = np.random.default_rng(41)
     g = random_graph(rng, 8, 14)
     mass = normalize_mass(degree_centrality(g))
@@ -588,8 +580,7 @@ def test_step_matches_scalar_reference_with_degree_mass(frozen_every):
     state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
     net = sum(net_impulse(v, state, g, mass, cfg) for v in range(g.vertex_count))
     assert np.linalg.norm(net) > 100.0
-    frozen = None if frozen_every is None else np.arange(g.vertex_count) % frozen_every == 0
-    assert_step_matches_scalar_reference(state, g, mass, cfg, frozen)
+    assert_step_matches_scalar_reference(state, g, mass, cfg)
 
 
 def test_step_matches_scalar_reference_across_blocks():
@@ -610,27 +601,22 @@ def test_jitter_across_block_boundary_follows_pair_rule():
     u, v, w = rows - 1, rows, 2 * rows + 5  # u and v straddle the first block boundary
     pos[v] = pos[u]
     pos[w] = pos[u] + 1e-7
-    p, q = 10, rows + 20  # a second straddling pair, neither frozen
+    p, q = 10, rows + 20  # a second straddling pair
     pos[q] = pos[p]
-    frozen = np.zeros(n, dtype=bool)
-    frozen[v] = True
     k, seed, t = 80.0, 5, 17
-    want = separate_coincident(
-        pos, k, frozen, lambda x: engine._jitter_vector(seed, t, x, k)
-    )
-    # (p, q) moves q; (u, v) moves u because v is frozen; (u, w) moves w;
-    # (v, w) is skipped because w already moved. v never moves.
-    assert np.flatnonzero(np.any(want != pos, axis=1)).tolist() == [u, q, w]
+    want = separate_coincident(pos, k, lambda x: engine._jitter_vector(seed, t, x, k))
+    # (p, q) moves q; (u, v) moves v; (u, w) moves w; (v, w) is skipped
+    # because w already moved. u and p never move.
+    assert np.flatnonzero(np.any(want != pos, axis=1)).tolist() == [v, q, w]
     for block in (rows, 1, 7, n):
         got = pos.copy()
-        engine._separated_repulsion(got, k, seed, t, frozen, engine._KernelScratch(n, block))
+        engine._separated_repulsion(got, k, seed, t, engine._KernelScratch(n, block))
         assert np.array_equal(got, want)
     g = Graph(n)
     cfg = LayoutConfig(gamma_max=0.0, seed=seed)
-    nxt = step(LayoutState(positions=pos, t=t - 1), g, uniform_mass(g), cfg, frozen=frozen)
-    assert np.array_equal(nxt.positions[v], pos[v])
-    assert not np.array_equal(nxt.positions[u], pos[u])
+    nxt = step(LayoutState(positions=pos, t=t - 1), g, uniform_mass(g), cfg)
     assert np.all(np.isfinite(nxt.positions))
+    assert np.linalg.norm(nxt.positions[v] - nxt.positions[u]) > 0.5 * engine.JITTER_MAGNITUDE * k
 
 
 def test_repulsion_bits_do_not_depend_on_block_rows():
@@ -772,7 +758,7 @@ def random_tree(rng, n):
     return Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
 
 
-def test_run_layout_matches_manual_step_loop_across_blocks_and_frozen():
+def test_run_layout_matches_manual_step_loop_across_blocks():
     rng = np.random.default_rng(46)
     n = 300
     assert engine._block_rows(n) < n // 3  # the kernel walks several blocks
@@ -781,16 +767,12 @@ def test_run_layout_matches_manual_step_loop_across_blocks_and_frozen():
     cfg = LayoutConfig(seed=8, max_iterations=25, block_len=10)
     init = initialize_positions(g, cfg.seed, cfg.k)
     init[200] = init[5]  # a coincident pair, jittered in the first step
-    frozen = np.zeros(n, dtype=bool)
-    frozen[rng.choice(n, 40, replace=False)] = True
-    for mask in (None, frozen):
-        auto = run_layout(g, mass, cfg, initial=init, frozen=mask)
-        state = LayoutState(positions=init)
-        while state.t < cfg.max_iterations:
-            state = step(state, g, mass, cfg, frozen=mask)
-        assert np.array_equal(auto, state.positions)
-        assert auto.flags.c_contiguous and state.positions.flags.c_contiguous
-    assert np.array_equal(auto[frozen], init[frozen])
+    auto = run_layout(g, mass, cfg, initial=init)
+    state = LayoutState(positions=init)
+    while state.t < cfg.max_iterations:
+        state = step(state, g, mass, cfg)
+    assert np.array_equal(auto, state.positions)
+    assert auto.flags.c_contiguous and state.positions.flags.c_contiguous
 
 
 def test_reused_workspace_matches_fresh_scratch():
@@ -799,11 +781,9 @@ def test_reused_workspace_matches_fresh_scratch():
     g = random_tree(rng, n)
     mass = uniform_mass(g)
     cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=0.9, seed=3)
-    frozen = np.zeros(n, dtype=bool)
-    frozen[[17, 250]] = True
     first = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
-    first[250] = first[17]  # frozen and coincident: their d2 is floored
-    ws = engine._Workspace(g, mass, frozen)
+    first[250] = first[17]  # coincident: the step jitters 250 away
+    ws = engine._Workspace(g, mass)
     assert engine._repulsion(first, cfg.k, ws.scratch)[1] == [(17, 250)]
     engine._advance(first, 1, 0.9, ws, cfg)
     # Alternating gammas: gravity must follow the gamma of each call.
@@ -812,7 +792,7 @@ def test_reused_workspace_matches_fresh_scratch():
         if coincident:
             pos[250] = pos[17]
         want = pos.copy(order="F")
-        want_max = engine._advance(want, 2, gamma, engine._Workspace(g, mass, frozen), cfg)
+        want_max = engine._advance(want, 2, gamma, engine._Workspace(g, mass), cfg)
         assert engine._advance(pos, 2, gamma, ws, cfg) == want_max
         assert np.array_equal(pos, want)
 
@@ -853,13 +833,13 @@ def test_run_allocates_no_scratch_per_step(monkeypatch):
     assert counts[1] <= counts[0]
 
 
-def step_to_stop(g, mass, cfg, init, frozen=None):
+def step_to_stop(g, mass, cfg, init):
     """Drive step from a start state under run_layout's stop rule; return the
     last state and the (first t, gamma) of every gravity level."""
     state = LayoutState(positions=init)
     levels = [(1, schedule_gamma(1, state, cfg))]
     while state.t < cfg.max_iterations and not settled(state, cfg):
-        state = step(state, g, mass, cfg, frozen)
+        state = step(state, g, mass, cfg)
         if state.gamma != levels[-1][1]:
             levels.append((state.t, state.gamma))
     return state, levels
@@ -988,15 +968,16 @@ def test_jitter_separates_coincident_vertices():
     assert np.linalg.norm(nxt.positions[0] - nxt.positions[1]) > 0
 
 
-def test_jitter_never_moves_frozen_vertices():
-    g = Graph(3)
-    pos = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
-    frozen = np.array([True, False, True])
-    state = LayoutState(positions=pos)
-    nxt = step(state, g, uniform_mass(g), LayoutConfig(gamma_max=0.0), frozen=frozen)
-    assert np.array_equal(nxt.positions[0], pos[0])
-    assert np.array_equal(nxt.positions[2], pos[2])
-    assert not np.array_equal(nxt.positions[1], pos[1])
+def test_step_refuses_a_frozen_mask():
+    # Every vertex moves: step keeps a frozen argument for positional None
+    # only, and a mask of any kind is refused.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    state = LayoutState(positions=initialize_positions(g, 0, 80.0))
+    mass, cfg = uniform_mass(g), LayoutConfig(max_iterations=5)
+    assert np.array_equal(step(state, g, mass, cfg, None).positions, step(state, g, mass, cfg).positions)
+    for mask in (np.array([True, False, False]), np.zeros(3, dtype=bool), [False] * 3):
+        with pytest.raises(ValueError, match="frozen"):
+            step(state, g, mass, cfg, mask)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

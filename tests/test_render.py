@@ -15,14 +15,12 @@ from gravlayout import (
     LayoutConfig,
     RenderError,
     color_for,
-    degree_centrality,
-    generate_random_tree,
     layout_lombardi,
     normalize_mass,
     render_svg,
     uniform_centrality,
 )
-from conftest import SRC
+from conftest import LOMBARDI_TREES, SRC, lombardi_tree
 from gravlayout import render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -187,12 +185,10 @@ def test_render_deterministic_bytes():
 
 
 @functools.lru_cache(maxsize=None)
-def lombardi_tree(n, seed):
-    """Default Lombardi drawing of a random tree with degree mass, and its SVG."""
-    g = generate_random_tree(n, seed=seed)
-    cfg = LayoutConfig(seed=seed)
-    pos, arcs = layout_lombardi(g, normalize_mass(degree_centrality(g)), cfg)
-    return arcs, render_svg(g, pos, arcs=arcs, k=cfg.k)
+def lombardi_svg(n, seed):
+    """The arcs of conftest's default Lombardi drawing, and its SVG."""
+    g, pos, arcs = lombardi_tree(n, seed)
+    return arcs, render_svg(g, pos, arcs=arcs, k=LayoutConfig().k)
 
 
 def cross(a, b):
@@ -214,14 +210,11 @@ def arc_samples(arc, count=721):
     return c + arc.geometry.radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-LOMBARDI_TREES = [(n, seed) for n in (70, 126, 174) for seed in range(4)]
-
-
 @pytest.mark.parametrize("n, seed", LOMBARDI_TREES)
 def test_viewbox_contains_every_arc(n, seed):
-    # An arc can run far beyond every vertex and its own control: at n = 126,
-    # seed 3 one reaches about 79,000 units past them.
-    arcs, svg = lombardi_tree(n, seed)
+    # An arc's axis extremes can lie past both endpoints and its midpoint
+    # control, so the viewBox must hold every sampled point, not just those.
+    arcs, svg = lombardi_svg(n, seed)
     x, y, w, h = (float(t) for t in ET.fromstring(svg).attrib["viewBox"].split())
     # the group flips y, so drawing y spans [-(y + h), -y]
     lo, hi = np.array([x, -(y + h)]), np.array([x + w, -y])
@@ -241,7 +234,7 @@ def test_arc_flags_match_chord_oracle():
     # may pick either large flag, so such arcs are skipped; none is here.
     checked = skipped = 0
     for n, seed in LOMBARDI_TREES:
-        arcs, svg = lombardi_tree(n, seed)
+        arcs, svg = lombardi_svg(n, seed)
         curved = [a for a in arcs if not a.straight]
         paths = [p.attrib["d"].split() for p in ET.fromstring(svg).iter(SVG_NS + "path")]
         assert len(paths) == len(curved)
