@@ -24,12 +24,7 @@ from .centrality import (
 from .engine import (
     LayoutConfig,
     LayoutState,
-    Schedule,
-    attractive_force,
-    centroid,
-    gravity_force,
     initialize_positions,
-    repulsive_force,
     run_layout,
     schedule_gamma,
     settled,
@@ -80,12 +75,7 @@ __all__ = [
     "uniform_centrality",
     "LayoutConfig",
     "LayoutState",
-    "Schedule",
-    "attractive_force",
-    "centroid",
-    "gravity_force",
     "initialize_positions",
-    "repulsive_force",
     "run_layout",
     "schedule_gamma",
     "settled",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .arcs import layout_lombardi
 from .centrality import CENTRALITY_KINDS, DEFAULT_MASS_FLOOR, compute_centrality, normalize_mass
-from .engine import LayoutConfig, Schedule, check_positions, run_layout
+from .engine import LayoutConfig, check_positions, run_layout
 from .generators import generate_forest, generate_random_tree
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph_json, serialize_edge_list
 from .metrics import compute_metrics
@@ -26,10 +26,9 @@ LAYOUT_FLAGS = {
     "k": ("k", "natural edge length"),
     "imax": ("i_max", "impulse magnitude cap"),
     "sigma": ("sigma", "displacement scale: a move is at most sigma * imax"),
-    "gamma_max": ("gamma_max", "gravity level every schedule heads for; 0 turns gravity off"),
-    "schedule": ("schedule", "how gravity grows over the run"),
+    "gamma_max": ("gamma_max", "gravity level the run climbs to; 0 turns gravity off"),
     "block": ("block_len", "most iterations per gravity level"),
-    "gamma_step": ("gamma_step", "gravity increment per step"),
+    "gamma_step": ("gamma_step", "gravity increment per level; at least --gamma-max holds gravity constant"),
     "eps": ("equilibrium_eps", "longest move that counts as settled"),
     "max_iterations": ("max_iterations", "iteration budget"),
     "seed": ("seed", "seed of the initial positions and the jitter"),
@@ -87,9 +86,7 @@ def _parse_positions(text: str) -> np.ndarray:
 
 def _build_config(args: argparse.Namespace) -> LayoutConfig:
     """The LayoutConfig the layout flags set."""
-    values = {field: getattr(args, dest) for dest, (field, _) in LAYOUT_FLAGS.items() if field}
-    values["schedule"] = Schedule(values["schedule"])
-    return LayoutConfig(**values)
+    return LayoutConfig(**{field: getattr(args, dest) for dest, (field, _) in LAYOUT_FLAGS.items() if field})
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -172,11 +169,7 @@ def _add_layout_flags(p: argparse.ArgumentParser) -> None:
     defaults = LayoutConfig()
     for dest, (field, text) in LAYOUT_FLAGS.items():
         default = getattr(defaults, field) if field else DEFAULT_MASS_FLOOR
-        if isinstance(default, Schedule):
-            spec = {"choices": [s.value for s in Schedule], "default": default.value}
-        else:
-            spec = {"type": type(default), "default": default}
-        p.add_argument("--" + dest.replace("_", "-"), help=text, **spec)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default, help=text)
 
 
 def _add_layout_command_flags(p: argparse.ArgumentParser) -> None:

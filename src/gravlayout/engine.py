@@ -12,10 +12,12 @@ to gamma_t n (xi - xi_M), xi_M the mass-weighted centroid, a push that
 only translates the drawing. The impulse is clamped to magnitude i_max
 (direction preserved), scaled by heat * sigma, and applied as a
 displacement. A run starts from initialize_positions, a radial drawing
-that leaves trees untangled, and the gravity coefficient gamma_t grows over
-iterations according to a schedule, which compacts the drawing toward the
-center. schedule_gamma gives gamma_t, at most gamma_max, and settled is the
-stop rule; step and run_layout share one iteration body.
+that leaves trees untangled, and the gravity coefficient gamma_t climbs by
+gamma_step each time a level settles, up to gamma_max, which compacts the
+drawing toward the center; a gamma_step of at least gamma_max holds gravity
+constant from t = 1, and gamma_max 0 turns it off. schedule_gamma gives
+gamma_t and settled is the stop rule; step and run_layout share one
+iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
 2005, after Walshaw, GD 2000), kept per gravity level. It is 1 at the start
@@ -25,8 +27,8 @@ WARM_AFTER new lows in a row divide it by COOLING, up to 1. Comparing with
 the level's lowest energy, not the previous one, keeps a layout from
 cycling at a fixed heat. So the moves shrink once the layout stops
 improving, the longest move of an iteration falls below equilibrium_eps,
-and the level ends: that is the equilibrium the equilibrium schedule waits
-for, and the settled state a run stops at.
+and the level ends: that is the equilibrium each gravity step waits for,
+and the settled state a run stops at.
 
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
@@ -50,7 +52,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
 from numbers import Real
 
 import numpy as np
@@ -78,14 +79,6 @@ WARM_AFTER = 5
 BLOCK_ELEMENTS = 16384
 
 
-class Schedule(Enum):
-    """How the gravity coefficient evolves over iterations."""
-
-    CONSTANT = "constant"
-    STEPPED_ITERATION = "stepped"
-    STEPPED_EQUILIBRIUM = "equilibrium"
-
-
 @dataclass(frozen=True)
 class LayoutConfig:
     """Simulation parameters.
@@ -95,22 +88,20 @@ class LayoutConfig:
     i_max and scaled by heat * sigma with the level's heat at most 1, so no
     vertex moves more than sigma * i_max per iteration (8 = 0.1 k by default).
 
-    gamma_max is the run's one gravity level: the constant schedule holds it
-    from the first iteration, the stepped schedule climbs to it by gamma_step
-    every block_len iterations, the equilibrium schedule by gamma_step once a
-    level has settled (its longest move below equilibrium_eps) or has run
-    block_len iterations; gamma_max 0 turns gravity off. Both stepped
-    schedules start at gamma_step, not 0: the radial start of
+    Gravity climbs to gamma_max by gamma_step, one step once a level has
+    settled (its longest move below equilibrium_eps) or has run block_len
+    iterations. The first level is gamma_step, not 0: the radial start of
     initialize_positions has nothing to untangle without gravity, and it
-    holds up under steps of 0.5. A run stops after max_iterations, or once
-    it is settled at gamma_max.
+    holds up under steps of 0.5. A gamma_step of at least gamma_max holds
+    gravity constant at gamma_max from the first iteration, and gamma_max 0
+    turns gravity off. A run stops after max_iterations, or once it is
+    settled at gamma_max.
     """
 
     k: float = 80.0
     i_max: float = 10.0
     sigma: float = 0.8
     gamma_max: float = 2.5
-    schedule: Schedule = Schedule.STEPPED_EQUILIBRIUM
     block_len: int = 200
     gamma_step: float = 0.5
     equilibrium_eps: float = 1.0
@@ -131,8 +122,6 @@ class LayoutConfig:
             object.__setattr__(self, name, number)
         for name in ("block_len", "max_iterations", "seed"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if not isinstance(self.schedule, Schedule):
-            raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
             raise ValueError("k, i_max, and sigma must be positive")
         if not (self.k * self.k < math.inf and (JITTER_TRIGGER * self.k) ** 2 >= sys.float_info.min):
@@ -171,7 +160,7 @@ class LayoutState:
 
 
 def terminal_gamma(config: LayoutConfig) -> float:
-    """The gravity level a run is heading for: gamma_max, under every schedule."""
+    """The gravity level a run is heading for: gamma_max."""
     return config.gamma_max
 
 
@@ -275,54 +264,15 @@ def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
     return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
 
 
-def repulsive_force(pu, pv, k: float) -> np.ndarray:
-    """Force on v pushing it away from u; magnitude k^2 / |pu - pv|."""
-    pu = np.asarray(pu, dtype=float)
-    pv = np.asarray(pv, dtype=float)
-    diff = pv - pu
-    d2 = float(diff @ diff)
-    if d2 == 0.0:
-        raise ValueError("repulsive_force requires distinct points (jitter upstream)")
-    return (k * k / d2) * diff
-
-
-def attractive_force(pu, pv, k: float) -> np.ndarray:
-    """Force on v pulling it toward u; magnitude |pu - pv|^2 / k."""
-    pu = np.asarray(pu, dtype=float)
-    pv = np.asarray(pv, dtype=float)
-    diff = pu - pv
-    return (math.sqrt(float(diff @ diff)) / k) * diff
-
-
-def centroid(positions) -> np.ndarray:
-    """Arithmetic mean of the positions."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.size == 0:
-        raise ValueError("centroid of no points is undefined")
-    return pos.mean(axis=0)
-
-
-def gravity_force(pv, xi, mass: float, gamma: float) -> np.ndarray:
-    """Force gamma * mass * (xi - pv) pulling v toward the centroid."""
-    pv = np.asarray(pv, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return gamma * mass * (xi - pv)
-
-
 def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
-    """Gravity coefficient for iteration t under the configured schedule.
+    """Gravity coefficient for iteration t after state.
 
-    No schedule has a gravity-free level, so a start state (gamma 0) steps
-    straight to min(gamma_max, gamma_step). The constant schedule holds
-    gamma_max from the start; the stepped schedule runs min(gamma_max,
-    gamma_step * (1 + t // block_len)); the equilibrium schedule raises
-    gamma by gamma_step from 0, once the previous iteration's longest move
-    fell below equilibrium_eps, or when iteration t would be the level's
-    (block_len + 1)-th. gamma_max 0 keeps gravity off."""
-    if config.schedule is Schedule.STEPPED_ITERATION:
-        return min(config.gamma_max, config.gamma_step * (1 + t // config.block_len))
-    if config.schedule is Schedule.CONSTANT:
-        return config.gamma_max
+    Gamma rises by gamma_step, capped at gamma_max, once the previous
+    iteration's longest move fell below equilibrium_eps, or when iteration
+    t would be the level's (block_len + 1)-th. There is no gravity-free
+    level: a start state (gamma 0) steps straight to min(gamma_max,
+    gamma_step). So a gamma_step of at least gamma_max holds gamma_max
+    from t = 1, and gamma_max 0 keeps gravity off."""
     if (
         state.gamma == 0.0
         or state.last_max_impulse < config.equilibrium_eps
@@ -564,10 +514,16 @@ def step(
     loop of step calls replays run_layout bit for bit.
 
     Every vertex moves: frozen must be None (perfbench's step replay passes
-    it positionally), and any other value raises ValueError.
+    it positionally), and any other value raises ValueError. So does a
+    state whose heat is not in (0, 1] or whose gamma is not in [0,
+    gamma_max]: the displacement cap and the overflow bound rest on both.
     """
     if frozen is not None:
         raise ValueError("step moves every vertex: frozen must be None")
+    if not 0.0 < state.heat <= 1.0:
+        raise ValueError(f"state heat must be in (0, 1], got {state.heat!r}")
+    if not 0.0 <= state.gamma <= config.gamma_max:
+        raise ValueError(f"state gamma must be in [0, gamma_max={config.gamma_max!r}], got {state.gamma!r}")
     pos, ws = _start(state.positions, g, mass, config)
     return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))
 

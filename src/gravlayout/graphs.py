@@ -348,7 +348,9 @@ def _bfs_parents(g: Graph, roots) -> np.ndarray:
 
 
 def bfs_distances(g: Graph, s: int) -> DistanceVector:
-    """Exact unweighted shortest-path hop counts from s; unreachable marked -1."""
+    """Exact unweighted shortest-path hop counts from s; unreachable marked -1.
+    ValueError unless s is an integer vertex id (a bool is not one)."""
+    s = _check_integer("source", s)
     if not (0 <= s < g.vertex_count):
         raise ValueError(f"source {s} out of range for {g.vertex_count} vertices")
     dist = _bfs(g, [s])[0][0]

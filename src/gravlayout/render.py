@@ -115,10 +115,16 @@ def render_svg(
     circles of radius 0.05 * k. The drawing keeps y-up mathematical
     orientation via a flip transform, and the viewBox is the drawing's
     bounding box, vertices and every drawn arc, padded by 0.1 * k.
+    RenderError unless k is a positive finite number and colors, when
+    given, holds one color per vertex.
     """
+    if not 0 < k < math.inf:
+        raise RenderError(f"k must be a positive finite number, got {k!r}")
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (g.vertex_count, 2):
         raise RenderError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
+    if colors is not None and len(colors) != g.vertex_count:
+        raise RenderError(f"{len(colors)} colors for {g.vertex_count} vertices")
     bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
     if bad.size:
         raise RenderError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")

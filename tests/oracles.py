@@ -3,12 +3,15 @@
 These deliberately use different algorithms from the library code: path
 enumeration instead of Brandes accumulation, parametric line solving
 instead of orientation predicates, the closed-form rank formula instead of
-Pearson-on-ranks, and a per-vertex loop over the public force primitives
-instead of the engine's blocked repulsion kernel. For graphs too large for
-path enumeration, per-source queue BFS loops over the tuple adjacency stand
-in for the library's batched CSR BFS, a level-by-level sweep stands in for
-the Euler tour that roots forests, and per-vertex and per-run loops
-stand in for its vectorised angular resolution and average ranks. A
+Pearson-on-ranks, and a per-vertex loop over scalar force primitives
+instead of the engine's blocked repulsion kernel. The primitives
+(`repulsive_force`, `attractive_force`, `gravity_force` and `centroid`)
+live here, not in the package, which has only the kernel. For graphs too
+large for path enumeration, per-source queue BFS loops over the tuple
+adjacency stand in for the library's batched CSR BFS, a level-by-level
+sweep stands in for the Euler tour that roots forests, and per-vertex
+and per-run loops stand in for its vectorised angular resolution and
+average ranks. A
 per-line loop stands in for the bulk edge-list parser, and plain checks on
 the decoded object for the JSON graph parser. `random_value` and
 `fuzz_json_text` make the seeded inputs of the boundary fuzz tests.
@@ -22,18 +25,7 @@ from collections import deque
 
 import numpy as np
 
-from gravlayout import (
-    Graph,
-    GraphParseError,
-    LayoutConfig,
-    LayoutState,
-    MassVector,
-    attractive_force,
-    centroid,
-    connected_components,
-    gravity_force,
-    repulsive_force,
-)
+from gravlayout import Graph, GraphParseError, LayoutConfig, LayoutState, MassVector, connected_components
 from gravlayout.engine import START_JITTER, TWO_PI
 from gravlayout.graphs import _neighbour_slots
 
@@ -461,6 +453,40 @@ def radial_start_reference(g: Graph, seed: int, k: float) -> np.ndarray:
         shelf = max(shelf, sides[c])
     pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
     return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
+
+
+def repulsive_force(pu, pv, k: float) -> np.ndarray:
+    """Force on v pushing it away from u; magnitude k^2 / |pu - pv|."""
+    pu = np.asarray(pu, dtype=float)
+    pv = np.asarray(pv, dtype=float)
+    diff = pv - pu
+    d2 = float(diff @ diff)
+    if d2 == 0.0:
+        raise ValueError("repulsive_force requires distinct points (jitter upstream)")
+    return (k * k / d2) * diff
+
+
+def attractive_force(pu, pv, k: float) -> np.ndarray:
+    """Force on v pulling it toward u; magnitude |pu - pv|^2 / k."""
+    pu = np.asarray(pu, dtype=float)
+    pv = np.asarray(pv, dtype=float)
+    diff = pu - pv
+    return (math.sqrt(float(diff @ diff)) / k) * diff
+
+
+def centroid(positions) -> np.ndarray:
+    """Arithmetic mean of the positions."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.size == 0:
+        raise ValueError("centroid of no points is undefined")
+    return pos.mean(axis=0)
+
+
+def gravity_force(pv, xi, mass: float, gamma: float) -> np.ndarray:
+    """Force gamma * mass * (xi - pv) pulling v toward the centroid."""
+    pv = np.asarray(pv, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    return gamma * mass * (xi - pv)
 
 
 def net_impulse(v: int, state: LayoutState, g: Graph, mass, config: LayoutConfig) -> np.ndarray:

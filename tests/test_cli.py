@@ -9,14 +9,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gravlayout import LayoutConfig, Schedule
+from gravlayout import LayoutConfig
 from gravlayout.cli import COMMANDS, _build_config, _parse_positions, build_parser, main
 from conftest import SRC
 from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
 LAYOUT_VALUE_FLAGS = (
-    "--k", "--imax", "--sigma", "--gamma-max", "--schedule", "--block", "--gamma-step",
+    "--k", "--imax", "--sigma", "--gamma-max", "--block", "--gamma-step",
     "--eps", "--max-iterations", "--seed", "--mass-floor",
 )
 
@@ -252,7 +252,7 @@ def test_unknown_flag_exits_nonzero(capsys):
 
 # One valid argv per subcommand; main builds only that subcommand's flags.
 VALID_ARGV = {
-    "layout": ["--in", "g.edges", "--schedule", "constant", "--gamma-max", "2", "--lombardi"],
+    "layout": ["--in", "g.edges", "--gamma-step", "2", "--gamma-max", "2", "--lombardi"],
     "gen-tree": ["--n", "5", "--seed", "3"],
     "gen-forest": ["--sizes", "2,3"],
     "metrics": ["--in", "g.edges", "--positions", "p.json", "--centrality", "closeness"],
@@ -280,13 +280,13 @@ def test_command_parser_reads_like_the_full_parser(argv, capsys):
 
 
 def test_gamma_flag_is_gone(tmp_path, capsys):
-    # --schedule constant holds --gamma-max; there is no separate --gamma.
-    # argparse reads --gamma as an ambiguous prefix of --gamma-max and
-    # --gamma-step, and exits 2 before anything runs.
+    # --gamma-step at least --gamma-max holds --gamma-max; there is no
+    # separate --gamma. argparse reads --gamma as an ambiguous prefix of
+    # --gamma-max and --gamma-step, and exits 2 before anything runs.
     graph = tmp_path / "k2.edges"
     graph.write_text("a b\n")
     positions = tmp_path / "p.json"
-    argv = ["layout", "--in", str(graph), "--schedule", "constant", "--gamma", "2", "--positions", str(positions)]
+    argv = ["layout", "--in", str(graph), "--gamma-step", "2", "--gamma", "2", "--positions", str(positions)]
     assert main(argv) == 2
     assert "--gamma" in capsys.readouterr().err
     assert not positions.exists()
@@ -300,7 +300,7 @@ def test_constant_schedule_with_gamma(tmp_path):
         [
             "layout",
             "--in", str(graph),
-            "--schedule", "constant",
+            "--gamma-step", "2.5",
             "--gamma-max", "2.5",
             "--metrics", str(metrics),
             "--max-iterations", "500",
@@ -308,7 +308,8 @@ def test_constant_schedule_with_gamma(tmp_path):
     )
     assert rc == 0
     config = json.loads(metrics.read_text())["config"]
-    assert config["schedule"] == "constant" and config["gamma_max"] == 2.5 and "gamma" not in config
+    assert config["gamma_step"] == config["gamma_max"] == 2.5
+    assert "schedule" not in config and "gamma" not in config
 
 
 @pytest.mark.parametrize(
@@ -414,7 +415,6 @@ def test_default_config_echo(tmp_path):
         ("imax", 10.0),
         ("sigma", 0.8),
         ("gamma_max", 2.5),
-        ("schedule", "equilibrium"),
         ("block", 200),
         ("gamma_step", 0.5),
         ("eps", 1.0),
@@ -431,7 +431,7 @@ def test_every_config_field_set_by_exactly_one_flag():
     default = LayoutConfig()
     setters = {}
     for flag in LAYOUT_VALUE_FLAGS:
-        config = _build_config(_layout_args(flag, "constant" if flag == "--schedule" else "7"))
+        config = _build_config(_layout_args(flag, "7"))
         changed = [f.name for f in fields(config) if getattr(config, f.name) != getattr(default, f.name)]
         assert len(changed) <= 1, (flag, changed)
         for name in changed:
@@ -440,20 +440,22 @@ def test_every_config_field_set_by_exactly_one_flag():
     assert all(len(flags) == 1 for flags in setters.values())
 
 
-def test_schedule_flag_accepts_exactly_the_schedule_values(capsys):
-    for schedule in Schedule:
-        assert _build_config(_layout_args("--schedule", schedule.value)).schedule is schedule
-    for bad in ("STEPPED", "stepped_iteration", "none", ""):
-        with pytest.raises(SystemExit):
-            _layout_args("--schedule", bad)
-    assert "invalid choice" in capsys.readouterr().err
+def test_schedule_flag_is_gone(tmp_path, capsys):
+    # One gravity rule: constant gravity is --gamma-step at least
+    # --gamma-max, so --schedule is an unknown flag and exits 2 before
+    # anything runs, whatever its value.
+    graph = tmp_path / "k2.edges"
+    graph.write_text("a b\n")
+    positions = tmp_path / "p.json"
+    for value in ("constant", "equilibrium", "stepped"):
+        assert main(["layout", "--in", str(graph), "--schedule", value, "--positions", str(positions)]) == 2
+        assert "unrecognized arguments: --schedule" in capsys.readouterr().err
+        assert not positions.exists()
 
 
 def test_constant_schedule_flags_build_config():
-    args = _layout_args("--schedule", "constant", "--gamma-max", "1.5", "--block", "50", "--eps", "0.5")
-    assert _build_config(args) == LayoutConfig(
-        schedule=Schedule.CONSTANT, gamma_max=1.5, block_len=50, equilibrium_eps=0.5
-    )
+    args = _layout_args("--gamma-step", "1.5", "--gamma-max", "1.5", "--block", "50", "--eps", "0.5")
+    assert _build_config(args) == LayoutConfig(gamma_max=1.5, gamma_step=1.5, block_len=50, equilibrium_eps=0.5)
 
 
 def _positions_reference(text):

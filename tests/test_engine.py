@@ -13,19 +13,14 @@ from gravlayout import (
     LayoutConfig,
     LayoutState,
     MassVector,
-    Schedule,
-    attractive_force,
-    centroid,
     closeness_centrality,
     compute_metrics,
     count_crossings,
     degree_centrality,
     generate_forest,
     generate_random_tree,
-    gravity_force,
     initialize_positions,
     normalize_mass,
-    repulsive_force,
     run_layout,
     schedule_gamma,
     settled,
@@ -35,7 +30,17 @@ from gravlayout import (
 )
 from conftest import blas_thread_hashes
 from gravlayout import engine
-from oracles import FUZZ_ATOMS, net_impulse, radial_start_reference, random_graph, separate_coincident
+from oracles import (
+    FUZZ_ATOMS,
+    attractive_force,
+    centroid,
+    gravity_force,
+    net_impulse,
+    radial_start_reference,
+    random_graph,
+    repulsive_force,
+    separate_coincident,
+)
 
 
 def uniform_mass(g):
@@ -95,31 +100,24 @@ def test_gravity_force():
     assert np.allclose(gravity_force((4, 4), (4, 4), 2.0, 1.5), (0.0, 0.0))
 
 
-def test_schedule_stepped_by_iteration():
-    # No gravity-free level: the first block runs at gamma_step.
-    cfg = LayoutConfig(schedule=Schedule.STEPPED_ITERATION)
-    state = LayoutState(positions=np.zeros((1, 2)))
-    assert schedule_gamma(1, state, cfg) == 0.5
-    assert schedule_gamma(199, state, cfg) == 0.5
-    assert schedule_gamma(200, state, cfg) == 1.0
-    assert schedule_gamma(799, state, cfg) == 2.0
-    assert schedule_gamma(800, state, cfg) == 2.5
-    assert schedule_gamma(3000, state, cfg) == 2.5
-    assert schedule_gamma(1, state, replace(cfg, gamma_max=0.3)) == 0.3
-
-
 def test_schedule_constant_and_none():
-    # No gravity is gamma_max 0, under every schedule.
+    # Constant gravity is a gamma_step of at least gamma_max: the start state
+    # steps to gamma_max, and a level at gamma_max stays there, settled or
+    # capped. No gravity is gamma_max 0, whatever the step.
     state = LayoutState(positions=np.zeros((1, 2)))
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=2.5)
-    assert schedule_gamma(0, state, cfg) == 2.5
-    assert schedule_gamma(99999, state, cfg) == 2.5
-    for schedule in Schedule:
-        assert schedule_gamma(500, state, LayoutConfig(schedule=schedule, gamma_max=0.0)) == 0.0
+    for gamma_step in (2.5, 4.0):
+        cfg = LayoutConfig(gamma_max=2.5, gamma_step=gamma_step)
+        assert schedule_gamma(0, state, cfg) == 2.5
+        assert schedule_gamma(99999, state, cfg) == 2.5
+        for t, last_max_impulse in ((10, 5.0), (10, 0.5), (99999, 5.0)):
+            held = LayoutState(positions=np.zeros((1, 2)), gamma=2.5, last_max_impulse=last_max_impulse)
+            assert schedule_gamma(t, held, cfg) == 2.5
+    for gamma_step in (0.2, 0.5, 2.5):
+        assert schedule_gamma(500, state, LayoutConfig(gamma_max=0.0, gamma_step=gamma_step)) == 0.0
 
 
 def test_schedule_stepped_by_equilibrium():
-    cfg = LayoutConfig(schedule=Schedule.STEPPED_EQUILIBRIUM, equilibrium_eps=1.0)
+    cfg = LayoutConfig(equilibrium_eps=1.0)
     busy = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=5.0)
     assert schedule_gamma(10, busy, cfg) == pytest.approx(0.4)
     settled = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=0.5)
@@ -135,20 +133,20 @@ def test_schedule_stepped_by_equilibrium():
 
 def test_terminal_gamma():
     assert terminal_gamma(LayoutConfig()) == 2.5
-    for schedule, gamma_max in itertools.product(Schedule, (0.0, 1.2, 2.0**1000)):
-        assert terminal_gamma(LayoutConfig(schedule=schedule, gamma_max=gamma_max)) == gamma_max
+    for gamma_max in (0.0, 1.2, 2.0**1000):
+        assert terminal_gamma(LayoutConfig(gamma_max=gamma_max)) == gamma_max
 
 
 @pytest.mark.parametrize("kind", ["degree", "closeness"])
 def test_gravity_off_is_one_run_under_every_schedule(kind):
-    # At gamma_max 0 no schedule ever leaves gamma 0, so the three schedules
-    # make the same run bit for bit and stop at the same iteration, after
-    # many of stepped's block_len 5 levels.
+    # At gamma_max 0 gamma never leaves 0, whatever gamma_step, so every
+    # step makes the same run bit for bit and stops at the same iteration,
+    # after many block_len 5 caps have passed.
     g = generate_forest([12, 9, 1], seed=4)
     mass = normalize_mass(closeness_centrality(g) if kind == "closeness" else degree_centrality(g))
     runs = set()
-    for schedule in Schedule:
-        cfg = LayoutConfig(schedule=schedule, gamma_max=0.0, block_len=5, seed=5)
+    for gamma_step in (0.2, 0.5, 2.5):
+        cfg = LayoutConfig(gamma_max=0.0, gamma_step=gamma_step, block_len=5, seed=5)
         state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
         while state.t < cfg.max_iterations and not settled(state, cfg):
             state = step(state, g, mass, cfg)
@@ -161,14 +159,24 @@ def test_gravity_off_is_one_run_under_every_schedule(kind):
 
 
 @pytest.mark.parametrize("gamma_max", [2.5, 0.8, 0.0])
-def test_constant_schedule_is_stepped_at_one_step_per_iteration(gamma_max):
-    # gamma_max is the one gravity level: constant holds it from iteration 1,
-    # as stepped does when one step of gamma_max comes every iteration.
+def test_one_full_step_holds_gamma_max_from_the_first_iteration(gamma_max):
+    # Constant gravity is one step of gamma_max: gamma is gamma_max from
+    # t = 1, and no later level starts, so nothing resets the heat or the
+    # level's energy record. A larger step makes the same run bit for bit.
     g = generate_random_tree(70, seed=2)
     mass = normalize_mass(closeness_centrality(g))
-    constant = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=gamma_max, seed=2, max_iterations=300)
-    stepped = replace(constant, schedule=Schedule.STEPPED_ITERATION, block_len=1, gamma_step=gamma_max or 1.0)
-    assert np.array_equal(run_layout(g, mass, constant), run_layout(g, mass, stepped))
+    cfg = LayoutConfig(gamma_max=gamma_max, gamma_step=gamma_max or 1.0, seed=2, max_iterations=300)
+    state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
+    lowest = math.inf
+    while state.t < cfg.max_iterations and not settled(state, cfg):
+        state = step(state, g, mass, cfg)
+        assert state.gamma == gamma_max and state.level_start == 0
+        assert state.lowest_energy <= lowest
+        lowest = state.lowest_energy
+    assert state.t > 1
+    auto = run_layout(g, mass, cfg)
+    assert np.array_equal(auto, state.positions)
+    assert np.array_equal(auto, run_layout(g, mass, replace(cfg, gamma_step=4 * cfg.gamma_step)))
 
 
 def test_config_validation():
@@ -199,7 +207,6 @@ def test_config_validation():
         {"block_len": 20.0},
         {"seed": 1.5},
         {"seed": -1},
-        {"schedule": "stepped"},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -213,7 +220,7 @@ CONFIG_VALUES = {
     "k": POSITIVE, "i_max": POSITIVE, "sigma": POSITIVE, "gamma_step": POSITIVE,
     "equilibrium_eps": POSITIVE, "gamma_max": NONNEGATIVE,
     "block_len": (1, 200, np.int64(5), np.uint8(3)), "max_iterations": (1, 3000, np.int32(9)),
-    "seed": (0, 7, 2**70, np.int32(3)), "schedule": tuple(Schedule),
+    "seed": (0, 7, 2**70, np.int32(3)),
 }
 ODD_CONFIG_VALUES = FUZZ_ATOMS + (1 + 2j, np.bool_(True), np.float64(math.nan), Fraction(-1, 2), "stepped", (1,))
 
@@ -242,9 +249,7 @@ def test_layout_config_fuzz():
             continue
         for name, given in values.items():
             held = getattr(cfg, name)
-            if name == "schedule":
-                assert held is given
-            elif name in ("block_len", "max_iterations", "seed"):
+            if name in ("block_len", "max_iterations", "seed"):
                 assert type(held) is int and held == given, (name, given)
             else:
                 assert type(held) is float and math.isfinite(held) and held == float(given), (name, given)
@@ -284,15 +289,13 @@ def layout_raises(cfg):
     "kwargs",
     [
         {"k": 1e160}, {"k": 1e-300}, {"sigma": 1e200}, {"sigma": 1e300, "i_max": 1e300}, {"k": 1e300},
-        {"k": 1e20, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
-        {"k": 1e153, "schedule": Schedule.CONSTANT, "gamma_max": 1e300},
+        {"k": 1e20, "gamma_max": 1e300, "gamma_step": 1e300},
+        {"k": 1e153, "gamma_max": 1e300, "gamma_step": 1e300},
         {"k": 1e100, "gamma_max": 1e300, "gamma_step": 1e300, "block_len": 1},
         {"k": 1e150, "gamma_max": 0.0, "max_iterations": 20, "gap": 2e-6},
         {"k": 1e153, "gamma_max": 0.0, "max_iterations": 20, "gap": 0.1},
     ],
-    ids=lambda kw: ",".join(
-        f"{name}={value.value if isinstance(value, Schedule) else format(value, 'g')}" for name, value in kw.items()
-    ),
+    ids=lambda kw: ",".join(f"{name}={value:g}" for name, value in kw.items()),
 )
 def test_config_a_run_cannot_carry_raises_value_error(kwargs):
     # The first five made run_layout return NaN positions, or raise
@@ -331,27 +334,20 @@ def test_reach_checked_from_the_start_positions():
 
 
 @pytest.mark.parametrize(
-    "k, schedule, scan",
-    [
-        (1.0, Schedule.CONSTANT, "gamma_max"),
-        (1e20, Schedule.CONSTANT, "gamma_max"),
-        (1e100, Schedule.STEPPED_ITERATION, "gamma_max"),
-        (1e-100, Schedule.CONSTANT, "scale"),
-        (80.0, Schedule.CONSTANT, "scale"),
-    ],
+    "k, scan",
+    [(1.0, "gamma_max"), (1e20, "gamma_max"), (1e100, "gamma_max"), (1e-100, "scale"), (80.0, "scale")],
 )
-def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, schedule, scan):
+def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, scan):
     # The largest power of two the bound admits, as gamma_max (gravity) or as
     # the start's coordinate scale (spring pull), steps 20 times with finite
     # impulses and no warning; twice that power raises. The scale rows turn
     # gravity off (gamma_max 0), so they probe the spring pull alone. The
     # graph is a 100-leaf star with every leaf on one side, so the pulls on
-    # the centre add up.
+    # the centre add up. A gamma_step of 2^1000, above every admitted
+    # gamma_max, holds gravity at gamma_max from the first step.
     g = Graph.from_edges(101, [(0, v) for v in range(1, 101)])
     mass = normalize_mass(degree_centrality(g))
-    base = LayoutConfig(
-        k=k, schedule=schedule, gamma_max=2.0**1000, block_len=2, gamma_step=2.0**1000, max_iterations=20
-    )
+    base = LayoutConfig(k=k, gamma_max=2.0**1000, block_len=2, gamma_step=2.0**1000, max_iterations=20)
     unit = np.column_stack([np.ones(101), np.linspace(-1.0, 1.0, 101)])
     unit[0] = (-1.0, 0.0)
 
@@ -538,7 +534,7 @@ def test_step_displacement_never_exceeds_cap():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_graph(rng, 2, 14)
-        cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=2.5)
+        cfg = LayoutConfig(gamma_max=2.5, gamma_step=2.5)
         state = LayoutState(
             positions=rng.uniform(-50, 50, (g.vertex_count, 2)), gamma=2.5
         )
@@ -565,7 +561,7 @@ def assert_step_matches_scalar_reference(state, g, mass, cfg):
 def test_step_matches_scalar_reference():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 8, 14)
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=1.3)
+    cfg = LayoutConfig(gamma_max=1.3, gamma_step=1.3)
     state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
     assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
 
@@ -576,7 +572,7 @@ def test_step_matches_scalar_reference_with_degree_mass():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 8, 14)
     mass = normalize_mass(degree_centrality(g))
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=1.3)
+    cfg = LayoutConfig(gamma_max=1.3, gamma_step=1.3)
     state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
     net = sum(net_impulse(v, state, g, mass, cfg) for v in range(g.vertex_count))
     assert np.linalg.norm(net) > 100.0
@@ -588,7 +584,7 @@ def test_step_matches_scalar_reference_across_blocks():
     n = 300
     assert engine._block_rows(n) < n // 3  # the kernel walks several blocks
     g = Graph.from_edges(n, [(int(rng.integers(v)), v) for v in range(1, n)])
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=0.7)
+    cfg = LayoutConfig(gamma_max=0.7, gamma_step=0.7)
     state = LayoutState(positions=rng.uniform(-900, 900, (n, 2)), gamma=0.7)
     assert_step_matches_scalar_reference(state, g, uniform_mass(g), cfg)
 
@@ -660,7 +656,7 @@ def test_step_bits_do_not_depend_on_blas_threads():
 import hashlib, gravlayout as gl
 g = gl.generate_random_tree(1000, seed=21)
 mass = gl.normalize_mass(gl.degree_centrality(g))
-cfg = gl.LayoutConfig(schedule=gl.Schedule.CONSTANT, gamma_max=1.0, seed=21)
+cfg = gl.LayoutConfig(gamma_max=1.0, gamma_step=1.0, seed=21)
 state = gl.LayoutState(positions=gl.initialize_positions(g, 21, cfg.k))
 for _ in range(4):
     state = gl.step(state, g, mass, cfg)
@@ -674,8 +670,8 @@ print(hashlib.sha256(state.positions.tobytes()).hexdigest())
 def test_gamma_monotone_and_capped():
     g = random_graph(np.random.default_rng(5), 8, 12)
     mass = uniform_mass(g)
-    for schedule in (Schedule.STEPPED_ITERATION, Schedule.STEPPED_EQUILIBRIUM):
-        cfg = LayoutConfig(schedule=schedule, block_len=5, max_iterations=60, gamma_max=0.6)
+    for gamma_step in (0.2, 0.5, 0.6):
+        cfg = LayoutConfig(gamma_step=gamma_step, block_len=5, max_iterations=60, gamma_max=0.6)
         state = LayoutState(positions=initialize_positions(g, 1, cfg.k))
         prev = state.gamma
         while state.t < cfg.max_iterations:
@@ -726,23 +722,22 @@ def test_run_layout_matches_manual_step_loop():
 
 
 @pytest.mark.parametrize(
-    ("schedule", "gamma_max", "stop"),
+    ("gamma_max", "gamma_step", "stop"),
     [
-        pytest.param(Schedule.STEPPED_EQUILIBRIUM, 0.0, 1, id="none-1"),  # no gravity
-        pytest.param(Schedule.CONSTANT, 1.0, 1, id="constant-1"),
-        pytest.param(Schedule.STEPPED_ITERATION, 1.0, 40, id="stepped-40"),
-        pytest.param(Schedule.STEPPED_EQUILIBRIUM, 1.0, 5, id="equilibrium-5"),
+        pytest.param(0.0, 0.2, 1, id="none-1"),  # no gravity
+        pytest.param(1.0, 1.0, 1, id="constant-1"),
+        pytest.param(1.0, 0.2, 5, id="equilibrium-5"),
     ],
 )
-def test_run_layout_stops_where_step_loop_first_settles(schedule, gamma_max, stop):
+def test_run_layout_stops_where_step_loop_first_settles(gamma_max, gamma_step, stop):
     # At eps 1e6 every impulse counts as settled, so each run stops at the
     # first iteration its gamma reaches gamma_max: at once for gamma_max 0
-    # and for constant; for stepped at t = 40, where 0.2 * (1 + 40 // 10)
-    # reaches 1; for equilibrium at t = 5, gamma 0.2 at t = 1 and 4 raises.
+    # and for one full step; at t = 5 for steps of 0.2, gamma 0.2 at t = 1
+    # and 4 raises.
     g = random_graph(np.random.default_rng(9), 8, 12)
     mass = uniform_mass(g)
     cfg = LayoutConfig(
-        schedule=schedule, gamma_max=gamma_max, block_len=10, gamma_step=0.2,
+        gamma_max=gamma_max, block_len=10, gamma_step=gamma_step,
         equilibrium_eps=1e6, seed=6, max_iterations=80,
     )
     auto = run_layout(g, mass, cfg)
@@ -780,7 +775,7 @@ def test_reused_workspace_matches_fresh_scratch():
     n = 300
     g = random_tree(rng, n)
     mass = uniform_mass(g)
-    cfg = LayoutConfig(schedule=Schedule.CONSTANT, gamma_max=0.9, seed=3)
+    cfg = LayoutConfig(gamma_max=0.9, gamma_step=0.9, seed=3)
     first = np.asfortranarray(rng.uniform(-900, 900, (n, 2)))
     first[250] = first[17]  # coincident: the step jitters 250 away
     ws = engine._Workspace(g, mass)
@@ -846,14 +841,13 @@ def step_to_stop(g, mass, cfg, init):
 
 
 def test_equilibrium_schedule_climbs_to_gamma_max_and_settles():
-    # The default schedule on a tree where a fixed step never let a move fall
+    # The default config on a tree where a fixed step never let a move fall
     # below eps: the cooled moves settle level after level, gamma climbs by
     # gamma_step from gamma_step to gamma_max, with no gravity-free level,
     # and the run stops settled at t = 318.
     g = generate_random_tree(70, seed=3)
     mass = normalize_mass(closeness_centrality(g))
     cfg = LayoutConfig(seed=3)
-    assert cfg.schedule is Schedule.STEPPED_EQUILIBRIUM
     state, levels = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
     assert [gamma for _, gamma in levels] == [0.5, 1.0, 1.5, 2.0, 2.5]
     assert state.gamma == cfg.gamma_max
@@ -910,19 +904,22 @@ def test_equilibrium_levels_end_by_block_len_on_a_forest():
 
 
 @pytest.mark.parametrize(
-    ("schedule", "gamma_max"),
-    [pytest.param(s, 2.5, id=s.value) for s in Schedule]
-    + [pytest.param(Schedule.STEPPED_EQUILIBRIUM, 0.0, id="none")],  # no gravity
+    ("gamma_max", "gamma_step"),
+    [
+        pytest.param(2.5, 2.5, id="constant"),
+        pytest.param(2.5, 0.5, id="equilibrium"),
+        pytest.param(0.0, 0.5, id="none"),  # no gravity
+    ],
 )
-def test_cooled_move_never_exceeds_cap(schedule, gamma_max):
+def test_cooled_move_never_exceeds_cap(gamma_max, gamma_step):
     # The longest move of every iteration is heat * sigma * min(max |F|,
-    # i_max) with heat in (0, 1], under every schedule and with gravity off;
-    # the controller does cool on these runs.
+    # i_max) with heat in (0, 1], with constant and climbing gravity and
+    # with gravity off; the controller does cool on these runs.
     rng = np.random.default_rng(32)
     heats = []
     for _ in range(4):
         g = random_graph(rng, 2, 14)
-        cfg = LayoutConfig(schedule=schedule, gamma_max=gamma_max, block_len=10, max_iterations=60)
+        cfg = LayoutConfig(gamma_max=gamma_max, gamma_step=gamma_step, block_len=10, max_iterations=60)
         mass = uniform_mass(g)
         state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)))
         while state.t < cfg.max_iterations:
@@ -978,6 +975,25 @@ def test_step_refuses_a_frozen_mask():
     for mask in (np.array([True, False, False]), np.zeros(3, dtype=bool), [False] * 3):
         with pytest.raises(ValueError, match="frozen"):
             step(state, g, mass, cfg, mask)
+
+
+@pytest.mark.parametrize(
+    ("gamma", "heat"),
+    [(0.5, math.nan), (math.nan, 1.0), (0.5, 5.0), (3.0, 1.0), (0.5, 0.0), (-0.5, 1.0), (math.inf, 1.0)],
+    ids=lambda value: format(value, "g"),
+)
+def test_step_refuses_a_controller_state_out_of_range(gamma, heat):
+    # A NaN heat or gamma made step return NaN positions, and heat 5 moved a
+    # vertex 40 against the sigma * i_max = 8 cap; gamma above gamma_max
+    # would escape the start's overflow bound. The edges of the ranges pass.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    mass, cfg = uniform_mass(g), LayoutConfig(max_iterations=5)
+    start = initialize_positions(g, 0, cfg.k)
+    with pytest.raises(ValueError, match="state (heat|gamma)"):
+        step(LayoutState(positions=start, gamma=gamma, heat=heat), g, mass, cfg)
+    for gamma, heat in ((0.0, 1.0), (cfg.gamma_max, 1e-300)):
+        nxt = step(LayoutState(positions=start, gamma=gamma, heat=heat), g, mass, cfg)
+        assert np.all(np.isfinite(nxt.positions))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

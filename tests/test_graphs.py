@@ -298,6 +298,16 @@ def test_bfs_invalid_source():
         bfs_distances(g, 5)
 
 
+def test_bfs_source_must_be_an_integer():
+    # 1.5 ran from vertex 1 and reported source 1.5; True was taken as 1.
+    g = parse_edge_list("a b\nb c")
+    for bad in (1.5, 1.0, True, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="source must be an integer"):
+            bfs_distances(g, bad)
+    dv = bfs_distances(g, np.int64(1))
+    assert type(dv.source) is int and dv.source == 1 and dv.dist.tolist() == [1, 0, 1]
+
+
 def test_bfs_edge_triangle_property():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -122,6 +122,24 @@ def test_render_rejects_non_finite():
         render_svg(g, [(0, 0), (float("nan"), 0)])
 
 
+def test_render_rejects_colors_not_one_per_vertex():
+    # A short list raised IndexError partway through the body.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    pos = [(0, 0), (80, 0), (160, 0)]
+    for colors in ([], [Color(255, 0, 0)] * 2, [Color(255, 0, 0)] * 4):
+        with pytest.raises(RenderError, match="colors for 3 vertices"):
+            render_svg(g, pos, colors)
+    assert count_tags(render_svg(g, pos, [Color(255, 0, 0)] * 3), "circle") == 3
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_render_rejects_k_not_positive_finite(k):
+    # k -1 wrote a negative circle radius and k nan a viewBox of nan.
+    g = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(RenderError, match="k must be a positive finite number"):
+        render_svg(g, [(0, 0), (80, 0)], k=k)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (6,), (3, 3), (2, 2)])
 def test_render_rejects_wrong_shape(shape):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
