@@ -8,7 +8,7 @@ drawing-quality metrics, random tree/forest generators, a circular-arc
 edge post-pass, and an SVG renderer.
 """
 
-from .arcs import ArcEdge, CircularArc, fit_arc, layout_lombardi
+from .arcs import ArcEdge, CircularArc, layout_lombardi
 from .centrality import (
     CENTRALITY_KINDS,
     DEFAULT_MASS_FLOOR,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcEdge",
     "CircularArc",
-    "fit_arc",
     "layout_lombardi",
     "CENTRALITY_KINDS",
     "DEFAULT_MASS_FLOOR",

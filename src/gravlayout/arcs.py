@@ -9,8 +9,9 @@ fits its chords taken counter-clockwise: the circular mean of (chord angle
 2011). Each end of an edge then wishes its tangent to leave the chord by
 delta, its tangent minus its chord angle wrapped to (-pi, pi], and the edge
 takes the arc of sweep delta_v - delta_u, the compromise between its two
-ends. No vertex moves: the arcs are fitted through the main layout's
-positions, and each arc's midpoint is its control point.
+ends. No vertex moves: each arc's circle follows in closed form from its
+sweep and the main layout's positions, and its midpoint is its control
+point.
 """
 
 from __future__ import annotations
@@ -62,35 +63,6 @@ class ArcEdge:
         return self.geometry is None
 
 
-def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
-    """Circumcircle through the three points, as the arc from p_u to p_v
-    passing through p_d; None (straight segment) when the triangle they
-    span is flatter than COLLINEAR_AREA_TOL * scale^2.
-    """
-    a = np.asarray(p_u, dtype=float)
-    b = np.asarray(p_v, dtype=float)
-    c = np.asarray(p_d, dtype=float)
-    if np.array_equal(a, b):
-        raise ValueError("fit_arc requires distinct endpoints")
-    cross2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if abs(cross2) * 0.5 < COLLINEAR_AREA_TOL * scale * scale:
-        return None
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    cx = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    cy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    radius = math.hypot(a[0] - cx, a[1] - cy)
-    theta_u = math.atan2(a[1] - cy, a[0] - cx)
-    theta_v = math.atan2(b[1] - cy, b[0] - cx)
-    theta_d = math.atan2(c[1] - cy, c[0] - cx)
-    sweep = (theta_v - theta_u) % TWO_PI
-    if (theta_d - theta_u) % TWO_PI >= sweep:  # p_d off the ccw sweep: turn clockwise
-        sweep = -((theta_u - theta_v) % TWO_PI)
-    return CircularArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
-
-
 def _sweeps(pos: np.ndarray, ea: np.ndarray) -> np.ndarray:
     """Each edge's compromise sweep, delta_v - delta_u, from its ends' wishes.
 
@@ -123,17 +95,30 @@ def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, l
     """Main layout, then closed-form tangent arcs; returns positions and arcs.
 
     The positions are the plain run_layout result: the arcs move no vertex.
-    An edge of sweep s has its midpoint at the chord's midpoint plus
-    tan(s / 4) times half the chord turned clockwise, and fit_arc draws its
-    circle through that control point, scaled by k.
+    With h half the chord and h' = (h_y, -h_x) that half turned clockwise,
+    an edge of sweep s has its midpoint at p_u + h + tan(s / 4) h', and its
+    circle has center p_u + h - cot(s / 2) h' and radius |h| / |sin(s / 2)|.
+    The edge stays straight when the triangle (p_u, p_v, midpoint), of area
+    |tan(s / 4)| |h|^2, is flatter than COLLINEAR_AREA_TOL * k^2.
     """
     pos = run_layout(g, mass, config)
     ea = g.edge_array
     pu, pv = pos[ea[:, 0]], pos[ea[:, 1]]
     half = 0.5 * (pv - pu)
-    bulge = np.tan(0.25 * _sweeps(pos, ea))[:, None] * np.column_stack((half[:, 1], -half[:, 0]))
-    controls = pu + half + bulge
+    mid = pu + half
+    turned = np.column_stack((half[:, 1], -half[:, 0]))
+    sweep = _sweeps(pos, ea)
+    bulge = np.tan(0.25 * sweep)
+    controls = mid + bulge[:, None] * turned
+    half2 = np.einsum("ij,ij->i", half, half)
+    curved = np.flatnonzero(np.abs(bulge) * half2 >= COLLINEAR_AREA_TOL * config.k * config.k)
+    s = sweep[curved]
+    centers = mid[curved] - (1.0 / np.tan(0.5 * s))[:, None] * turned[curved]
+    radii = np.sqrt(half2[curved]) / np.abs(np.sin(0.5 * s))
+    geometry: list[CircularArc | None] = [None] * len(g.edges)
+    for i, c, r, w in zip(curved.tolist(), centers.tolist(), radii.tolist(), s.tolist()):
+        geometry[i] = CircularArc(center=tuple(c), radius=r, sweep=w)
     return pos, [
-        ArcEdge((u, v), tuple(a), tuple(b), tuple(c), fit_arc(a, b, c, scale=config.k))
-        for (u, v), a, b, c in zip(g.edges, pu.tolist(), pv.tolist(), controls.tolist())
+        ArcEdge(e, tuple(a), tuple(b), tuple(c), geo)
+        for e, a, b, c, geo in zip(g.edges, pu.tolist(), pv.tolist(), controls.tolist(), geometry)
     ]

@@ -517,9 +517,20 @@ def step(
     it positionally), and any other value raises ValueError. So does a
     state whose heat is not in (0, 1] or whose gamma is not in [0,
     gamma_max]: the displacement cap and the overflow bound rest on both.
+    So does a controller no run reaches: t and level_start not integers
+    with 0 <= level_start <= t, streak not an integer >= 0, or
+    lowest_energy or last_max_impulse negative or NaN.
     """
     if frozen is not None:
         raise ValueError("step moves every vertex: frozen must be None")
+    t = _check_integer("state t", state.t)
+    if not 0 <= _check_integer("state level_start", state.level_start) <= t:
+        raise ValueError(f"state t and level_start need 0 <= level_start <= t: {t}, {state.level_start!r}")
+    if _check_integer("state streak", state.streak) < 0:
+        raise ValueError(f"state streak must be >= 0, got {state.streak!r}")
+    low, last = state.lowest_energy, state.last_max_impulse
+    if not (low >= 0.0 and last >= 0.0):
+        raise ValueError(f"state lowest_energy and last_max_impulse must be >= 0, got {low!r}, {last!r}")
     if not 0.0 < state.heat <= 1.0:
         raise ValueError(f"state heat must be in (0, 1], got {state.heat!r}")
     if not 0.0 <= state.gamma <= config.gamma_max:

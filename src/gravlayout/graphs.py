@@ -1,8 +1,9 @@
 """Undirected simple graphs: construction, edge-list/JSON parsing, BFS primitives.
 
-Every BFS in the package runs on one level-synchronous primitive, `_bfs`,
-over the graph's cached CSR adjacency. It searches from a batch of B
-sources at once; its working memory is O(B * (n + m)).
+Two level-synchronous BFS run over the cached CSR adjacency: `_bfs` from a
+batch of B sources at once, in O(B * (n + m)) memory, and `_bfs_parents`
+from all its roots together, for a spanning forest. `connected_components`
+runs no BFS: it hooks roots and jumps pointers.
 """
 
 from __future__ import annotations

@@ -116,7 +116,7 @@ def render_svg(
     orientation via a flip transform, and the viewBox is the drawing's
     bounding box, vertices and every drawn arc, padded by 0.1 * k.
     RenderError unless k is a positive finite number and colors, when
-    given, holds one color per vertex.
+    given, holds one Color per vertex.
     """
     if not 0 < k < math.inf:
         raise RenderError(f"k must be a positive finite number, got {k!r}")
@@ -125,6 +125,8 @@ def render_svg(
         raise RenderError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
     if colors is not None and len(colors) != g.vertex_count:
         raise RenderError(f"{len(colors)} colors for {g.vertex_count} vertices")
+    if colors is not None and not all(isinstance(c, Color) for c in colors):
+        raise RenderError("colors holds an entry that is not a Color")
     bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
     if bad.size:
         raise RenderError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")

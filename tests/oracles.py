@@ -11,9 +11,10 @@ large for path enumeration, per-source queue BFS loops over the tuple
 adjacency stand in for the library's batched CSR BFS, a level-by-level
 sweep stands in for the Euler tour that roots forests, and per-vertex
 and per-run loops stand in for its vectorised angular resolution and
-average ranks. A
-per-line loop stands in for the bulk edge-list parser, and plain checks on
-the decoded object for the JSON graph parser. `random_value` and
+average ranks. `fit_arc`, the circumcircle through an arc's endpoints and
+its midpoint, stands in for the closed-form arcs built from each edge's
+sweep. A per-line loop stands in for the bulk edge-list parser, and plain
+checks on the decoded object for the JSON graph parser. `random_value` and
 `fuzz_json_text` make the seeded inputs of the boundary fuzz tests.
 """
 
@@ -25,7 +26,16 @@ from collections import deque
 
 import numpy as np
 
-from gravlayout import Graph, GraphParseError, LayoutConfig, LayoutState, MassVector, connected_components
+from gravlayout import (
+    CircularArc,
+    Graph,
+    GraphParseError,
+    LayoutConfig,
+    LayoutState,
+    MassVector,
+    connected_components,
+)
+from gravlayout.arcs import COLLINEAR_AREA_TOL
 from gravlayout.engine import START_JITTER, TWO_PI
 from gravlayout.graphs import _neighbour_slots
 
@@ -529,6 +539,35 @@ def separate_coincident(pos, k: float, nudge, trigger: float = 1e-6, rounds: int
                 pos[v] += nudge(v)
                 moved.append(v)
     return pos
+
+
+def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
+    """Circumcircle through the three points, as the arc from p_u to p_v
+    passing through p_d; None (straight segment) when the triangle they
+    span is flatter than COLLINEAR_AREA_TOL * scale^2.
+    """
+    a = np.asarray(p_u, dtype=float)
+    b = np.asarray(p_v, dtype=float)
+    c = np.asarray(p_d, dtype=float)
+    if np.array_equal(a, b):
+        raise ValueError("fit_arc requires distinct endpoints")
+    cross2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if abs(cross2) * 0.5 < COLLINEAR_AREA_TOL * scale * scale:
+        return None
+    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+    a2 = a[0] * a[0] + a[1] * a[1]
+    b2 = b[0] * b[0] + b[1] * b[1]
+    c2 = c[0] * c[0] + c[1] * c[1]
+    cx = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
+    cy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
+    radius = math.hypot(a[0] - cx, a[1] - cy)
+    theta_u = math.atan2(a[1] - cy, a[0] - cx)
+    theta_v = math.atan2(b[1] - cy, b[0] - cx)
+    theta_d = math.atan2(c[1] - cy, c[0] - cx)
+    sweep = (theta_v - theta_u) % TWO_PI
+    if (theta_d - theta_u) % TWO_PI >= sweep:  # p_d off the ccw sweep: turn clockwise
+        sweep = -((theta_u - theta_v) % TWO_PI)
+    return CircularArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
 
 
 def tangent_gap(g: Graph, positions, arcs=None) -> float:

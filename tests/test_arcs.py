@@ -6,14 +6,14 @@ import pytest
 from gravlayout import (
     Graph,
     LayoutConfig,
-    fit_arc,
+    generate_random_tree,
     layout_lombardi,
     normalize_mass,
     run_layout,
     uniform_centrality,
 )
 from conftest import LOMBARDI_TREES, lombardi_tree
-from oracles import tangent_gap
+from oracles import fit_arc, tangent_gap
 
 
 def uniform_mass(g):
@@ -54,6 +54,42 @@ def test_fit_arc_passes_through_all_three_points():
             assert math.hypot(p[0] - arc.center[0], p[1] - arc.center[1]) == pytest.approx(
                 arc.radius, abs=1e-6 * 80.0
             )
+
+
+def _chorded_tree(n=100, chords=10, seed=0):
+    tree = generate_random_tree(n, seed=seed)
+    edges = set(tree.edges)
+    rng = np.random.default_rng(seed)
+    while len(edges) < tree.edge_count + chords:
+        u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_lombardi_arcs_match_circumcircle_oracle():
+    # Each closed-form arc equals the circle fitted through its endpoints
+    # and control point: the same straight edges, center and radius within
+    # 1e-8 of the radius, the same sweep within 1e-12 rad. The single edge
+    # between two leaves is the straight case.
+    drawings = [lombardi_tree(n, seed)[2] for n, seed in LOMBARDI_TREES]
+    g = _chorded_tree()
+    drawings.append(layout_lombardi(g, uniform_mass(g), LayoutConfig(seed=1))[1])
+    for g in (Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), Graph.from_edges(2, [(0, 1)])):
+        drawings.append(layout_lombardi(g, uniform_mass(g), LayoutConfig(gamma_max=0.0, seed=3))[1])
+    straight = curved = 0
+    for arcs in drawings:
+        for arc in arcs:
+            ref = fit_arc(arc.p_u, arc.p_v, arc.control, scale=LayoutConfig().k)
+            assert arc.straight == (ref is None), arc.edge
+            if ref is None:
+                straight += 1
+                continue
+            curved += 1
+            geom = arc.geometry
+            assert math.dist(geom.center, ref.center) <= 1e-8 * ref.radius, arc.edge
+            assert abs(geom.radius - ref.radius) <= 1e-8 * ref.radius, arc.edge
+            assert abs(geom.sweep - ref.sweep) <= 1e-12, arc.edge
+    assert straight == 1 and curved > 1000
 
 
 def test_lombardi_no_edges():

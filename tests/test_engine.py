@@ -996,6 +996,37 @@ def test_step_refuses_a_controller_state_out_of_range(gamma, heat):
         assert np.all(np.isfinite(nxt.positions))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"lowest_energy": -1.0},
+        {"lowest_energy": math.nan},
+        {"last_max_impulse": -0.5},
+        {"last_max_impulse": math.nan},
+        {"t": -5},
+        {"t": 1.5},
+        {"t": True},
+        {"t": 10, "level_start": 50},
+        {"level_start": -1},
+        {"streak": -100},
+        {"streak": 2.0},
+    ],
+    ids=lambda fields: ",".join(f"{name}={value}" for name, value in fields.items()),
+)
+def test_step_refuses_a_controller_no_run_reaches(fields):
+    # lowest_energy -1 made no iteration a new low, so the heat fell by
+    # COOLING every step where inf keeps it at 1; t -5 stepped to -4 and
+    # t 1.5 to 2.5. The edges of the ranges, numpy integers and inf pass.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    mass, cfg = uniform_mass(g), LayoutConfig(max_iterations=5)
+    start = initialize_positions(g, 0, cfg.k)
+    with pytest.raises(ValueError, match="state (t|level_start|streak|lowest_energy|last_max_impulse)"):
+        step(LayoutState(positions=start, **fields), g, mass, cfg)
+    edge = LayoutState(start, np.int64(10), 0.0, 0.0, 1.0, 0, 0.0, np.int64(10))
+    assert step(edge, g, mass, cfg).t == 11
+    assert step(LayoutState(start, 3, lowest_energy=math.inf), g, mass, cfg).heat == 1.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_positions_rejected(bad):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -132,6 +132,15 @@ def test_render_rejects_colors_not_one_per_vertex():
     assert count_tags(render_svg(g, pos, [Color(255, 0, 0)] * 3), "circle") == 3
 
 
+def test_render_rejects_colors_that_are_not_colors():
+    # A string or None entry raised AttributeError on its missing .css.
+    g = Graph.from_edges(2, [(0, 1)])
+    pos = [(0, 0), (80, 0)]
+    for colors in (["red", "blue"], [Color(255, 0, 0), None], [(255, 0, 0), Color(0, 0, 255)]):
+        with pytest.raises(RenderError, match="not a Color"):
+            render_svg(g, pos, colors)
+
+
 @pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_render_rejects_k_not_positive_finite(k):
     # k -1 wrote a negative circle radius and k nan a viewBox of nan.
