@@ -12,7 +12,7 @@ import numpy as np
 
 from .arcs import layout_lombardi
 from .centrality import CENTRALITY_KINDS, DEFAULT_MASS_FLOOR, compute_centrality, normalize_mass
-from .engine import LayoutConfig, check_positions, run_layout
+from .engine import LEVEL_EPS, LayoutConfig, check_positions, run_layout
 from .generators import generate_forest, generate_random_tree
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph_json, serialize_edge_list
 from .metrics import compute_metrics
@@ -29,7 +29,10 @@ LAYOUT_FLAGS = {
     "gamma_max": ("gamma_max", "gravity level the run climbs to; 0 turns gravity off"),
     "block": ("block_len", "most iterations per gravity level"),
     "gamma_step": ("gamma_step", "gravity increment per level; at least --gamma-max holds gravity constant"),
-    "eps": ("equilibrium_eps", "longest move that counts as settled"),
+    "eps": (
+        "equilibrium_eps",
+        f"longest move that counts as settled at --gamma-max; lower levels end at {LEVEL_EPS:g}x",
+    ),
     "max_iterations": ("max_iterations", "iteration budget"),
     "seed": ("seed", "seed of the initial positions and the jitter"),
     "mass_floor": (None, "smallest vertex mass; masses have mean 1"),

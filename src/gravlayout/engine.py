@@ -13,10 +13,10 @@ only translates the drawing. The impulse is clamped to magnitude i_max
 (direction preserved), scaled by heat * sigma, and applied as a
 displacement. A run starts from initialize_positions, a radial drawing
 that leaves trees untangled, and the gravity coefficient gamma_t climbs by
-gamma_step each time a level settles, up to gamma_max, which compacts the
-drawing toward the center; a gamma_step of at least gamma_max holds gravity
-constant from t = 1, and gamma_max 0 turns it off. schedule_gamma gives
-gamma_t and settled is the stop rule; step and run_layout share one
+gamma_step each time a level comes to rest, up to gamma_max, which compacts
+the drawing toward the center; a gamma_step of at least gamma_max holds
+gravity constant from t = 1, and gamma_max 0 turns it off. schedule_gamma
+gives gamma_t and settled is the stop rule; step and run_layout share one
 iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
@@ -26,9 +26,10 @@ rest-frame impulses is not a new low for the level multiplies it by COOLING;
 WARM_AFTER new lows in a row divide it by COOLING, up to 1. Comparing with
 the level's lowest energy, not the previous one, keeps a layout from
 cycling at a fixed heat. So the moves shrink once the layout stops
-improving, the longest move of an iteration falls below equilibrium_eps,
-and the level ends: that is the equilibrium each gravity step waits for,
-and the settled state a run stops at.
+improving and the longest move of an iteration falls. A level below
+gamma_max only carries the drawing to the next one, so it ends once that
+move is below LEVEL_EPS * equilibrium_eps; at gamma_max the run waits for
+a move below equilibrium_eps, the settled state it stops at.
 
 Repulsion is exact: one kernel walks the vertices in blocks of B rows and,
 in the same pass, finds near-coincident pairs. B comes from n so that a
@@ -74,6 +75,10 @@ START_JITTER = 0.02
 COOLING = 0.9
 WARM_AFTER = 5
 
+# An intermediate gravity level ends once its longest move is below
+# LEVEL_EPS * equilibrium_eps; only gamma_max waits for equilibrium_eps.
+LEVEL_EPS = 3.0
+
 # Pair entries per block of the repulsion kernel: its scratch is five
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
@@ -89,13 +94,13 @@ class LayoutConfig:
     vertex moves more than sigma * i_max per iteration (8 = 0.1 k by default).
 
     Gravity climbs to gamma_max by gamma_step, one step once a level has
-    settled (its longest move below equilibrium_eps) or has run block_len
-    iterations. The first level is gamma_step, not 0: the radial start of
-    initialize_positions has nothing to untangle without gravity, and it
-    holds up under steps of 0.5. A gamma_step of at least gamma_max holds
+    come to rest (its longest move below LEVEL_EPS * equilibrium_eps) or
+    has run block_len iterations. The first level is gamma_step, not 0:
+    the radial start of initialize_positions has nothing to untangle
+    without gravity, and it holds up under steps of 0.5. A gamma_step of at least gamma_max holds
     gravity constant at gamma_max from the first iteration, and gamma_max 0
     turns gravity off. A run stops after max_iterations, or once it is
-    settled at gamma_max.
+    settled at gamma_max: its longest move below equilibrium_eps.
     """
 
     k: float = 80.0
@@ -166,8 +171,10 @@ def terminal_gamma(config: LayoutConfig) -> float:
 
 def settled(state: LayoutState, config: LayoutConfig) -> bool:
     """The stop rule: the longest move of the last iteration is below
-    equilibrium_eps and gamma has reached gamma_max. A start state
-    (last_max_impulse inf) is never settled."""
+    equilibrium_eps and gamma has reached gamma_max. Only the last level
+    waits for equilibrium_eps; the ones before it end at LEVEL_EPS times
+    that (schedule_gamma). A start state (last_max_impulse inf) is never
+    settled."""
     return state.last_max_impulse < config.equilibrium_eps and state.gamma >= config.gamma_max - 1e-12
 
 
@@ -268,14 +275,17 @@ def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     """Gravity coefficient for iteration t after state.
 
     Gamma rises by gamma_step, capped at gamma_max, once the previous
-    iteration's longest move fell below equilibrium_eps, or when iteration
-    t would be the level's (block_len + 1)-th. There is no gravity-free
-    level: a start state (gamma 0) steps straight to min(gamma_max,
-    gamma_step). So a gamma_step of at least gamma_max holds gamma_max
-    from t = 1, and gamma_max 0 keeps gravity off."""
+    iteration's longest move fell below LEVEL_EPS * equilibrium_eps, or
+    when iteration t would be the level's (block_len + 1)-th. A level below
+    gamma_max only carries the drawing to the next, so it need not settle
+    to equilibrium_eps; at gamma_max gamma cannot rise, and the run goes on
+    until it is settled. There is no gravity-free level: a start state
+    (gamma 0) steps straight to min(gamma_max, gamma_step). So a gamma_step
+    of at least gamma_max holds gamma_max from t = 1, and gamma_max 0 keeps
+    gravity off: neither run ever changes level, whatever LEVEL_EPS."""
     if (
         state.gamma == 0.0
-        or state.last_max_impulse < config.equilibrium_eps
+        or state.last_max_impulse < LEVEL_EPS * config.equilibrium_eps
         or t - state.level_start > config.block_len
     ):
         return min(config.gamma_max, state.gamma + config.gamma_step)

@@ -120,8 +120,17 @@ def test_schedule_stepped_by_equilibrium():
     cfg = LayoutConfig(equilibrium_eps=1.0)
     busy = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=5.0)
     assert schedule_gamma(10, busy, cfg) == pytest.approx(0.4)
-    settled = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=0.5)
-    assert schedule_gamma(10, settled, cfg) == pytest.approx(0.9)
+    calm = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=0.5)
+    assert schedule_gamma(10, calm, cfg) == pytest.approx(0.9)
+    # An intermediate level ends below LEVEL_EPS * eps, not eps: a move of
+    # 2 steps up, but at gamma_max it holds gamma and is not settled.
+    assert engine.LEVEL_EPS == 3.0
+    resting = replace(calm, last_max_impulse=2.0)
+    assert schedule_gamma(10, resting, cfg) == pytest.approx(0.9)
+    top = replace(resting, gamma=cfg.gamma_max)
+    assert schedule_gamma(10, top, cfg) == cfg.gamma_max
+    assert not settled(top, cfg)
+    assert settled(replace(top, last_max_impulse=0.5), cfg)
     # A start state steps straight to the first level, capped at gamma_max.
     start = LayoutState(positions=np.zeros((1, 2)))
     assert schedule_gamma(1, start, cfg) == 0.5
@@ -129,6 +138,20 @@ def test_schedule_stepped_by_equilibrium():
     assert schedule_gamma(1, start, replace(cfg, gamma_max=0.0)) == 0.0
     capped = LayoutState(positions=np.zeros((1, 2)), gamma=2.5, last_max_impulse=0.0)
     assert schedule_gamma(10, capped, cfg) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize(("gamma_max", "gamma_step"), [(2.5, 2.5), (0.0, 0.5)])
+def test_single_level_runs_do_not_depend_on_level_eps(monkeypatch, gamma_max, gamma_step):
+    # Constant gravity and gravity off never change level, so the threshold
+    # that ends an intermediate level cannot touch them: LEVEL_EPS 1, the
+    # rule that made every level settle to eps, gives the same bits.
+    g = generate_random_tree(70, seed=4)
+    mass = normalize_mass(closeness_centrality(g))
+    cfg = LayoutConfig(gamma_max=gamma_max, gamma_step=gamma_step, seed=4)
+    single, stepped = (run_layout(g, mass, c) for c in (cfg, LayoutConfig(seed=4)))
+    monkeypatch.setattr(engine, "LEVEL_EPS", 1.0)
+    assert np.array_equal(run_layout(g, mass, cfg), single)
+    assert not np.array_equal(run_layout(g, mass, LayoutConfig(seed=4)), stepped)  # the patch takes
 
 
 def test_terminal_gamma():
@@ -468,7 +491,7 @@ def test_start_is_crossing_free_on_the_criteria_trees_and_forests():
 
 def test_start_packs_a_tree_beside_isolated_vertices():
     # Shelves put 300 isolated vertices next to a 300-vertex tree in a
-    # drawing a few thousand units wide, and the default run settles in 859
+    # drawing a few thousand units wide, and the default run settles in 698
     # iterations; from the uniform random start it took 1863.
     g = generate_forest([300] + [1] * 300, seed=0)
     mass = normalize_mass(degree_centrality(g))
@@ -844,7 +867,7 @@ def test_equilibrium_schedule_climbs_to_gamma_max_and_settles():
     # The default config on a tree where a fixed step never let a move fall
     # below eps: the cooled moves settle level after level, gamma climbs by
     # gamma_step from gamma_step to gamma_max, with no gravity-free level,
-    # and the run stops settled at t = 318.
+    # and the run stops settled at t = 219.
     g = generate_random_tree(70, seed=3)
     mass = normalize_mass(closeness_centrality(g))
     cfg = LayoutConfig(seed=3)
@@ -861,7 +884,7 @@ def test_rest_frame_settles_default_trees_within_1200_iterations(seed):
     # settling before their block_len cap, and these runs took 1836, 1929
     # and 2025 iterations. In the rest frame, from the uniform random start
     # with a gravity-free level and steps of 0.2, they took 1017, 916 and
-    # 975; from the radial start with steps of 0.5 they take 318, 325, 316.
+    # 975; from the radial start with steps of 0.5 they take 219, 224, 221.
     g = generate_random_tree(70, seed=seed)
     mass = normalize_mass(closeness_centrality(g))
     cfg = LayoutConfig(seed=seed)
@@ -888,10 +911,35 @@ def test_step_loop_replays_default_run_to_its_equilibrium_stop(name, kind):
     assert run_layout(g, mass, cfg).tobytes() == state.positions.tobytes()
 
 
+@pytest.mark.parametrize("name", ["tree", "forest"])
+def test_intermediate_levels_end_at_level_eps_and_the_last_settles_at_eps(name):
+    # Under the default config every level below gamma_max ends once its
+    # longest move is below LEVEL_EPS * eps, or after block_len iterations;
+    # the run then stops settled at gamma_max, its last move below eps.
+    g = generate_random_tree(70, seed=3) if name == "tree" else generate_forest([9] * 5, seed=2)
+    mass = normalize_mass(closeness_centrality(g) if name == "tree" else degree_centrality(g))
+    cfg = LayoutConfig(seed=3 if name == "tree" else 2)
+    state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
+    gammas, ends = [], []  # each level's gamma; each intermediate level's last move and length
+    while state.t < cfg.max_iterations and not settled(state, cfg):
+        nxt = step(state, g, mass, cfg)
+        if nxt.gamma != state.gamma:
+            gammas.append(nxt.gamma)
+            if state.t:
+                ends.append((state.last_max_impulse, state.t - state.level_start))
+        state = nxt
+    assert gammas == [0.5, 1.0, 1.5, 2.0, 2.5]
+    assert settled(state, cfg) and state.last_max_impulse < cfg.equilibrium_eps
+    for move, length in ends:
+        assert move < engine.LEVEL_EPS * cfg.equilibrium_eps or length == cfg.block_len
+    # The rule is not the old one: some level ended on a move of eps or more.
+    assert any(move >= cfg.equilibrium_eps for move, _ in ends)
+
+
 def test_equilibrium_levels_end_by_block_len_on_a_forest():
     # A forest's components do not repel forever: from the radial start
     # every level of this forest settles before its cap of block_len
-    # iterations (88, 61, 53, 55 and 42), and the run stops settled at
+    # iterations (62, 38, 29, 25 and 41), and the run stops settled at
     # gamma_max long before max_iterations.
     g = generate_forest([9] * 5, seed=2)
     mass = normalize_mass(degree_centrality(g))
