@@ -46,6 +46,12 @@ add.reduce over the vertices, and no reduction in a step goes through BLAS,
 so the output bits do not depend on B or on the BLAS thread count.
 Positions are column-major inside a run, so each coordinate is one
 contiguous row.
+
+All seeded noise comes from one primitive, _uniforms: splitmix64 hashing
+over numpy uint64 arrays, a uniform per (seed, t, key). The start's
+Gaussian jitter is Box-Muller over keys 2v and 2v + 1 at t = 0, and the
+nudge that separates a near-coincident vertex v in iteration t >= 1 takes
+its angle from key v. So neither draws from, nor loads, numpy.random.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .centrality import MassVector, _euler_tour, check_masses
 from .graphs import Graph, _bfs_parents, _check_integer, _first_vertices, connected_components
 
 TWO_PI = 2.0 * math.pi
+MASK64 = (1 << 64) - 1
 
 # Pairs closer than JITTER_TRIGGER * k are separated by a deterministic nudge
 # of magnitude JITTER_MAGNITUDE * k before forces are evaluated.
@@ -82,6 +89,18 @@ LEVEL_EPS = 3.0
 # Pair entries per block of the repulsion kernel: its scratch is five
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
+
+
+def _check_finite(name: str, value) -> float:
+    """value as a Python float; ValueError unless it is a finite real number
+    (a bool is not one)."""
+    try:
+        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -117,14 +136,7 @@ class LayoutConfig:
         # Numbers are stored as Python floats and ints, whatever Real or
         # Integral type they came as.
         for name in ("k", "i_max", "sigma", "gamma_max", "gamma_step", "equilibrium_eps"):
-            value = getattr(self, name)
-            try:
-                number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
-            except OverflowError:  # an integer beyond the float range
-                number = math.inf
-            if not math.isfinite(number):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, number)
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         for name in ("block_len", "max_iterations", "seed"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.k <= 0 or self.i_max <= 0 or self.sigma <= 0:
@@ -229,14 +241,26 @@ def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
     band apart, so a tree starts with few crossings, as a rule none.
     Components are packed in squares of side 2 * radius + k, largest first,
     on shelves of width sqrt(sum of the sides^2), and the packing is
-    centered at the origin. Then every coordinate gets Gaussian jitter of
-    START_JITTER * k from np.random.default_rng(seed), so that no start is
-    exactly symmetric and each seed starts elsewhere.
+    centered at the origin. Then every vertex gets Gaussian jitter of
+    standard deviation START_JITTER * k on each axis, so that no start is
+    exactly symmetric and each seed starts elsewhere: Box-Muller over the
+    uniforms u, w = _uniforms(seed, 0, 2v), _uniforms(seed, 0, 2v + 1)
+    moves vertex v by START_JITTER * k * sqrt(-2 log(1 - u)) at the angle
+    2 pi w. The noise is splitmix64 hashing, so a start loads no
+    numpy.random; seeds equal mod 2^64 start alike.
 
     Euler tours do the sweeps, and a level-synchronous BFS spans a graph
     with cycles, in O(n + m) memory and without BLAS; the shelves walk the
-    components in a Python loop.
+    components in a Python loop. ValueError unless seed is an integer >= 0
+    and k is positive and finite, or when k is so large that the drawing
+    overflows.
     """
+    seed = _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    k = _check_finite("k", k)
+    if k <= 0.0:
+        raise ValueError(f"k must be positive, got {k!r}")
     n = g.vertex_count
     if not n:
         return np.zeros((0, 2))
@@ -262,13 +286,21 @@ def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
     # more go down than up, and each down arc enters one vertex.
     before = (enter - enter[root][labels] + depth) // 2
     angle = TWO_PI * (before + 0.5 * size) / size[root][labels]
-    pos = np.column_stack((np.cos(angle), np.sin(angle))) * (k * depth)[:, None]
-    radius = np.zeros(count)
-    np.maximum.at(radius, labels, k * depth)
-    side = 2.0 * radius + k
-    pos += (_shelf_corners(side) + 0.5 * side[:, None])[labels]
-    pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
-    return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
+    # A k too large for the drawing overflows to inf or NaN, caught below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = np.column_stack((np.cos(angle), np.sin(angle))) * (k * depth)[:, None]
+        radius = np.zeros(count)
+        np.maximum.at(radius, labels, k * depth)
+        side = 2.0 * radius + k
+        pos += (_shelf_corners(side) + 0.5 * side[:, None])[labels]
+        pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
+        u, w = _uniforms(seed, 0, np.arange(2 * n)).reshape(n, 2).T
+        r = START_JITTER * k * np.sqrt(-2.0 * np.log1p(-u))
+        angle = TWO_PI * w
+        pos += r[:, None] * np.column_stack((np.cos(angle), np.sin(angle)))
+    if not np.isfinite(pos).all():
+        raise ValueError(f"k = {k!r} puts the start beyond the float range")
+    return pos
 
 
 def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
@@ -292,18 +324,28 @@ def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     return state.gamma
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer (Steele, Lea and Flood, "Fast splittable
+    pseudorandom number generators", OOPSLA 2014) on a uint64 array,
+    elementwise. Array arithmetic wraps mod 2^64 silently; numpy's scalar
+    uint64 arithmetic would warn on overflow, so x is never a scalar."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _jitter_vector(seed: int, t: int, v: int, k: float) -> np.ndarray:
-    h = _splitmix64(_splitmix64(_splitmix64(seed & 0xFFFFFFFFFFFFFFFF) ^ t) ^ v)
-    angle = TWO_PI * (h / 2.0**64)
-    return JITTER_MAGNITUDE * k * np.array([math.cos(angle), math.sin(angle)])
+def _uniforms(seed: int, t: int, keys) -> np.ndarray:
+    """Seeded noise: one uniform in [0, 1) per key (a non-negative integer),
+    the top 53 bits of mix(mix(mix(seed) ^ t) ^ key) over 2^53, where mix is
+    _splitmix64 and seed and t are taken mod 2^64. Counter-based (Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): a uniform
+    depends on (seed, t, key) alone, not on what else is drawn. The nudges
+    of iteration t >= 1 key by vertex; the start is t = 0."""
+    h = _splitmix64(np.array([int(seed) & MASK64], dtype=np.uint64))
+    h = _splitmix64(h ^ np.uint64(int(t) & MASK64))
+    h = _splitmix64(np.asarray(keys, dtype=np.uint64) ^ h)
+    return (h >> np.uint64(11)) * 2.0**-53
 
 
 def _block_rows(n: int) -> int:
@@ -369,15 +411,12 @@ def _repulsion(pos: np.ndarray, k: float, s: _KernelScratch) -> tuple[np.ndarray
     return s.rep, close
 
 
-def _jitter(pos: np.ndarray, pairs: list[tuple[int, int]], k: float, seed: int, t: int) -> bool:
-    """Nudge the second vertex of each pair in place, each vertex at most
-    once. Return whether anything moved."""
-    moved = set()
-    for _, v in pairs:
-        if v not in moved:
-            pos[v] += _jitter_vector(seed, t, v, k)
-            moved.add(v)
-    return bool(moved)
+def _jitter(pos: np.ndarray, pairs: list[tuple[int, int]], k: float, seed: int, t: int) -> None:
+    """Nudge the second vertex v of each pair in place, each vertex once, by
+    JITTER_MAGNITUDE * k at the angle 2 pi _uniforms(seed, t, v)."""
+    moved = np.unique([v for _, v in pairs])
+    angle = TWO_PI * _uniforms(seed, t, moved)
+    pos[moved] += JITTER_MAGNITUDE * k * np.column_stack((np.cos(angle), np.sin(angle)))
 
 
 def _separated_repulsion(pos: np.ndarray, k: float, seed: int, t: int, s: _KernelScratch) -> np.ndarray:
@@ -386,8 +425,9 @@ def _separated_repulsion(pos: np.ndarray, k: float, seed: int, t: int, s: _Kerne
     close pair makes one kernel pass."""
     for _ in range(8):
         rep, close = _repulsion(pos, k, s)
-        if not (close and _jitter(pos, close, k, seed, t)):
+        if not close:
             return rep
+        _jitter(pos, close, k, seed, t)
     return _repulsion(pos, k, s)[0]
 
 

@@ -11,11 +11,13 @@ large for path enumeration, per-source queue BFS loops over the tuple
 adjacency stand in for the library's batched CSR BFS, a level-by-level
 sweep stands in for the Euler tour that roots forests, and per-vertex
 and per-run loops stand in for its vectorised angular resolution and
-average ranks. `fit_arc`, the circumcircle through an arc's endpoints and
-its midpoint, stands in for the closed-form arcs built from each edge's
-sweep. A per-line loop stands in for the bulk edge-list parser, and plain
-checks on the decoded object for the JSON graph parser. `random_value` and
-`fuzz_json_text` make the seeded inputs of the boundary fuzz tests.
+average ranks. Python-int splitmix64 stands in for the engine's noise
+over uint64 arrays, in the radial start's jitter too. `fit_arc`, the
+circumcircle through an arc's endpoints and its midpoint, stands in for
+the closed-form arcs built from each edge's sweep. A per-line loop stands
+in for the bulk edge-list parser, and plain checks on the decoded object
+for the JSON graph parser. `random_value` and `fuzz_json_text` make the
+seeded inputs of the boundary fuzz tests.
 """
 
 from __future__ import annotations
@@ -182,62 +184,59 @@ def brute_betweenness(g: Graph) -> np.ndarray:
 
 
 def closeness_reference(g: Graph) -> np.ndarray:
-    """Closeness by one queue BFS per source: reached / sum of hop counts."""
+    """Closeness by one queue BFS per source: reached / sum of hop counts.
+    The queue is the visit order list, read while it grows."""
     n = g.vertex_count
-    values = np.zeros(n, dtype=float)
+    values = [0.0] * n
     adj = adjacency_reference(g)
-    dist = np.empty(n, dtype=np.int64)
     for s in range(n):
-        dist.fill(-1)
+        dist = [-1] * n
         dist[s] = 0
-        queue = deque([s])
+        order = [s]
         total = 0
-        reached = 0
-        while queue:
-            u = queue.popleft()
+        for u in order:
+            d = dist[u] + 1
             for w in adj[u]:
                 if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    total += dist[w]
-                    reached += 1
-                    queue.append(w)
-        if reached:
-            values[s] = reached / total
-    return values
+                    dist[w] = d
+                    total += d
+                    order.append(w)
+        if total:
+            values[s] = (len(order) - 1) / total
+    return np.array(values)
 
 
 def brandes_reference(g: Graph) -> np.ndarray:
     """Betweenness over unordered pairs by Brandes accumulation, one queue
     BFS per source in ascending order, scalar arithmetic throughout."""
     n = g.vertex_count
-    bc = np.zeros(n, dtype=float)
+    bc = [0.0] * n
     adj = adjacency_reference(g)
     for s in range(n):
         dist = [-1] * n
         sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1.0
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
+        order = [s]  # the queue, read while it grows
+        for u in order:
+            d = dist[u] + 1
             for w in adj[u]:
                 if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
+                    dist[w] = d
+                    order.append(w)
+                if dist[w] == d:
                     sigma[w] += sigma[u]
-                    preds[w].append(u)
+        # Each predecessor u of w gets one term from w, so scanning w's
+        # neighbours for them sums every delta[u] in the same order.
         delta = [0.0] * n
         for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+            up, share = dist[w] - 1, (1.0 + delta[w])
+            for u in adj[w]:
+                if dist[u] == up:
+                    delta[u] += (sigma[u] / sigma[w]) * share
             if w != s:
                 bc[w] += delta[w]
-    bc *= 0.5
-    return bc
+    return 0.5 * np.array(bc)
 
 
 def rooted_forest_reference(g: Graph, roots=None):
@@ -462,7 +461,29 @@ def radial_start_reference(g: Graph, seed: int, k: float) -> np.ndarray:
         x += sides[c]
         shelf = max(shelf, sides[c])
     pos -= 0.5 * (pos.min(axis=0) + pos.max(axis=0))
-    return pos + np.random.default_rng(seed).normal(scale=START_JITTER * k, size=(n, 2))
+    for v in range(n):  # Box-Muller over the start's two uniforms per vertex
+        r = START_JITTER * k * math.sqrt(-2.0 * math.log1p(-uniform_reference(seed, 0, 2 * v)))
+        angle = TWO_PI * uniform_reference(seed, 0, 2 * v + 1)
+        pos[v] += (r * math.cos(angle), r * math.sin(angle))
+    return pos
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(x: int) -> int:
+    """The splitmix64 finalizer on one Python int, wrapped by masking."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def uniform_reference(seed: int, t: int, key: int) -> float:
+    """The engine's seeded uniform for (seed, t, key), in Python ints."""
+    mix = splitmix64_reference
+    h = mix(mix(mix(seed & MASK64) ^ (t & MASK64)) ^ key)
+    return (h >> 11) / 2.0**53
 
 
 def repulsive_force(pu, pv, k: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 from gravlayout import LayoutConfig
 from gravlayout.cli import COMMANDS, _build_config, _parse_positions, build_parser, main
-from conftest import SRC
+from conftest import SRC, fresh_python
 from oracles import fuzz_json_text, random_value
 
 # Every layout flag with a value, in the order of the report's config echo.
@@ -216,6 +216,30 @@ def test_stdin_is_utf8_whatever_the_io_encoding(tmp_path):
         input="\ufeffa b\nb c\nc a\n".encode("utf-8"), env=env, check=True,
     )
     assert len(json.loads(drawn.read_text())["positions"]) == 3
+
+
+def test_layout_and_metrics_do_not_load_numpy_random(tmp_path):
+    # The start and the nudges hash with splitmix64, so a CLI process never
+    # loads numpy.random (PCG64, the ziggurat tables, their extension modules).
+    graph, pos, svg = (str(tmp_path / name) for name in ("t.edges", "p.json", "t.svg"))
+    runs = [
+        ["gen-tree", "--n", "40", "--seed", "3", "--out", graph],
+        ["layout", "--in", graph, "--positions", pos],
+        ["layout", "--in", graph, "--lombardi", "--svg", svg],
+        ["metrics", "--in", graph, "--positions", pos, "--centrality", "betweenness"],
+    ]
+    script = (
+        "import sys, numpy\n"
+        "from gravlayout import cli\n"
+        "before = 'numpy.random' in sys.modules\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(before, 'numpy.random' in sys.modules, codes)\n"
+    )
+    before, after, codes = fresh_python(script).splitlines()[-1].split(maxsplit=2)  # metrics prints first
+    if before == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert codes.strip() == "[0, 0, 0, 0]"
+    assert after == "False"
 
 
 def test_labels_xml_cannot_hold_fail_cleanly(tmp_path, capsys):

@@ -40,6 +40,7 @@ from oracles import (
     random_graph,
     repulsive_force,
     separate_coincident,
+    uniform_reference,
 )
 
 
@@ -439,6 +440,69 @@ def test_initialize_deterministic_and_in_range():
     assert initialize_positions(Graph(0), 1, 80.0).shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "seed, k, message",
+    [
+        (-1, 80.0, "seed must be >= 0"),
+        (1.5, 80.0, "seed must be an integer"),
+        (True, 80.0, "seed must be an integer"),
+        (None, 80.0, "seed must be an integer"),
+        (1, math.nan, "k must be a finite number"),
+        (1, math.inf, "k must be a finite number"),
+        (1, "80", "k must be a finite number"),
+        (1, True, "k must be a finite number"),
+        (1, 0.0, "k must be positive"),
+        (1, -80.0, "k must be positive"),
+        (1, 1e307, "beyond the float range"),
+    ],
+)
+def test_start_refuses_bad_seed_and_k(seed, k, message):
+    # The seed is checked as LayoutConfig checks it. A k that is not
+    # positive and finite would draw a NaN start, or every vertex on one point.
+    with pytest.raises(ValueError, match=message):
+        initialize_positions(generate_forest([30] * 20, seed=1), seed, k)
+
+
+def test_start_accepts_every_config_seed_and_integral_k():
+    g = generate_random_tree(30, seed=1)
+    for seed in (0, 2**63, 2**64 - 1, 2**64 + 3, 10**30):
+        cfg = LayoutConfig(seed=seed)
+        assert np.isfinite(initialize_positions(g, cfg.seed, cfg.k)).all()
+    # Seeds are taken mod 2^64; a numpy seed or an integral k draws as a Python one.
+    want = initialize_positions(g, 3, 80.0)
+    for seed, k in ((2**64 + 3, 80.0), (np.int64(3), 80.0), (np.uint64(3), 80.0), (3, 80), (3, np.float32(80.0))):
+        assert np.array_equal(initialize_positions(g, seed, k), want)
+
+
+def test_noise_matches_python_int_splitmix64_without_warnings():
+    seeds = (0, 1, 5, 2**63, 2**64 - 1, 2**64 + 7, 10**30)
+    ts = (0, 1, 17, 2**64 - 1)
+    keys = [0, 1, 2, 843, 2**32 + 5, 2**63, 2**64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's scalar uint64 arithmetic warns on overflow
+        for seed, t in itertools.product(seeds, ts):
+            got = engine._uniforms(seed, t, keys)
+            assert got.tolist() == [uniform_reference(seed, t, key) for key in keys]
+            assert ((0.0 <= got) & (got < 1.0)).all()
+        assert engine._uniforms(1, 2, []).shape == (0,)
+        assert np.array_equal(engine._uniforms(np.int64(5), np.int64(17), keys), engine._uniforms(5, 17, keys))
+
+
+def test_start_jitter_is_gaussian_with_sd_start_jitter_k():
+    # 400 isolated vertices fill 20 shelves of 20 cells of side k, vertex v
+    # in column v % 20 of shelf v // 20: less the cell centers, a start is
+    # 400 draws of the jitter.
+    k, v = 80.0, np.arange(400)
+    centers = k * (np.column_stack((v % 20, v // 20)) + 0.5 - 10)
+    draws = np.concatenate([initialize_positions(Graph(400), seed, k) - centers for seed in range(10)])
+    sd = engine.START_JITTER * k
+    assert np.all(np.abs(draws.mean(axis=0)) < 0.1 * sd)
+    assert np.all(np.abs(draws.std(axis=0) / sd - 1.0) < 0.05)
+    assert abs(np.corrcoef(draws.T)[0, 1]) < 0.1
+    # Box-Muller: |jitter| / sd is Rayleigh, P(r > 2) = exp(-2).
+    assert abs(np.mean(np.hypot(*draws.T) > 2 * sd) - math.exp(-2.0)) < 0.02
+
+
 def tree_with_chords(n, chords, seed):
     """A random tree on n vertices plus `chords` random non-tree edges."""
     tree = generate_random_tree(n, seed=seed)
@@ -623,7 +687,12 @@ def test_jitter_across_block_boundary_follows_pair_rule():
     p, q = 10, rows + 20  # a second straddling pair
     pos[q] = pos[p]
     k, seed, t = 80.0, 5, 17
-    want = separate_coincident(pos, k, lambda x: engine._jitter_vector(seed, t, x, k))
+
+    def nudge(x):
+        angle = engine.TWO_PI * engine._uniforms(seed, t, [x])
+        return engine.JITTER_MAGNITUDE * k * np.concatenate((np.cos(angle), np.sin(angle)))
+
+    want = separate_coincident(pos, k, nudge)
     # (p, q) moves q; (u, v) moves v; (u, w) moves w; (v, w) is skipped
     # because w already moved. u and p never move.
     assert np.flatnonzero(np.any(want != pos, axis=1)).tolist() == [v, q, w]
@@ -636,6 +705,16 @@ def test_jitter_across_block_boundary_follows_pair_rule():
     nxt = step(LayoutState(positions=pos, t=t - 1), g, uniform_mass(g), cfg)
     assert np.all(np.isfinite(nxt.positions))
     assert np.linalg.norm(nxt.positions[v] - nxt.positions[u]) > 0.5 * engine.JITTER_MAGNITUDE * k
+
+
+def test_nudges_take_a_numpy_integer_iteration():
+    # step accepts numpy integers for t; the nudge hash takes them as ints.
+    g, pos = Graph(3), np.array([[0.0, 0.0], [0.0, 0.0], [100.0, 0.0]])
+    mass, cfg = uniform_mass(g), LayoutConfig()
+    got = step(LayoutState(positions=pos, t=np.int64(5), level_start=np.int64(0)), g, mass, cfg)
+    want = step(LayoutState(positions=pos, t=5), g, mass, cfg)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.linalg.norm(got.positions[1] - got.positions[0]) > 0
 
 
 def test_repulsion_bits_do_not_depend_on_block_rows():

@@ -1,8 +1,5 @@
 import functools
 import math
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -20,7 +17,7 @@ from gravlayout import (
     render_svg,
     uniform_centrality,
 )
-from conftest import LOMBARDI_TREES, SRC, lombardi_tree
+from conftest import LOMBARDI_TREES, fresh_python, lombardi_tree
 from gravlayout import render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -199,10 +196,8 @@ def test_label_escape_matches_saxutils():
 def test_import_skips_network_modules():
     # xml.sax.saxutils loads urllib.request and http.client: tens of ms of
     # start-up in every CLI process.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     script = "import sys, gravlayout, gravlayout.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(script).strip() == "[]"
 
 
 def test_render_deterministic_bytes():
