@@ -8,7 +8,7 @@ drawing-quality metrics, random tree/forest generators, a circular-arc
 edge post-pass, and an SVG renderer.
 """
 
-from .arcs import ArcEdge, CircularArc, layout_lombardi
+from .arcs import arc_geometry, layout_lombardi
 from .centrality import (
     CENTRALITY_KINDS,
     DEFAULT_MASS_FLOOR,
@@ -59,8 +59,7 @@ from .render import Color, RenderError, color_for, render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcEdge",
-    "CircularArc",
+    "arc_geometry",
     "layout_lombardi",
     "CENTRALITY_KINDS",
     "DEFAULT_MASS_FLOOR",

@@ -9,58 +9,22 @@ fits its chords taken counter-clockwise: the circular mean of (chord angle
 2011). Each end of an edge then wishes its tangent to leave the chord by
 delta, its tangent minus its chord angle wrapped to (-pi, pi], and the edge
 takes the arc of sweep delta_v - delta_u, the compromise between its two
-ends. No vertex moves: each arc's circle follows in closed form from its
-sweep and the main layout's positions, and its midpoint is its control
-point.
+ends. No vertex moves. The sweep, signed counter-clockwise in y-up
+coordinates and 0 for a straight edge, is all an arc stores: `arc_geometry`
+derives its midpoint, center and radius from the positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TWO_PI, LayoutConfig, run_layout
+from .engine import TWO_PI, LayoutConfig, check_positions, run_layout
 from .graphs import Graph
 
 # A triangle flatter than this fraction of k^2 is treated as collinear.
 COLLINEAR_AREA_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CircularArc:
-    """Circle support of an arc: center, radius, and the signed angle swept
-    from the first endpoint to the second, in radians with |sweep| <= 2*pi
-    (positive = counter-clockwise in y-up coordinates)."""
-
-    center: tuple[float, float]
-    radius: float
-    sweep: float
-
-    @property
-    def ccw(self) -> bool:
-        return self.sweep > 0
-
-
-@dataclass(frozen=True)
-class ArcEdge:
-    """One drawn edge: endpoints, the arc's midpoint as its control point,
-    and geometry.
-
-    geometry is a CircularArc through both endpoints and the control point,
-    or None when the three points are collinear and the edge stays straight.
-    """
-
-    edge: tuple[int, int]
-    p_u: tuple[float, float]
-    p_v: tuple[float, float]
-    control: tuple[float, float]
-    geometry: CircularArc | None
-
-    @property
-    def straight(self) -> bool:
-        return self.geometry is None
 
 
 def _sweeps(pos: np.ndarray, ea: np.ndarray) -> np.ndarray:
@@ -91,34 +55,46 @@ def _sweeps(pos: np.ndarray, ea: np.ndarray) -> np.ndarray:
     return wish[m:] - wish[:m]
 
 
-def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, list[ArcEdge]]:
-    """Main layout, then closed-form tangent arcs; returns positions and arcs.
+def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Main layout, then closed-form tangent arcs; returns (positions, sweeps).
 
-    The positions are the plain run_layout result: the arcs move no vertex.
-    With h half the chord and h' = (h_y, -h_x) that half turned clockwise,
-    an edge of sweep s has its midpoint at p_u + h + tan(s / 4) h', and its
-    circle has center p_u + h - cot(s / 2) h' and radius |h| / |sin(s / 2)|.
-    The edge stays straight when the triangle (p_u, p_v, midpoint), of area
-    |tan(s / 4)| |h|^2, is flatter than COLLINEAR_AREA_TOL * k^2.
+    The positions are run_layout's: the arcs move no vertex. sweeps has one
+    sweep per row of g.edge_array, 0.0 where the triangle of the edge's
+    endpoints and arc midpoint, of area |tan(s / 4)| |h|^2 for h half the
+    chord, is flatter than COLLINEAR_AREA_TOL * k^2: the edge stays straight.
     """
     pos = run_layout(g, mass, config)
     ea = g.edge_array
-    pu, pv = pos[ea[:, 0]], pos[ea[:, 1]]
-    half = 0.5 * (pv - pu)
+    sweeps = _sweeps(pos, ea)
+    half = 0.5 * (pos[ea[:, 1]] - pos[ea[:, 0]])
+    area = np.abs(np.tan(0.25 * sweeps)) * np.einsum("ij,ij->i", half, half)
+    sweeps[area < COLLINEAR_AREA_TOL * config.k * config.k] = 0.0
+    return pos, sweeps
+
+
+def arc_geometry(positions, g: Graph, sweeps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(midpoints, centers, radii) of the arcs, one row per row of g.edge_array.
+
+    With h half the chord and h' = (h_y, -h_x) that half turned clockwise,
+    an edge of sweep s has its midpoint at p_u + h + tan(s / 4) h', and its
+    circle has center p_u + h - cot(s / 2) h' and radius |h| / |sin(s / 2)|.
+    A straight edge (sweep 0) gets its chord's midpoint and NaN for center
+    and radius. ValueError unless positions pass check_positions and sweeps
+    holds m numbers in (-2 pi, 2 pi), where layout_lombardi's all lie.
+    """
+    pos = check_positions(positions, g.vertex_count)
+    sweeps = np.asarray(sweeps, dtype=float)
+    m = g.edge_count
+    if sweeps.shape != (m,) or not (np.abs(sweeps) < TWO_PI).all():
+        raise ValueError(f"sweeps must hold {m} finite numbers in (-2 pi, 2 pi), one per edge")
+    pu = pos[g.edge_array[:, 0]]
+    half = 0.5 * (pos[g.edge_array[:, 1]] - pu)
     mid = pu + half
     turned = np.column_stack((half[:, 1], -half[:, 0]))
-    sweep = _sweeps(pos, ea)
-    bulge = np.tan(0.25 * sweep)
-    controls = mid + bulge[:, None] * turned
-    half2 = np.einsum("ij,ij->i", half, half)
-    curved = np.flatnonzero(np.abs(bulge) * half2 >= COLLINEAR_AREA_TOL * config.k * config.k)
-    s = sweep[curved]
-    centers = mid[curved] - (1.0 / np.tan(0.5 * s))[:, None] * turned[curved]
-    radii = np.sqrt(half2[curved]) / np.abs(np.sin(0.5 * s))
-    geometry: list[CircularArc | None] = [None] * len(g.edges)
-    for i, c, r, w in zip(curved.tolist(), centers.tolist(), radii.tolist(), s.tolist()):
-        geometry[i] = CircularArc(center=tuple(c), radius=r, sweep=w)
-    return pos, [
-        ArcEdge(e, tuple(a), tuple(b), tuple(c), geo)
-        for e, a, b, c, geo in zip(g.edges, pu.tolist(), pv.tolist(), controls.tolist(), geometry)
-    ]
+    curved = np.flatnonzero(sweeps)
+    s = sweeps[curved]
+    centers = np.full((m, 2), math.nan)
+    radii = np.full(m, math.nan)
+    centers[curved] = mid[curved] - (1.0 / np.tan(0.5 * s))[:, None] * turned[curved]
+    radii[curved] = np.sqrt(np.einsum("ij,ij->i", half, half)[curved]) / np.abs(np.sin(0.5 * s))
+    return mid + np.tan(0.25 * sweeps)[:, None] * turned, centers, radii

@@ -4,7 +4,7 @@ Closeness and betweenness pick their path from the input. A graph is a
 forest exactly when m == n - C, C its component count from
 `graphs.connected_components`. On a forest both come from closed forms
 over subtree sizes. Each component is rooted at its first vertex by an
-Euler tour ranked by pointer jumping (`_euler_tour`): O(log N) rounds of
+Euler tour ranked by pointer jumping (`graphs._euler_tour`): O(log N) rounds of
 O(m) numpy work for the largest component size N, whatever the depth, in
 O(n) memory. Parents and subtree sizes come from tour positions, and
 closeness's distance sums from one prefix sum over the tours. All counts
@@ -28,7 +28,7 @@ from numbers import Real
 
 import numpy as np
 
-from .graphs import Graph, _bfs, _first_vertices, connected_components
+from .graphs import Graph, _bfs, _euler_tour, _first_vertices, connected_components
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "uniform")
 
@@ -101,63 +101,6 @@ def _source_batches(n: int):
         yield np.arange(a, min(a + batch, n))
 
 
-def _euler_tour(g: Graph, labels: np.ndarray, roots: np.ndarray):
-    """Root each component of the forest g at roots[c], c its label, by an Euler tour.
-
-    The tour of a component walks each edge down and back up, taking a
-    vertex's neighbours in CSR order; the tours are laid end to end in label
-    order. Returns (parent, size, enter, leave), all int64 of length n:
-    parent is -1 at the roots, size[v] counts the vertices of v's subtree,
-    and enter[v] and leave[v] are the tour positions of the arcs into and
-    out of v. A root's are one before its tour's first arc and one after
-    its last, so size == (leave - enter + 1) // 2 everywhere.
-
-    The arcs are the CSR positions. The successor of u -> v is the arc after
-    v -> u in v's row, wrapping to the row's start; each tour is cut before
-    its root's first arc and ranked by pointer jumping (Wyllie), so the
-    cost is O(m log N) for the largest component size N, whatever the
-    depth, in a few length-m arrays.
-    """
-    indptr, indices = g.csr
-    arcs = indices.size
-    counts = np.bincount(labels, minlength=roots.size)
-    # The k-th arc in (head, tail) order is the twin of CSR arc k; the CSR
-    # position, in the key's low bits, orders the arcs of one head by tail.
-    # The key stays below 4 * n * m, which fits int64 wherever the length-n
-    # arrays fit in memory.
-    bits = arcs.bit_length()
-    twin = np.sort(indices << bits | np.arange(arcs)) & ((1 << bits) - 1)
-    # The next arc in the same CSR row, wrapping to the row's start.
-    after = np.arange(1, arcs + 1)
-    rows = np.flatnonzero(np.diff(indptr))
-    after[indptr[rows + 1] - 1] = indptr[rows]
-    nxt = after[twin]
-    dist = np.ones(arcs, dtype=np.int64)
-    # A tour ends at the arc whose successor is its root's first arc.
-    roots = roots[indptr[roots + 1] > indptr[roots]]
-    ends = twin[indptr[roots + 1] - 1]
-    nxt[ends] = ends
-    dist[ends] = 0
-    # After r rounds dist counts the arcs to the end of the tour for every
-    # arc at most 2**r from it; a tour of 2N - 2 arcs needs 2**r >= 2N - 3.
-    for _ in range(max(2 * int(counts.max(initial=1)) - 4, 0).bit_length()):
-        dist += dist[nxt]
-        nxt = nxt[nxt]
-    last = np.cumsum(2 * counts - 2) - 1
-    base = last[labels]
-    enter = base - 2 * counts[labels] + 2
-    leave = base + 1
-    # An arc points down exactly when the tour takes it before its twin.
-    down = np.flatnonzero(dist > dist[twin])
-    up = twin[down]
-    child = indices[down]
-    parent = np.full(labels.size, -1, dtype=np.int64)
-    parent[child] = indices[up]
-    enter[child] = base[child] - dist[down]
-    leave[child] = base[child] - dist[up]
-    return parent, (leave - enter + 1) // 2, enter, leave
-
-
 def _rooted_forest(g: Graph):
     """Each component rooted at its first vertex by `_euler_tour`, or None
     when g has a cycle.
@@ -170,7 +113,7 @@ def _rooted_forest(g: Graph):
     roots = _first_vertices(labels)
     if g.edge_count != g.vertex_count - roots.size:
         return None
-    parent, size, enter, leave = _euler_tour(g, labels, roots)
+    parent, size, enter, leave, _ = _euler_tour(g, labels, roots)
     return labels, size[roots][labels], parent, size, enter, leave
 
 

@@ -108,10 +108,10 @@ def cmd_layout(args: argparse.Namespace) -> int:
     mass = normalize_mass(cent, args.mass_floor)
     config = _build_config(args)
     if args.lombardi:
-        positions, arcs = layout_lombardi(g, mass, config)
+        positions, sweeps = layout_lombardi(g, mass, config)
     else:
         positions = run_layout(g, mass, config)
-        arcs = None
+        sweeps = None
     if args.svg:
         if g.vertex_count:
             lo = float(cent.values.min())
@@ -119,7 +119,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
             colors = [color_for(float(v), lo, hi) for v in cent.values]
         else:
             colors = None
-        svg = render_svg(g, positions, colors, arcs, k=args.k, show_labels=args.labels)
+        svg = render_svg(g, positions, colors, sweeps, k=args.k, show_labels=args.labels)
         _write_text(args.svg, svg)
     if args.metrics:
         report = compute_metrics(g, positions, cent).as_dict()

@@ -63,8 +63,8 @@ from numbers import Real
 
 import numpy as np
 
-from .centrality import MassVector, _euler_tour, check_masses
-from .graphs import Graph, _bfs_parents, _check_integer, _first_vertices, connected_components
+from .centrality import MassVector, check_masses
+from .graphs import Graph, _bfs_parents, _check_integer, _euler_tour, _first_vertices, connected_components
 
 TWO_PI = 2.0 * math.pi
 MASK64 = (1 << 64) - 1
@@ -190,19 +190,6 @@ def settled(state: LayoutState, config: LayoutConfig) -> bool:
     return state.last_max_impulse < config.equilibrium_eps and state.gamma >= config.gamma_max - 1e-12
 
 
-def _rooted(forest: Graph, labels: np.ndarray, roots: np.ndarray):
-    """(size, enter, leave) of `centrality._euler_tour` of the forest from
-    roots[c], c the label, and each vertex's depth below its root: the
-    running sum of +1 where the tour goes down an edge and -1 where it
-    comes back up."""
-    parent, size, enter, leave = _euler_tour(forest, labels, roots)
-    child = np.flatnonzero(parent >= 0)
-    walk = np.zeros(2 * child.size + 1, dtype=np.int64)  # tour position p at p + 1
-    walk[enter[child] + 1] = 1
-    walk[leave[child] + 1] = -1
-    return size, enter, leave, np.cumsum(walk)[enter + 1]
-
-
 def _deepest(labels: np.ndarray, depth: np.ndarray, count: int) -> np.ndarray:
     """Per component label, its deepest vertex, the smallest on a tie."""
     most = np.zeros(count, dtype=np.int64)
@@ -275,13 +262,13 @@ def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
     # Sweep 1: the deepest vertex a below the first vertex ends a longest
     # path; sweep 2: the deepest vertex b below a is its other end. The
     # root is the ancestor of b (in the tree rooted at a) halfway down.
-    a = _deepest(labels, _rooted(forest, labels, first)[3], count)
-    _, enter, leave, depth = _rooted(forest, labels, a)
+    a = _deepest(labels, _euler_tour(forest, labels, first)[4], count)
+    _, _, enter, leave, depth = _euler_tour(forest, labels, a)
     b = _deepest(labels, depth, count)[labels]
     middle = (enter <= enter[b]) & (leave[b] <= leave) & (depth == depth[b] // 2)
     root = np.empty(count, dtype=np.int64)
     root[labels[middle]] = np.flatnonzero(middle)
-    size, enter, _, depth = _rooted(forest, labels, root)
+    _, size, enter, _, depth = _euler_tour(forest, labels, root)
     # v's preorder index: of the tour's arcs up to the one into v, depth[v]
     # more go down than up, and each down arc enters one vertex.
     before = (enter - enter[root][labels] + depth) // 2

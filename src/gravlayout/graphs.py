@@ -3,7 +3,9 @@
 Two level-synchronous BFS run over the cached CSR adjacency: `_bfs` from a
 batch of B sources at once, in O(B * (n + m)) memory, and `_bfs_parents`
 from all its roots together, for a spanning forest. `connected_components`
-runs no BFS: it hooks roots and jumps pointers.
+runs no BFS: it hooks roots and jumps pointers. `_euler_tour` roots each
+component of a forest by a tour ranked by pointer jumping, whatever its
+depth.
 """
 
 from __future__ import annotations
@@ -346,6 +348,69 @@ def _bfs_parents(g: Graph, roots) -> np.ndarray:
         parent[front] = heads[fresh][first]
         seen[front] = True
     return parent
+
+
+def _euler_tour(g: Graph, labels: np.ndarray, roots: np.ndarray):
+    """Root each component of the forest g at roots[c], c its label, by an Euler tour.
+
+    The tour of a component walks each edge down and back up, taking a
+    vertex's neighbours in CSR order; the tours are laid end to end in label
+    order. Returns (parent, size, enter, leave, depth), all int64 of length
+    n: parent is -1 at the roots, size[v] counts the vertices of v's
+    subtree, enter[v] and leave[v] are the tour positions of the arcs into
+    and out of v, and depth[v] counts the edges from v up to its root. A
+    root's enter and leave are one before its tour's first arc and one
+    after its last, so size == (leave - enter + 1) // 2 everywhere.
+
+    The arcs are the CSR positions. The successor of u -> v is the arc after
+    v -> u in v's row, wrapping to the row's start; each tour is cut before
+    its root's first arc and ranked by pointer jumping (Wyllie), so the
+    cost is O(m log N) for the largest component size N, whatever the
+    depth, in a few length-m arrays.
+    """
+    indptr, indices = g.csr
+    arcs = indices.size
+    counts = np.bincount(labels, minlength=roots.size)
+    # The k-th arc in (head, tail) order is the twin of CSR arc k; the CSR
+    # position, in the key's low bits, orders the arcs of one head by tail.
+    # The key stays below 4 * n * m, which fits int64 wherever the length-n
+    # arrays fit in memory.
+    bits = arcs.bit_length()
+    twin = np.sort(indices << bits | np.arange(arcs)) & ((1 << bits) - 1)
+    # The next arc in the same CSR row, wrapping to the row's start.
+    after = np.arange(1, arcs + 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    after[indptr[rows + 1] - 1] = indptr[rows]
+    nxt = after[twin]
+    dist = np.ones(arcs, dtype=np.int64)
+    # A tour ends at the arc whose successor is its root's first arc.
+    roots = roots[indptr[roots + 1] > indptr[roots]]
+    ends = twin[indptr[roots + 1] - 1]
+    nxt[ends] = ends
+    dist[ends] = 0
+    # After r rounds dist counts the arcs to the end of the tour for every
+    # arc at most 2**r from it; a tour of 2N - 2 arcs needs 2**r >= 2N - 3.
+    for _ in range(max(2 * int(counts.max(initial=1)) - 4, 0).bit_length()):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    last = np.cumsum(2 * counts - 2) - 1
+    base = last[labels]
+    enter = base - 2 * counts[labels] + 2
+    leave = base + 1
+    # An arc points down exactly when the tour takes it before its twin.
+    down = np.flatnonzero(dist > dist[twin])
+    up = twin[down]
+    child = indices[down]
+    parent = np.full(labels.size, -1, dtype=np.int64)
+    parent[child] = indices[up]
+    enter[child] = base[child] - dist[down]
+    leave[child] = base[child] - dist[up]
+    # Depth is the running sum of +1 where the tour goes down an edge and -1
+    # where it comes back up; tour position p is at walk[p + 1].
+    walk = np.zeros(2 * child.size + 1, dtype=np.int64)
+    walk[enter[child] + 1] = 1
+    walk[leave[child] + 1] = -1
+    return parent, (leave - enter + 1) // 2, enter, leave, np.cumsum(walk)[enter + 1]
 
 
 def bfs_distances(g: Graph, s: int) -> DistanceVector:

@@ -41,6 +41,19 @@ class DrawingMetrics:
         return asdict(self)
 
 
+def _check_drawing(positions, n: int | None = None) -> np.ndarray:
+    """check_positions, and ValueError when a side s of the bounding box has
+    2 s^2 beyond the float range: the largest quantity the orientation
+    predicates, squared edge lengths and squared radii form. Every drawing
+    run_layout returns passes, since engine._start keeps 8 reach^2 finite."""
+    pos = check_positions(positions, n)
+    with np.errstate(over="ignore"):
+        side = float(np.ptp(pos, axis=0).max()) if pos.size else 0.0
+    if 2.0 * side * side == math.inf:
+        raise ValueError(f"the drawing spans {side:.3g}, too wide for its metrics to stay finite")
+    return pos
+
+
 def _cross(o, a, b) -> np.ndarray:
     """Z component of (a - o) x (b - o) for points given as (x, y) pairs of
     1-D arrays; sign gives orientation."""
@@ -54,14 +67,14 @@ def count_crossings(g: Graph, positions) -> int:
     collinear edges overlapping over positive length also counts. Pairs that
     share an endpoint are skipped, and segments merely touching at an
     endpoint do not count (open-segment semantics). Positions must pass
-    check_positions.
+    _check_drawing.
 
     Candidate pairs are filtered cheapest first: the sweep yields only pairs
     whose closed x-extents overlap, pairs whose closed y-extents are
     disjoint are dropped next, then pairs that share an endpoint, and only
     the rest reach the orientation predicates.
     """
-    pos = check_positions(positions, g.vertex_count)
+    pos = _check_drawing(positions, g.vertex_count)
     return _count_crossings(g.edge_array, pos, CROSSING_PAIRS)
 
 
@@ -141,9 +154,9 @@ def min_angular_resolution(g: Graph, positions) -> float:
     Incident edge directions are sorted by angle and consecutive gaps
     (including the wrap-around gap) are compared. Drawings whose maximum
     degree is at most 1 return 2*pi by convention. Positions must pass
-    check_positions.
+    _check_drawing.
     """
-    pos = check_positions(positions, g.vertex_count)
+    pos = _check_drawing(positions, g.vertex_count)
     indptr, indices = g.csr
     owner = np.repeat(np.arange(g.vertex_count), g.degrees)
     vecs = pos[indices] - pos[owner]
@@ -158,23 +171,28 @@ def min_angular_resolution(g: Graph, positions) -> float:
 
 def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
     """Mean Euclidean edge length and its coefficient of variation (std/mean).
-    Positions must pass check_positions."""
+    Positions must pass _check_drawing."""
     if g.edge_count == 0:
         raise ValueError("edge_length_stats requires at least one edge")
-    pos = check_positions(positions, g.vertex_count)
+    pos = _check_drawing(positions, g.vertex_count)
     ea = g.edge_array
     seg = pos[ea[:, 0]] - pos[ea[:, 1]]
     lengths = np.sqrt(np.einsum("ec,ec->e", seg, seg))
     mean = float(lengths.mean())
     if mean == 0.0:
         return 0.0, 0.0
-    return mean, float(lengths.std() / mean)
+    with np.errstate(over="ignore"):
+        std = float(lengths.std())
+    if std == math.inf:  # the sum of m squared deviations, each below 2 s^2, overflowed
+        top = float(lengths.max())
+        std = float((lengths / top).std()) * top
+    return mean, std / mean
 
 
 def bounding_area(positions) -> float:
     """Area of the axis-aligned bounding box of the positions, which must
-    pass check_positions (any number of rows)."""
-    pos = check_positions(positions)
+    pass _check_drawing (any number of rows)."""
+    pos = _check_drawing(positions)
     if pos.size == 0:
         raise ValueError("bounding_area requires at least one position")
     spans = pos.max(axis=0) - pos.min(axis=0)
@@ -193,9 +211,12 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks for ties; 0 if either
-    side has zero variance."""
-    xr = _average_ranks(np.asarray(x, dtype=float))
-    yr = _average_ranks(np.asarray(y, dtype=float))
+    side has zero variance. ValueError unless every value is finite."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spearman requires finite values")
+    xr = _average_ranks(x)
+    yr = _average_ranks(y)
     xd = xr - xr.mean()
     yd = yr - yr.mean()
     denom = math.sqrt(float(xd @ xd) * float(yd @ yd))
@@ -208,24 +229,29 @@ def centrality_radius_correlation(c, positions) -> float:
     """Spearman correlation between centrality and distance from the centroid.
 
     Negative values mean high-centrality vertices sit near the middle of the
-    drawing. Positions must pass check_positions, one row per centrality
-    value.
+    drawing. Positions must pass _check_drawing, one row per centrality
+    value, and the values must be finite.
     """
     values = c.values if isinstance(c, CentralityVector) else np.asarray(c, dtype=float)
-    pos = check_positions(positions)
+    pos = _check_drawing(positions)
     if pos.shape[0] < 3:
         raise ValueError("centrality_radius_correlation requires at least 3 vertices")
     if values.shape[0] != pos.shape[0]:
         raise ValueError("centrality and positions must have matching length")
-    rel = pos - pos.mean(axis=0)
+    with np.errstate(over="ignore"):
+        centroid = pos.mean(axis=0)
+    if not np.isfinite(centroid).all():  # the coordinate sums overflowed
+        low = pos.min(axis=0)
+        centroid = low + (pos - low).mean(axis=0)
+    rel = pos - centroid
     radii = np.sqrt(np.einsum("vc,vc->v", rel, rel))
     return spearman(values, radii)
 
 
 def compute_metrics(g: Graph, positions, c: CentralityVector) -> DrawingMetrics:
     """Evaluate all drawing metrics for one layout; the positions must pass
-    check_positions."""
-    pos = check_positions(positions, g.vertex_count)
+    _check_drawing."""
+    pos = _check_drawing(positions, g.vertex_count)
     crossings = count_crossings(g, pos)
     if g.edge_count:
         mean, cv = edge_length_stats(g, pos)

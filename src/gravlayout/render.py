@@ -1,14 +1,16 @@
-"""SVG output: vertices as circles, straight or circular-arc edges, and a
-blue-to-red color spectrum for centrality."""
+"""SVG output: vertices as circles, edges as lines or as circular arcs given
+by their sweeps (`arcs.arc_geometry`), and a blue-to-red color spectrum for
+centrality."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .arcs import ArcEdge
+from .arcs import arc_geometry
 from .graphs import Graph
 
 
@@ -62,63 +64,42 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _arc_path(arc: ArcEdge) -> str:
-    geom = arc.geometry
-    assert geom is not None
-    ux, uy = arc.p_u
-    vx, vy = arc.p_v
-    large_flag = int(abs(geom.sweep) > math.pi)
-    r = _fmt(geom.radius)
-    return (
-        f"M {_fmt(ux)} {_fmt(uy)} "
-        f"A {r} {r} 0 {large_flag} {int(geom.ccw)} {_fmt(vx)} {_fmt(vy)}"
-    )
-
-
-def _arc_bounds(arcs: list[ArcEdge]) -> np.ndarray:
-    """Points whose bounding box is the curved arcs' own: each arc's
-    endpoints, plus each axis extreme of its circle that lies on the
-    control's side of the chord, which is the side the arc runs on."""
-    curved = [a for a in arcs if not a.straight]
-    if not curved:
-        return np.empty((0, 2))
-    u = np.asarray([a.p_u for a in curved], dtype=float)
-    v = np.asarray([a.p_v for a in curved], dtype=float)
-    center = np.asarray([a.geometry.center for a in curved], dtype=float)
-    radius = np.asarray([a.geometry.radius for a in curved], dtype=float)[:, None]
+def _arc_extremes(u, v, mid, center, radius) -> np.ndarray:
+    """The axis extremes of the circles of the arcs from u to v through mid
+    that lie on mid's side of the chord, the side the arc runs on: with the
+    vertices, the points whose bounding box is the drawing's."""
     chord = v - u
 
     def side(p: np.ndarray) -> np.ndarray:
         return chord[:, 0] * (p[:, 1] - u[:, 1]) - chord[:, 1] * (p[:, 0] - u[:, 0])
 
-    control_side = side(np.asarray([a.control for a in curved], dtype=float))
-    points = [u, v]
-    for e in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        extreme = center + radius * np.asarray(e)
-        points.append(extreme[side(extreme) * control_side > 0])
-    return np.vstack(points)
+    axes = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+    extremes = [center + radius[:, None] * np.asarray(e) for e in axes]
+    return np.vstack([p[side(p) * side(mid) > 0] for p in extremes])
 
 
 def render_svg(
     g: Graph,
     positions,
     colors: list[Color] | None = None,
-    arcs: list[ArcEdge] | None = None,
+    sweeps=None,
     *,
     k: float = 80.0,
     show_labels: bool = False,
 ) -> str:
     """Serialize a drawing to a standalone SVG document.
 
-    Edges are drawn first (lines, or circular-arc paths when arcs are
-    given) in #444444 at width 0.01 * k, vertices on top as filled
-    circles of radius 0.05 * k. The drawing keeps y-up mathematical
-    orientation via a flip transform, and the viewBox is the drawing's
-    bounding box, vertices and every drawn arc, padded by 0.1 * k.
-    RenderError unless k is a positive finite number and colors, when
-    given, holds one Color per vertex.
+    Edges are drawn first, in #444444 at width 0.01 * k: a line, or, when
+    sweeps gives the edge a nonzero sweep (`arcs.layout_lombardi`), the
+    circular-arc path of that sweep between its endpoints' positions.
+    Vertices go on top as filled circles of radius 0.05 * k. The drawing
+    keeps y-up mathematical orientation via a flip transform, and the
+    viewBox is the drawing's bounding box, vertices and every drawn arc,
+    padded by 0.1 * k. RenderError unless k is a positive finite real number
+    (a bool is not one), colors, when given, holds one Color per vertex, and
+    sweeps, when given, holds one number in (-2 pi, 2 pi) per edge.
     """
-    if not 0 < k < math.inf:
+    if isinstance(k, bool) or not isinstance(k, Real) or not 0 < k < math.inf:
         raise RenderError(f"k must be a positive finite number, got {k!r}")
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (g.vertex_count, 2):
@@ -134,35 +115,38 @@ def render_svg(
     stroke = f'stroke="#444444" stroke-width="{_fmt(0.01 * k)}"'
     pad = 0.1 * k
 
-    points = [pos] if g.vertex_count else []
-    if arcs:
-        points.append(_arc_bounds(arcs))
-    if points:
-        allpts = np.vstack(points)
-        xmin, ymin = allpts.min(axis=0)
-        xmax, ymax = allpts.max(axis=0)
+    try:
+        sweeps = np.zeros(g.edge_count) if sweeps is None else np.asarray(sweeps, dtype=float)
+        mid, center, arc_radius = arc_geometry(pos, g, sweeps)
+    except ValueError as exc:
+        raise RenderError(str(exc)) from None
+    curved = np.flatnonzero(sweeps)
+    ends = g.edge_array[curved]
+    pu, pv = pos[ends[:, 0]], pos[ends[:, 1]]
+    bounds = np.vstack((pos, _arc_extremes(pu, pv, mid[curved], center[curved], arc_radius[curved])))
+    if bounds.size:
+        xmin, ymin = bounds.min(axis=0)
+        xmax, ymax = bounds.max(axis=0)
     else:
-        xmin = ymin = 0.0
-        xmax = ymax = 0.0
+        xmin = ymin = xmax = ymax = 0.0
 
     vb_x = xmin - pad
     vb_y = -(ymax + pad)
     vb_w = (xmax - xmin) + 2 * pad
     vb_h = (ymax - ymin) + 2 * pad
 
-    arc_by_edge = {a.edge: a for a in arcs} if arcs else {}
-    body: list[str] = []
-    for u, v in g.edges:
-        arc = arc_by_edge.get((u, v))
-        if arc is not None and not arc.straight:
-            body.append(
-                f'<path d="{_arc_path(arc)}" fill="none" {stroke}/>'
-            )
-        else:
-            body.append(
-                f'<line x1="{_fmt(pos[u, 0])}" y1="{_fmt(pos[u, 1])}" '
-                f'x2="{_fmt(pos[v, 0])}" y2="{_fmt(pos[v, 1])}" {stroke}/>'
-            )
+    body = [
+        f'<line x1="{_fmt(pos[u, 0])}" y1="{_fmt(pos[u, 1])}" '
+        f'x2="{_fmt(pos[v, 0])}" y2="{_fmt(pos[v, 1])}" {stroke}/>'
+        for u, v in g.edges
+    ]
+    for e, (u, v) in zip(curved.tolist(), ends.tolist()):
+        s, r = sweeps[e], _fmt(arc_radius[e])
+        body[e] = (
+            f'<path d="M {_fmt(pos[u, 0])} {_fmt(pos[u, 1])} '
+            f'A {r} {r} 0 {int(abs(s) > math.pi)} {int(s > 0)} {_fmt(pos[v, 0])} {_fmt(pos[v, 1])}" '
+            f'fill="none" {stroke}/>'
+        )
     for v in range(g.vertex_count):
         fill = colors[v].css if colors is not None else "#5b7db1"
         body.append(

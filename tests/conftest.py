@@ -38,11 +38,11 @@ LOMBARDI_TREES = [(n, seed) for n in (70, 126, 174) for seed in range(4)]
 
 @functools.lru_cache(maxsize=None)
 def lombardi_tree(n, seed):
-    """(g, positions, arcs) of the default Lombardi drawing of a random tree
+    """(g, positions, sweeps) of the default Lombardi drawing of a random tree
     with degree mass."""
     g = generate_random_tree(n, seed=seed)
-    pos, arcs = layout_lombardi(g, normalize_mass(degree_centrality(g)), LayoutConfig(seed=seed))
-    return g, pos, arcs
+    pos, sweeps = layout_lombardi(g, normalize_mass(degree_centrality(g)), LayoutConfig(seed=seed))
+    return g, pos, sweeps
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

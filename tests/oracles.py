@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from gravlayout import (
-    CircularArc,
     Graph,
     GraphParseError,
     LayoutConfig,
@@ -37,7 +37,7 @@ from gravlayout import (
     MassVector,
     connected_components,
 )
-from gravlayout.arcs import COLLINEAR_AREA_TOL
+from gravlayout.arcs import COLLINEAR_AREA_TOL, arc_geometry
 from gravlayout.engine import START_JITTER, TWO_PI
 from gravlayout.graphs import _neighbour_slots
 
@@ -562,7 +562,16 @@ def separate_coincident(pos, k: float, nudge, trigger: float = 1e-6, rounds: int
     return pos
 
 
-def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
+class FittedArc(NamedTuple):
+    """A circle's center and radius, and the signed angle swept from the
+    first endpoint to the second, positive counter-clockwise."""
+
+    center: tuple[float, float]
+    radius: float
+    sweep: float
+
+
+def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> FittedArc | None:
     """Circumcircle through the three points, as the arc from p_u to p_v
     passing through p_d; None (straight segment) when the triangle they
     span is flatter than COLLINEAR_AREA_TOL * scale^2.
@@ -588,29 +597,29 @@ def fit_arc(p_u, p_v, p_d, scale: float = 80.0) -> CircularArc | None:
     sweep = (theta_v - theta_u) % TWO_PI
     if (theta_d - theta_u) % TWO_PI >= sweep:  # p_d off the ccw sweep: turn clockwise
         sweep = -((theta_u - theta_v) % TWO_PI)
-    return CircularArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
+    return FittedArc(center=(float(cx), float(cy)), radius=float(radius), sweep=float(sweep))
 
 
-def tangent_gap(g: Graph, positions, arcs=None) -> float:
+def tangent_gap(g: Graph, positions, sweeps=None) -> float:
     """Mean, over vertices of degree >= 2, of 2*pi/deg minus the smallest
     angle between adjacent edge tangents; 0.0 when no vertex has degree >= 2.
 
     Each tangent is the direction from the vertex to a point of the drawn
-    edge a short step away: along the chord for a straight edge, and for a
-    curved ArcEdge the point of its circle 1e-6 of the sweep from that end.
+    edge a short step away: along the chord for a straight edge (no sweeps,
+    or sweep 0), and for a curved one the point of its circle
+    (`arc_geometry`) 1e-6 of the sweep from that end.
     """
     pos = np.asarray(positions, dtype=float)
-    drawn = {a.edge: a for a in arcs or ()}
+    sweeps = np.zeros(g.edge_count) if sweeps is None else np.asarray(sweeps, dtype=float)
+    centers, radii = arc_geometry(pos, g, sweeps)[1:]
     directions: list[list[float]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        arc = drawn.get((u, v))
+    for (u, v), sweep, (cx, cy), radius in zip(g.edges, sweeps.tolist(), centers.tolist(), radii.tolist()):
         for end, other, turn in ((u, v, 1e-6), (v, u, -1e-6)):
-            if arc is None or arc.straight:
+            if sweep == 0.0:
                 near = pos[other]
             else:
-                cx, cy = arc.geometry.center
-                start = math.atan2(pos[end, 1] - cy, pos[end, 0] - cx) + turn * arc.geometry.sweep
-                near = np.array([cx, cy]) + arc.geometry.radius * np.array([math.cos(start), math.sin(start)])
+                start = math.atan2(pos[end, 1] - cy, pos[end, 0] - cx) + turn * sweep
+                near = np.array([cx, cy]) + radius * np.array([math.cos(start), math.sin(start)])
             directions[end].append(math.atan2(near[1] - pos[end, 1], near[0] - pos[end, 0]))
     gaps = []
     for angles in directions:

@@ -317,29 +317,27 @@ def test_criterion_09_lombardi_phase():
         mass = mass_for(g, "degree")
         cfg = gl.LayoutConfig(seed=seed, max_iterations=600)
         plain = gl.run_layout(g, mass, cfg)
-        pos, arcs = gl.layout_lombardi(g, mass, cfg)
+        pos, sweeps = gl.layout_lombardi(g, mass, cfg)
         positions_ok = positions_ok and bool(np.array_equal(pos, plain))
-        for arc in arcs:
-            if arc.straight:
+        _, centers, radii = gl.arc_geometry(pos, g, sweeps)
+        for (u, v), sweep, center, radius in zip(g.edges, sweeps, centers, radii):
+            if sweep == 0.0:
                 continue
-            geom = arc.geometry
-            for p in (arc.p_u, arc.p_v):
-                dist = math.hypot(p[0] - geom.center[0], p[1] - geom.center[1])
-                endpoint_ok = endpoint_ok and abs(dist - geom.radius) <= tol
+            for p in (pos[u], pos[v]):
+                endpoint_ok = endpoint_ok and abs(math.dist(p, center) - radius) <= tol
 
-    # triangle controls strictly outside their chords
+    # triangle midpoints strictly outside their chords
     g = gl.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     cfg = gl.LayoutConfig(gamma_max=0.0, seed=3)
-    pos, arcs = gl.layout_lombardi(g, mass_for(g, "uniform"), cfg)
+    pos, sweeps = gl.layout_lombardi(g, mass_for(g, "uniform"), cfg)
+    midpoints = gl.arc_geometry(pos, g, sweeps)[0]
     center = pos.mean(axis=0)
-    outward_ok = len(arcs) == 3
-    for arc in arcs:
-        u, v = arc.edge
+    outward_ok = sweeps.shape == (3,)
+    for (u, v), mid in zip(g.edges, midpoints):
         chord = pos[v] - pos[u]
         side_center = chord[0] * (center[1] - pos[u][1]) - chord[1] * (center[0] - pos[u][0])
-        ctrl = np.asarray(arc.control)
-        side_ctrl = chord[0] * (ctrl[1] - pos[u][1]) - chord[1] * (ctrl[0] - pos[u][0])
-        outward_ok = outward_ok and bool(side_ctrl * side_center < 0)
+        side_mid = chord[0] * (mid[1] - pos[u][1]) - chord[1] * (mid[0] - pos[u][0])
+        outward_ok = outward_ok and bool(side_mid * side_center < 0)
 
     ok = positions_ok and endpoint_ok and outward_ok
     report(

@@ -20,6 +20,7 @@ from gravlayout import (
 )
 from conftest import blas_thread_hashes
 from gravlayout import centrality
+from gravlayout.graphs import _euler_tour
 from oracles import (
     brandes_reference,
     brute_betweenness,
@@ -223,7 +224,7 @@ def test_euler_tour_fuzz_against_level_sweep():
         # Any vertex of a component can be its root.
         count = int(labels.max(initial=-1)) + 1
         roots = np.array([rng.choice(np.flatnonzero(labels == c)) for c in range(count)], dtype=np.int64)
-        parent, size, enter, leave = centrality._euler_tour(g, labels, roots)
+        parent, size, enter, leave, depth = _euler_tour(g, labels, roots)
         want_parent, want_size = rooted_forest_reference(g, roots)[:2]
         assert np.array_equal(parent, want_parent)
         assert np.array_equal(size, want_size)
@@ -234,6 +235,9 @@ def test_euler_tour_fuzz_against_level_sweep():
         assert np.array_equal(used, np.arange(2 * g.edge_count))
         assert np.all(enter[parent[child]] < enter[child])
         assert np.all(leave[child] < leave[parent[child]])
+        # Roots sit at depth 0 and every child one below its parent.
+        assert np.all(depth[~child] == 0)
+        assert np.array_equal(depth[child], depth[parent[child]] + 1)
 
 
 def test_forest_path_long_shuffled_path():

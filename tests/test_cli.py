@@ -363,6 +363,21 @@ def test_metrics_rejects_non_finite_positions(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_metrics_rejects_drawing_too_wide_to_measure(tmp_path, capsys):
+    # A path at -1e308, 0, 1e308 wrote edge_len_mean Infinity, edge_len_cv
+    # NaN and bbox_area Infinity, which is not JSON, and exited 0.
+    graph = tmp_path / "p.edges"
+    graph.write_text("a b\nb c\n")
+    positions = tmp_path / "pos.json"
+    positions.write_text('{"positions": [[-1e308, 0], [0, 0], [1e308, 0]]}')
+    out = tmp_path / "m.json"
+    rc = main(["metrics", "--in", str(graph), "--positions", str(positions), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too wide" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload",
     [

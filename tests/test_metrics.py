@@ -378,3 +378,75 @@ def test_compute_metrics_degenerate_graph():
     assert dm.edge_len_cv is None
     assert dm.centrality_radius_rho is None
     assert dm.crossings == 0
+
+
+def _every_metric(g, pos, values):
+    return [
+        lambda: count_crossings(g, pos),
+        lambda: min_angular_resolution(g, pos),
+        lambda: edge_length_stats(g, pos),
+        lambda: bounding_area(pos),
+        lambda: centrality_radius_correlation(values, pos),
+        lambda: compute_metrics(g, pos, degree_centrality(g)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "pos",
+    [
+        [(-1e308, 0.0), (0.0, 0.0), (1e308, 0.0)],
+        [(0.0, -1e308), (0.0, 0.0), (0.0, 1e308)],
+        [(0.0, 0.0), (1e154, 0.0), (2e154, 1.0)],
+    ],
+    ids=["x-overflows", "y-overflows", "square-overflows"],
+)
+def test_every_metric_refuses_a_drawing_too_wide_to_measure(pos):
+    # The first path gave edge_len_mean inf, edge_len_cv NaN and bbox_area
+    # inf; a side s with 2 s^2 beyond the float range is refused.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for call in _every_metric(g, pos, [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="too wide"):
+            call()
+
+
+def test_widest_measurable_drawing_gives_finite_metrics():
+    # engine._start keeps 8 reach^2 finite, and every side of a drawing
+    # within reach is at most 2 reach, so such a drawing is measured.
+    reach = math.sqrt(np.finfo(float).max / 8) * (1 - 1e-12)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    pos = np.array([(-reach, -reach), (reach, -reach), (reach, reach)])
+    report = compute_metrics(g, pos, degree_centrality(g)).as_dict()
+    assert all(math.isfinite(v) for v in report.values())
+
+
+def test_edge_length_cv_survives_overflowing_squared_deviations():
+    # 200 edges of about 1e154: each squared deviation is finite, their sum
+    # is not. The cv is scale-free, so it equals the cv of the drawing
+    # scaled down.
+    n = 200
+    pos = np.zeros((n, 2))
+    pos[1::2, 0] = 9e153
+    pos[::2, 1] = np.linspace(0.0, 9e153, n)[::2]
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    mean, cv = edge_length_stats(g, pos)
+    small_mean, small_cv = edge_length_stats(g, pos * 1e-150)
+    assert mean == pytest.approx(small_mean * 1e150)
+    assert cv == pytest.approx(small_cv)
+
+
+def test_correlation_of_far_coincident_vertices():
+    # The centroid's coordinate sums overflow; every radius is 0.
+    pos = np.full((100, 2), 1.7e308)
+    assert centrality_radius_correlation(np.arange(100.0), pos) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spearman_and_correlation_refuse_non_finite_values(bad):
+    # spearman([nan, 1, 2], [1, 2, 3]) read -0.5, and the correlation with a
+    # NaN centrality 0.5.
+    with pytest.raises(ValueError, match="finite"):
+        spearman([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        spearman([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        centrality_radius_correlation([bad, 1.0, 2.0], [(0, 0), (1, 0), (3, 0)])

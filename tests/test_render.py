@@ -11,6 +11,7 @@ from gravlayout import (
     Graph,
     LayoutConfig,
     RenderError,
+    arc_geometry,
     color_for,
     layout_lombardi,
     normalize_mass,
@@ -81,12 +82,12 @@ def test_render_empty_graph_valid():
     assert count_tags(svg, "circle") == 0
 
 
-def test_render_straight_arcedge_matches_line_rendering():
+def test_render_straight_sweep_matches_line_rendering():
     g = Graph.from_edges(2, [(0, 1)])
     cfg = LayoutConfig(gamma_max=0.0, seed=2)
-    pos, arcs = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
-    assert arcs[0].straight
-    with_arcs = render_svg(g, pos, arcs=arcs)
+    pos, sweeps = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
+    assert sweeps.tolist() == [0.0]
+    with_arcs = render_svg(g, pos, sweeps=sweeps)
     plain = render_svg(g, pos)
     assert count_tags(with_arcs, "line") == 1
     assert ET.fromstring(with_arcs).find(f".//{SVG_NS}line").attrib == ET.fromstring(
@@ -97,13 +98,38 @@ def test_render_straight_arcedge_matches_line_rendering():
 def test_render_curved_arcs_use_paths():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     cfg = LayoutConfig(gamma_max=0.0, seed=3)
-    pos, arcs = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
-    svg = render_svg(g, pos, arcs=arcs)
-    curved = sum(not a.straight for a in arcs)
+    pos, sweeps = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
+    svg = render_svg(g, pos, sweeps=sweeps)
+    curved = np.count_nonzero(sweeps)
+    assert curved > 0
     assert count_tags(svg, "path") == curved
     assert count_tags(svg, "line") == 3 - curved
     for path in ET.fromstring(svg).iter(SVG_NS + "path"):
         assert " A " in path.attrib["d"]
+
+
+@pytest.mark.parametrize("sweeps", [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [[0.5, 0.5]], [7.0, 0.5]])
+def test_render_rejects_sweeps_not_one_finite_number_per_edge(sweeps):
+    # One sweep per edge, finite and short of a full turn: arcs of another
+    # graph's length were drawn before.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(RenderError, match="sweeps must hold 2 finite numbers"):
+        render_svg(g, [(0, 0), (80, 0), (80, 80)], sweeps=sweeps)
+
+
+def test_render_arc_starts_at_its_vertex():
+    # Each arc is drawn from positions: shifting the drawing shifts every
+    # path's start onto its first vertex's new position.
+    g, pos, sweeps = lombardi_tree(*LOMBARDI_TREES[0])
+    moved = pos + 500.0
+    svg = render_svg(g, moved, sweeps=sweeps, k=LayoutConfig().k)
+    paths = [p.attrib["d"].split() for p in ET.fromstring(svg).iter(SVG_NS + "path")]
+    curved = np.flatnonzero(sweeps)
+    assert len(paths) == curved.size > 0
+    for e, tokens in zip(curved.tolist(), paths):
+        u, v = g.edges[e]
+        assert tokens[1:3] == [render._fmt(x) for x in moved[u]]
+        assert tokens[-2:] == [render._fmt(x) for x in moved[v]]
 
 
 def test_render_colors_applied():
@@ -138,9 +164,10 @@ def test_render_rejects_colors_that_are_not_colors():
             render_svg(g, pos, colors)
 
 
-@pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, True, "80", None])
 def test_render_rejects_k_not_positive_finite(k):
-    # k -1 wrote a negative circle radius and k nan a viewBox of nan.
+    # k -1 wrote a negative circle radius and k nan a viewBox of nan; k True
+    # drew with k = 1, and k "80" raised TypeError.
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(RenderError, match="k must be a positive finite number"):
         render_svg(g, [(0, 0), (80, 0)], k=k)
@@ -208,66 +235,73 @@ def test_render_deterministic_bytes():
 
 @functools.lru_cache(maxsize=None)
 def lombardi_svg(n, seed):
-    """The arcs of conftest's default Lombardi drawing, and its SVG."""
-    g, pos, arcs = lombardi_tree(n, seed)
-    return arcs, render_svg(g, pos, arcs=arcs, k=LayoutConfig().k)
+    """conftest's default Lombardi drawing, its arcs' midpoints, centers
+    and radii, and its SVG."""
+    g, pos, sweeps = lombardi_tree(n, seed)
+    geometry = arc_geometry(pos, g, sweeps)
+    return g, pos, sweeps, geometry, render_svg(g, pos, sweeps=sweeps, k=LayoutConfig().k)
 
 
 def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def arc_samples(arc, count=721):
-    """count points along the arc from p_u to p_v through the control; the
-    direction comes from which side of the chord the control lies on."""
-    u, v, d = (np.asarray(p, dtype=float) for p in (arc.p_u, arc.p_v, arc.control))
-    c = np.asarray(arc.geometry.center)
-    theta_u = math.atan2(u[1] - c[1], u[0] - c[0])
-    theta_v = math.atan2(v[1] - c[1], v[0] - c[0])
+def arc_samples(u, v, d, center, radius, count=721):
+    """count points along the arc from u to v through d on the circle of the
+    given center and radius; the direction comes from which side of the
+    chord d lies on."""
+    theta_u = math.atan2(u[1] - center[1], u[0] - center[0])
+    theta_v = math.atan2(v[1] - center[1], v[0] - center[0])
     if cross(d - u, v - u) > 0:
         sweep = (theta_v - theta_u) % (2 * math.pi)
     else:
         sweep = -((theta_u - theta_v) % (2 * math.pi))
     angles = theta_u + sweep * np.linspace(0.0, 1.0, count)
-    return c + arc.geometry.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    return center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def curved_arcs(n, seed):
+    """(edge, u, v, midpoint, center, radius) of each curved arc of
+    lombardi_svg(n, seed), in edge order."""
+    g, pos, sweeps, (midpoints, centers, radii), _ = lombardi_svg(n, seed)
+    for e in np.flatnonzero(sweeps).tolist():
+        u, v = g.edges[e]
+        yield (u, v), pos[u], pos[v], midpoints[e], centers[e], radii[e]
 
 
 @pytest.mark.parametrize("n, seed", LOMBARDI_TREES)
 def test_viewbox_contains_every_arc(n, seed):
-    # An arc's axis extremes can lie past both endpoints and its midpoint
-    # control, so the viewBox must hold every sampled point, not just those.
-    arcs, svg = lombardi_svg(n, seed)
+    # An arc's axis extremes can lie past both endpoints and its midpoint,
+    # so the viewBox must hold every sampled point, not just those.
+    svg = lombardi_svg(n, seed)[-1]
     x, y, w, h = (float(t) for t in ET.fromstring(svg).attrib["viewBox"].split())
     # the group flips y, so drawing y spans [-(y + h), -y]
     lo, hi = np.array([x, -(y + h)]), np.array([x + w, -y])
     tol = 1e-3
-    for arc in arcs:
-        if arc.straight:
-            continue
-        pts = arc_samples(arc)
-        assert np.allclose(pts[[0, -1]], [arc.p_u, arc.p_v])
-        assert (pts >= lo - tol).all() and (pts <= hi + tol).all(), arc.edge
+    for edge, u, v, d, center, radius in curved_arcs(n, seed):
+        pts = arc_samples(u, v, d, center, radius)
+        assert np.allclose(pts[[0, -1]], [u, v])
+        assert (pts >= lo - tol).all() and (pts <= hi + tol).all(), edge
 
 
 def test_arc_flags_match_chord_oracle():
-    # Trig-free oracle: the arc through the control d is the large one when
+    # Trig-free oracle: the arc through the midpoint d is the large one when
     # the angle u-d-v is acute, and turns counter-clockwise when d lies right
     # of the chord u -> v. A right angle at d is a semicircle, where rounding
     # may pick either large flag, so such arcs are skipped; none is here.
     checked = skipped = 0
     for n, seed in LOMBARDI_TREES:
-        arcs, svg = lombardi_svg(n, seed)
-        curved = [a for a in arcs if not a.straight]
+        svg = lombardi_svg(n, seed)[-1]
+        curved = list(curved_arcs(n, seed))
         paths = [p.attrib["d"].split() for p in ET.fromstring(svg).iter(SVG_NS + "path")]
         assert len(paths) == len(curved)
-        for arc, tokens in zip(curved, paths):
+        for (edge, u, v, d, _, _), tokens in zip(curved, paths):
             large, sweep = int(tokens[7]), int(tokens[8])
-            u, v, d = (np.asarray(p, dtype=float) for p in (arc.p_u, arc.p_v, arc.control))
             dot = float(np.dot(u - d, v - d))
             if abs(dot) <= 1e-9 * np.linalg.norm(u - d) * np.linalg.norm(v - d):
                 skipped += 1
                 continue
-            assert large == int(dot > 0), arc.edge
-            assert sweep == int(cross(d - u, v - u) > 0), arc.edge
+            assert large == int(dot > 0), edge
+            assert sweep == int(cross(d - u, v - u) > 0), edge
             checked += 1
     assert checked > 1000 and skipped < 10
