@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .engine import TWO_PI, LayoutConfig, check_positions, run_layout
-from .graphs import Graph
+from .graphs import Graph, _numbers
 
 # A triangle flatter than this fraction of k^2 is treated as collinear.
 COLLINEAR_AREA_TOL = 1e-9
@@ -72,6 +72,15 @@ def layout_lombardi(g: Graph, mass, config: LayoutConfig) -> tuple[np.ndarray, n
     return pos, sweeps
 
 
+def _check_sweeps(sweeps, m: int) -> np.ndarray:
+    """sweeps as a float array; ValueError unless it holds m numbers in (-2 pi, 2 pi)."""
+    rule = f"sweeps must hold {m} finite numbers in (-2 pi, 2 pi), one per edge"
+    sweeps = _numbers(rule, sweeps)
+    if sweeps.shape != (m,) or not (np.abs(sweeps) < TWO_PI).all():
+        raise ValueError(rule)
+    return sweeps
+
+
 def arc_geometry(positions, g: Graph, sweeps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(midpoints, centers, radii) of the arcs, one row per row of g.edge_array.
 
@@ -80,13 +89,12 @@ def arc_geometry(positions, g: Graph, sweeps) -> tuple[np.ndarray, np.ndarray, n
     circle has center p_u + h - cot(s / 2) h' and radius |h| / |sin(s / 2)|.
     A straight edge (sweep 0) gets its chord's midpoint and NaN for center
     and radius. ValueError unless positions pass check_positions and sweeps
-    holds m numbers in (-2 pi, 2 pi), where layout_lombardi's all lie.
+    holds m numbers (never bools or strings) in (-2 pi, 2 pi), as
+    layout_lombardi's do.
     """
     pos = check_positions(positions, g.vertex_count)
-    sweeps = np.asarray(sweeps, dtype=float)
     m = g.edge_count
-    if sweeps.shape != (m,) or not (np.abs(sweeps) < TWO_PI).all():
-        raise ValueError(f"sweeps must hold {m} finite numbers in (-2 pi, 2 pi), one per edge")
+    sweeps = _check_sweeps(sweeps, m)
     pu = pos[g.edge_array[:, 0]]
     half = 0.5 * (pos[g.edge_array[:, 1]] - pu)
     mid = pu + half

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .graphs import Graph, _bfs, _euler_tour, _first_vertices, connected_components
+from .graphs import Graph, _bfs, _check_finite, _euler_tour, _first_vertices, _numbers, connected_components
 
 CENTRALITY_KINDS = ("degree", "closeness", "betweenness", "uniform")
 
@@ -37,17 +36,6 @@ DEFAULT_MASS_FLOOR = 0.05
 # (source, vertex) entries per BFS batch: a batch holds B sources with
 # B * n <= BFS_ELEMENTS (for n <= BFS_ELEMENTS).
 BFS_ELEMENTS = 1 << 17
-
-
-def _real_vector(values, what: str) -> np.ndarray:
-    """values as a fresh flat float array; ValueError unless it is a flat
-    vector of integers or floats (bools, strings and other objects are not)."""
-    vals = np.asarray(values)
-    if vals.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be real numbers")
-    if vals.ndim != 1:
-        raise ValueError(f"{what} must be a flat vector")
-    return vals.astype(float)
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class CentralityVector:
     def __post_init__(self) -> None:
         if self.kind not in CENTRALITY_KINDS:
             raise ValueError(f"unknown centrality kind {self.kind!r}")
-        vals = _real_vector(self.values, "centrality values")
+        vals = _numbers("centrality values", self.values).copy()
         if not np.all(np.isfinite(vals)):
             raise ValueError("centrality values must be finite")
         vals.setflags(write=False)
@@ -68,8 +56,9 @@ class CentralityVector:
 
 
 def check_masses(values) -> np.ndarray:
-    """Masses as a flat float array; ValueError unless every one is positive and finite."""
-    vals = _real_vector(values, "mass values")
+    """Masses as a flat float array, uncopied when given one; ValueError unless
+    every one is a positive finite number (`graphs._numbers`: no bool or string)."""
+    vals = _numbers("mass values", values)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise ValueError("masses must be positive and finite")
     return vals
@@ -82,7 +71,7 @@ class MassVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = check_masses(self.values)
+        vals = check_masses(self.values).copy()
         if vals.size and abs(float(vals.mean()) - 1.0) > 1e-9:
             raise ValueError("mass mean must be 1 within 1e-9")
         vals.setflags(write=False)
@@ -235,9 +224,9 @@ def normalize_mass(c: CentralityVector, mass_floor: float = DEFAULT_MASS_FLOOR) 
     rescale interact, so a single pass is not a fixed point). An all-zero
     centrality yields uniform masses.
     """
-    if isinstance(mass_floor, bool) or not isinstance(mass_floor, Real) or not 0.0 < mass_floor <= 1.0:
+    mass_floor = _check_finite("mass_floor", mass_floor)
+    if not 0.0 < mass_floor <= 1.0:
         raise ValueError(f"mass_floor must be a number in (0, 1], got {mass_floor!r}")
-    mass_floor = float(mass_floor)
     vals = c.values
     if np.any(vals < 0):
         raise ValueError("centrality values must be nonnegative")

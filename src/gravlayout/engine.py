@@ -59,12 +59,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
 from .centrality import MassVector, check_masses
-from .graphs import Graph, _bfs_parents, _check_integer, _euler_tour, _first_vertices, connected_components
+from .graphs import (
+    Graph, _bfs_parents, _check_finite, _check_integer, _euler_tour, _first_vertices, _numbers, connected_components
+)
 
 TWO_PI = 2.0 * math.pi
 MASK64 = (1 << 64) - 1
@@ -89,18 +90,6 @@ LEVEL_EPS = 3.0
 # Pair entries per block of the repulsion kernel: its scratch is five
 # (rows, n) arrays with rows * n <= BLOCK_ELEMENTS (for n <= BLOCK_ELEMENTS).
 BLOCK_ELEMENTS = 16384
-
-
-def _check_finite(name: str, value) -> float:
-    """value as a Python float; ValueError unless it is a finite real number
-    (a bool is not one)."""
-    try:
-        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -473,16 +462,15 @@ def _advance(
 
 def check_positions(positions, n: int | None = None) -> np.ndarray:
     """Positions of an n-vertex drawing as a float array; ValueError unless
-    the shape is (n, 2) and every coordinate is finite. With n None, any
-    number of rows passes.
+    they are n rows of 2 finite numbers (`graphs._numbers`: no bool, string
+    or complex value). With n None, any number of rows passes.
 
-    A float ndarray comes back as it is, without a copy: callers that move
+    A float64 ndarray comes back as it is, without a copy: callers that move
     vertices copy first.
     """
-    pos = np.asarray(positions, dtype=float)
-    rows = len(pos) if n is None and pos.ndim else n
-    if pos.shape != (rows, 2):
-        raise ValueError(f"positions shape {pos.shape} is not ({'n' if n is None else n}, 2)")
+    pos = _numbers("positions", positions, width=2)
+    if n is not None and len(pos) != n:
+        raise ValueError(f"positions shape {pos.shape} is not ({n}, 2)")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
     return pos

@@ -1,4 +1,7 @@
-"""Undirected simple graphs: construction, edge-list/JSON parsing, BFS primitives.
+"""Undirected simple graphs: construction, edge-list/JSON parsing, BFS
+primitives, and the one rule for numbers from a caller: a Python or numpy
+integer or real, never a bool, string, None or complex value. `_check_integer`
+and `_check_finite` read one such number, `_numbers` an array of them.
 
 Two level-synchronous BFS run over the cached CSR adjacency: `_bfs` from a
 batch of B sources at once, in O(B * (n + m)) memory, and `_bfs_parents`
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,24 +37,43 @@ def _check_integer(name: str, value) -> int:
     return int(value)
 
 
-def _endpoint_array(pairs) -> np.ndarray:
-    """Edge endpoints as a fresh (m, 2) int64 array; ValueError unless every
-    pair holds two integers (Python or numpy, bool excluded)."""
-    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
-        return pairs.astype(np.int64)
-    if not isinstance(pairs, (list, tuple)):
-        pairs = list(pairs)
-    if not set(map(len, pairs)) <= {2}:
-        raise ValueError("every edge must be a pair of vertex ids")
-    flat = list(chain.from_iterable(pairs))
-    for kind in set(map(type, flat)):
-        if kind is bool or not issubclass(kind, Integral):
-            bad = next(x for x in flat if type(x) is kind)
-            raise ValueError(f"edge endpoint {bad!r} is not an integer")
+def _check_finite(name: str, value) -> float:
+    """value as a Python float; ValueError unless it is a finite real number
+    (a bool is not one)."""
     try:
-        return np.array(flat, dtype=np.int64).reshape(len(pairs), 2)
+        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(what: str, values, kind=Real, width: int | None = None) -> np.ndarray:
+    """values as an int64 (kind Integral) or float64 (kind Real) array of
+    shape (n,), or (n, width); ValueError, opening with what, unless every
+    entry is a number of that kind that fits the dtype. Such an ndarray is
+    only cast, so a float64 one comes back uncopied; anything else is listed,
+    its rows checked for length, and its entries by type, then converted once."""
+    dtype, kinds = (np.int64, "iu") if kind is Integral else (np.float64, "iuf")
+    tail = () if width is None else (width,)
+    if isinstance(values, np.ndarray) and values.ndim and values.shape[1:] == tail and values.dtype.kind in kinds:
+        return values.astype(dtype, copy=False)
+    try:
+        rows = list(values)
+        if width is not None and not set(map(len, rows)) <= {width}:
+            raise TypeError
+        flat = rows if width is None else list(chain.from_iterable(rows))
+    except TypeError:
+        raise ValueError(f"{what}: shape is not {'(n,)' if width is None else f'(n, {width})'}") from None
+    for cls in set(map(type, flat)):
+        if cls is bool or not issubclass(cls, kind):
+            bad = next(x for x in flat if type(x) is cls)
+            raise ValueError(f"{what}: {bad!r} is not {'an integer' if kind is Integral else 'a real number'}")
+    try:
+        return np.array(flat, dtype=dtype).reshape(len(rows), *tail)
     except OverflowError:
-        raise ValueError("edge endpoint out of int64 range") from None
+        raise ValueError(f"{what}: a number is beyond the {np.dtype(dtype)} range") from None
 
 
 # Pairs with both ids in [0, KEY_BASE_MAX) sort as the one int64 key
@@ -94,7 +116,7 @@ class Graph:
         _check_integer("vertex_count", n)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        ea = _endpoint_array(self.edges)
+        ea = _numbers("edge pairs", self.edges, Integral, 2).copy()
         u, v = ea.T
         bad = (u < 0) | (u >= v) | (v >= n)
         # An edge must come strictly after its predecessor in (u, v) order.
@@ -123,7 +145,7 @@ class Graph:
 
         edges is any iterable of integer pairs or an (m, 2) integer array.
         """
-        ea = _endpoint_array(edges)
+        ea = _numbers("edge pairs", edges, Integral, 2)
         lo, hi = np.minimum(*ea.T), np.maximum(*ea.T)
         loops = np.flatnonzero(lo == hi)
         if loops.size:

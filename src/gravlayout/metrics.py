@@ -18,7 +18,7 @@ import numpy as np
 
 from .centrality import CentralityVector
 from .engine import TWO_PI, check_positions
-from .graphs import Graph
+from .graphs import Graph, _numbers
 
 # Edge pairs per chunk of count_crossings: its scratch is a few arrays of
 # this length.
@@ -211,10 +211,11 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Spearman rank correlation with average ranks for ties; 0 if either
-    side has zero variance. ValueError unless every value is finite."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("spearman requires finite values")
+    side has zero variance. ValueError unless x and y are equally long flat
+    vectors of finite numbers."""
+    x, y = _numbers("spearman x", x), _numbers("spearman y", y)
+    if x.size != y.size or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"spearman requires finite values, as many in x ({x.size}) as in y ({y.size})")
     xr = _average_ranks(x)
     yr = _average_ranks(y)
     xd = xr - xr.mean()
@@ -230,9 +231,9 @@ def centrality_radius_correlation(c, positions) -> float:
 
     Negative values mean high-centrality vertices sit near the middle of the
     drawing. Positions must pass _check_drawing, one row per centrality
-    value, and the values must be finite.
+    value, and the values must be finite numbers by `graphs._numbers`.
     """
-    values = c.values if isinstance(c, CentralityVector) else np.asarray(c, dtype=float)
+    values = c.values if isinstance(c, CentralityVector) else _numbers("centrality values", c)
     pos = _check_drawing(positions)
     if pos.shape[0] < 3:
         raise ValueError("centrality_radius_correlation requires at least 3 vertices")

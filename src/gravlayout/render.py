@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .arcs import arc_geometry
-from .graphs import Graph
+from .arcs import _check_sweeps, arc_geometry
+from .graphs import Graph, _check_finite, _numbers
 
 
 def _escape(text: str) -> str:
@@ -95,13 +94,21 @@ def render_svg(
     Vertices go on top as filled circles of radius 0.05 * k. The drawing
     keeps y-up mathematical orientation via a flip transform, and the
     viewBox is the drawing's bounding box, vertices and every drawn arc,
-    padded by 0.1 * k. RenderError unless k is a positive finite real number
-    (a bool is not one), colors, when given, holds one Color per vertex, and
-    sweeps, when given, holds one number in (-2 pi, 2 pi) per edge.
+    padded by 0.1 * k. RenderError unless k is a positive finite number,
+    positions are one row of 2 finite numbers per vertex, colors, when given,
+    holds one Color per vertex, and sweeps, when given, holds one number in
+    (-2 pi, 2 pi) per edge: numbers by `graphs._numbers`, never bools.
     """
-    if isinstance(k, bool) or not isinstance(k, Real) or not 0 < k < math.inf:
-        raise RenderError(f"k must be a positive finite number, got {k!r}")
-    pos = np.asarray(positions, dtype=float)
+    try:
+        if _check_finite("k", k) <= 0:
+            raise ValueError
+    except ValueError:
+        raise RenderError(f"k must be a positive finite number, got {k!r}") from None
+    try:
+        pos = _numbers("positions", positions, width=2)
+        sweeps = np.zeros(g.edge_count) if sweeps is None else _check_sweeps(sweeps, g.edge_count)
+    except ValueError as exc:
+        raise RenderError(str(exc)) from None
     if pos.shape != (g.vertex_count, 2):
         raise RenderError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
     if colors is not None and len(colors) != g.vertex_count:
@@ -115,11 +122,7 @@ def render_svg(
     stroke = f'stroke="#444444" stroke-width="{_fmt(0.01 * k)}"'
     pad = 0.1 * k
 
-    try:
-        sweeps = np.zeros(g.edge_count) if sweeps is None else np.asarray(sweeps, dtype=float)
-        mid, center, arc_radius = arc_geometry(pos, g, sweeps)
-    except ValueError as exc:
-        raise RenderError(str(exc)) from None
+    mid, center, arc_radius = arc_geometry(pos, g, sweeps)
     curved = np.flatnonzero(sweeps)
     ends = g.edge_array[curved]
     pu, pv = pos[ends[:, 0]], pos[ends[:, 1]]

@@ -17,11 +17,13 @@ circumcircle through an arc's endpoints and its midpoint, stands in for
 the closed-form arcs built from each edge's sweep. A per-line loop stands
 in for the bulk edge-list parser, and plain checks on the decoded object
 for the JSON graph parser. `random_value` and `fuzz_json_text` make the
-seeded inputs of the boundary fuzz tests.
+seeded inputs of the boundary fuzz tests, and `not_numbers` the values
+that every numeric boundary must refuse.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import deque
@@ -114,6 +116,22 @@ FUZZ_ATOMS = (
     0, 1, 2, 3, -1, 7, 0.5, 2.5, -3.75, 1e-320, 1e300, 10**400, -(10**30),
     math.nan, math.inf, -math.inf, True, False, None, "", "1", "x",
 )
+
+# What a caller may put where a number is expected that is not one: bools,
+# numeric strings and complex values, Python and numpy.
+NOT_NUMBERS = (True, np.False_, "1.0", np.str_("2"), 1j, np.complex128(0.5))
+
+
+def not_numbers(good: list) -> list:
+    """Copies of good, a list of numbers or of rows of numbers, each with its
+    last number swapped for one of NOT_NUMBERS; then good as a bool, a str
+    and a complex ndarray."""
+    cases = []
+    for bad in NOT_NUMBERS:
+        case = copy.deepcopy(good)
+        (case[-1] if isinstance(case[-1], list) else case)[-1] = bad
+        cases.append(case)
+    return cases + [np.array(good, dtype=dtype) for dtype in (bool, str, complex)]
 
 
 def random_value(rng: np.random.Generator, depth: int = 2):

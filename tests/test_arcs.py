@@ -15,7 +15,7 @@ from gravlayout import (
     uniform_centrality,
 )
 from conftest import LOMBARDI_TREES, lombardi_tree
-from oracles import fit_arc, tangent_gap
+from oracles import fit_arc, not_numbers, tangent_gap
 
 
 def uniform_mass(g):
@@ -179,9 +179,14 @@ def test_arc_geometry_straight_rows():
 
 
 @pytest.mark.parametrize(
-    "sweeps", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], [0.1, math.nan], [math.inf, 0.0], [0.1, -2 * math.pi], [7.0, 0.0]]
+    "sweeps",
+    [
+        [0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], [0.1, math.nan], [math.inf, 0.0], [0.1, -2 * math.pi], [7.0, 0.0],
+        *not_numbers([0.1, 0.2]),
+    ],
 )
 def test_arc_geometry_rejects_bad_sweeps(sweeps):
+    # Bools and numeric strings were read as sweeps, True as one radian.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="sweeps must hold 2 finite numbers"):
         arc_geometry(np.zeros((3, 2)) + np.arange(3)[:, None], g, sweeps)

@@ -9,6 +9,7 @@ import pytest
 from gravlayout import (
     CentralityVector,
     Graph,
+    MassVector,
     betweenness_centrality,
     closeness_centrality,
     compute_centrality,
@@ -25,6 +26,7 @@ from oracles import (
     brandes_reference,
     brute_betweenness,
     closeness_reference,
+    not_numbers,
     random_graph,
     random_value,
     rooted_forest_reference,
@@ -450,6 +452,30 @@ def _fuzz_numbers(rng):
         else:
             out.append(random_value(rng, 1))
     return out if rng.random() < 0.95 else random_value(rng)
+
+
+@pytest.mark.parametrize("bad", not_numbers([1.0, 1.0, 1.0]))
+def test_vectors_refuse_values_that_are_not_numbers(bad):
+    # CentralityVector("degree", [True, 2.0]) and MassVector([True, 1.0])
+    # were accepted with True read as 1.0, while [True, False] was refused.
+    for call in (
+        lambda: CentralityVector("degree", bad),
+        lambda: MassVector(bad),
+        lambda: centrality.check_masses(bad),
+    ):
+        with pytest.raises(ValueError, match="values: .* is not a real number"):
+            call()
+
+
+def test_frozen_types_copy_the_callers_array():
+    # graphs._numbers hands an int64 or float64 ndarray back uncopied, so
+    # the frozen types copy it before they freeze it.
+    edges, values = np.array([[0, 1], [1, 2]]), np.ones(3)
+    held = (Graph(3, edges).edge_array, CentralityVector("degree", values).values, MassVector(values).values)
+    for array in held:
+        assert not array.flags.writeable
+        assert not (np.shares_memory(array, edges) or np.shares_memory(array, values))
+    assert edges.flags.writeable and values.flags.writeable
 
 
 def test_mass_inputs_fuzz():

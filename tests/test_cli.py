@@ -392,10 +392,11 @@ def test_metrics_rejects_drawing_too_wide_to_measure(tmp_path, capsys):
         '{"positions": [["0", "0"], ["1", "1"], ["2", "2"]]}',
         '{"positions": [[0, 0], [1, true], [2, 2]]}',
         '{"positions": [[0, 0], [1, 1]]}',
+        '{"positions": [[0, 0], [1%s, 1], [2, 2]]}' % ("0" * 399),
     ],
     ids=[
         "list", "no-key", "number", "string", "short-row", "object-row", "null-coord", "nested-row",
-        "string-coord", "bool-coord", "too-few-rows",
+        "string-coord", "bool-coord", "too-few-rows", "400-digit-int",
     ],
 )
 def test_metrics_rejects_malformed_positions(tmp_path, capsys, payload):

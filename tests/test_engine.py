@@ -13,14 +13,20 @@ from gravlayout import (
     LayoutConfig,
     LayoutState,
     MassVector,
+    arc_geometry,
+    bounding_area,
+    centrality_radius_correlation,
     closeness_centrality,
     compute_metrics,
     count_crossings,
     degree_centrality,
+    edge_length_stats,
     generate_forest,
     generate_random_tree,
     initialize_positions,
+    min_angular_resolution,
     normalize_mass,
+    render_svg,
     run_layout,
     schedule_gamma,
     settled,
@@ -36,6 +42,7 @@ from oracles import (
     centroid,
     gravity_force,
     net_impulse,
+    not_numbers,
     radial_start_reference,
     random_graph,
     repulsive_force,
@@ -1178,6 +1185,30 @@ def test_every_layer_rejects_wrong_positions_shape(shape):
         lambda: compute_metrics(g, bad, degree_centrality(g)),
     ):
         with pytest.raises(ValueError, match="shape"):
+            call()
+
+
+@pytest.mark.parametrize("bad", not_numbers([[0.0, 0.0], [80.0, 0.0], [80.0, 80.0]]))
+def test_every_layer_refuses_positions_that_are_not_numbers(bad):
+    # Bools and numeric strings were drawn as coordinates, a complex array
+    # lost its imaginary parts with only a ComplexWarning, and a complex
+    # list raised TypeError.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cfg = LayoutConfig(max_iterations=5)
+    for call in (
+        lambda: engine.check_positions(bad, 3),
+        lambda: run_layout(g, uniform_mass(g), cfg, initial=bad),
+        lambda: step(LayoutState(positions=bad), g, uniform_mass(g), cfg),
+        lambda: count_crossings(g, bad),
+        lambda: min_angular_resolution(g, bad),
+        lambda: edge_length_stats(g, bad),
+        lambda: bounding_area(bad),
+        lambda: centrality_radius_correlation([1.0, 2.0, 3.0], bad),
+        lambda: compute_metrics(g, bad, degree_centrality(g)),
+        lambda: arc_geometry(bad, g, [0.0, 0.0]),
+        lambda: render_svg(g, bad),
+    ):
+        with pytest.raises(ValueError, match="positions: .* is not a real number"):
             call()
 
 

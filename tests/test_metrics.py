@@ -25,6 +25,7 @@ from gravlayout.engine import TWO_PI
 from oracles import (
     angular_resolution_reference,
     average_ranks_reference,
+    not_numbers,
     parametric_crossings,
     random_graph,
     spearman_formula,
@@ -450,3 +451,19 @@ def test_spearman_and_correlation_refuse_non_finite_values(bad):
         spearman([1.0, 2.0, 3.0], [1.0, bad, 2.0])
     with pytest.raises(ValueError, match="finite"):
         centrality_radius_correlation([bad, 1.0, 2.0], [(0, 0), (1, 0), (3, 0)])
+
+
+@pytest.mark.parametrize(
+    "bad", [*not_numbers([1.0, 2.0, 3.0]), 5, np.float64(5.0), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [1.0, 2.0]]
+)
+def test_spearman_and_correlation_refuse_what_is_not_a_vector_of_numbers(bad):
+    # spearman(['1', '2', '3'], [True, False, True]) read 0.0, spearman(5, 6)
+    # raised IndexError, and the correlation read '1', '2', '3' as numbers.
+    good = [1.0, 2.0, 3.0]
+    for call in (
+        lambda: spearman(bad, good),
+        lambda: spearman(good, bad),
+        lambda: centrality_radius_correlation(bad, [(0, 0), (1, 0), (3, 0)]),
+    ):
+        with pytest.raises(ValueError):
+            call()

@@ -20,6 +20,7 @@ from gravlayout import (
 )
 from conftest import LOMBARDI_TREES, fresh_python, lombardi_tree
 from gravlayout import render
+from oracles import not_numbers
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -108,10 +109,13 @@ def test_render_curved_arcs_use_paths():
         assert " A " in path.attrib["d"]
 
 
-@pytest.mark.parametrize("sweeps", [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [[0.5, 0.5]], [7.0, 0.5]])
+@pytest.mark.parametrize(
+    "sweeps",
+    [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [[0.5, 0.5]], [7.0, 0.5], *not_numbers([0.5, 0.5])],
+)
 def test_render_rejects_sweeps_not_one_finite_number_per_edge(sweeps):
     # One sweep per edge, finite and short of a full turn: arcs of another
-    # graph's length were drawn before.
+    # graph's length were drawn before, and a bool sweep as one radian.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(RenderError, match="sweeps must hold 2 finite numbers"):
         render_svg(g, [(0, 0), (80, 0), (80, 80)], sweeps=sweeps)
@@ -164,10 +168,13 @@ def test_render_rejects_colors_that_are_not_colors():
             render_svg(g, pos, colors)
 
 
-@pytest.mark.parametrize("k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, True, "80", None])
+@pytest.mark.parametrize(
+    "k", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, True, "80", None, pytest.param(10**400, id="10**400")]
+)
 def test_render_rejects_k_not_positive_finite(k):
     # k -1 wrote a negative circle radius and k nan a viewBox of nan; k True
-    # drew with k = 1, and k "80" raised TypeError.
+    # drew with k = 1, k "80" raised TypeError, and k 10**400, below inf as
+    # an int, raised OverflowError at 0.05 * k.
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(RenderError, match="k must be a positive finite number"):
         render_svg(g, [(0, 0), (80, 0)], k=k)
