@@ -64,7 +64,8 @@ import numpy as np
 
 from .centrality import MassVector, check_masses
 from .graphs import (
-    Graph, _bfs_parents, _check_finite, _check_integer, _euler_tour, _first_vertices, _numbers, connected_components
+    Graph, _bfs_parents, _check_finite, _check_integer, _check_real, _euler_tour, _first_vertices, _numbers,
+    connected_components,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -544,7 +545,10 @@ def step(
     gamma_max]: the displacement cap and the overflow bound rest on both.
     So does a controller no run reaches: t and level_start not integers
     with 0 <= level_start <= t, streak not an integer >= 0, or
-    lowest_energy or last_max_impulse negative or NaN.
+    lowest_energy or last_max_impulse negative or NaN. heat, gamma,
+    lowest_energy and last_max_impulse are read as real numbers
+    (`graphs._check_real`), so a bool, string, None or complex value raises
+    ValueError naming the field.
     """
     if frozen is not None:
         raise ValueError("step moves every vertex: frozen must be None")
@@ -553,13 +557,17 @@ def step(
         raise ValueError(f"state t and level_start need 0 <= level_start <= t: {t}, {state.level_start!r}")
     if _check_integer("state streak", state.streak) < 0:
         raise ValueError(f"state streak must be >= 0, got {state.streak!r}")
-    low, last = state.lowest_energy, state.last_max_impulse
+    low = _check_real("state lowest_energy", state.lowest_energy)
+    last = _check_real("state last_max_impulse", state.last_max_impulse)
     if not (low >= 0.0 and last >= 0.0):
         raise ValueError(f"state lowest_energy and last_max_impulse must be >= 0, got {low!r}, {last!r}")
-    if not 0.0 < state.heat <= 1.0:
+    heat = _check_real("state heat", state.heat)
+    if not 0.0 < heat <= 1.0:
         raise ValueError(f"state heat must be in (0, 1], got {state.heat!r}")
-    if not 0.0 <= state.gamma <= config.gamma_max:
+    gamma = _check_real("state gamma", state.gamma)
+    if not 0.0 <= gamma <= config.gamma_max:
         raise ValueError(f"state gamma must be in [0, gamma_max={config.gamma_max!r}], got {state.gamma!r}")
+    state = replace(state, gamma=gamma, last_max_impulse=last, heat=heat, lowest_energy=low)
     pos, ws = _start(state.positions, g, mass, config)
     return replace(_next_state(state, pos, ws, config), positions=np.ascontiguousarray(pos))
 

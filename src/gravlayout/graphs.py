@@ -1,7 +1,8 @@
 """Undirected simple graphs: construction, edge-list/JSON parsing, BFS
 primitives, and the one rule for numbers from a caller: a Python or numpy
-integer or real, never a bool, string, None or complex value. `_check_integer`
-and `_check_finite` read one such number, `_numbers` an array of them.
+integer or real, never a bool, string, None or complex value. `_check_integer`,
+`_check_real` and `_check_finite` read one such number, `_numbers` an array
+of them.
 
 Two level-synchronous BFS run over the cached CSR adjacency: `_bfs` from a
 batch of B sources at once, in O(B * (n + m)) memory, and `_bfs_parents`
@@ -37,13 +38,25 @@ def _check_integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_real(name: str, value) -> float:
+    """value as a Python float; ValueError unless it is a Python or numpy real
+    number (a bool is not one). NaN and +-inf pass, and an integer beyond the
+    float range reads as +-inf."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_finite(name: str, value) -> float:
     """value as a Python float; ValueError unless it is a finite real number
     (a bool is not one)."""
     try:
-        number = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+        number = _check_real(name, value)
+    except ValueError:
+        number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
@@ -199,6 +212,29 @@ class DistanceVector:
     dist: np.ndarray
 
 
+def _edge_list_ids(text: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The tokens of edge-list text as (counts, ids, labels): the number of
+    tokens on each line, 0 on a comment line; the dense id of every other
+    token, in text order; and the token of each id.
+
+    Each line's tokens are counted and dropped, then the tokens come from
+    one text.split(): every line break is whitespace to str.split, so the
+    two agree. The token list, O(text), is the one list of strings kept (a
+    text holding '#' filters it into a new one), and it is gone when this
+    returns. A line is a comment when its first token starts with '#'.
+    """
+    counts = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
+    tokens = text.split()
+    if "#" in text:
+        hashed = np.fromiter(map(str.startswith, tokens, repeat("#")), dtype=bool, count=len(tokens))
+        comment = counts > 0
+        comment[comment] = hashed[(np.cumsum(counts) - counts)[comment]]
+        tokens = list(compress(tokens, np.repeat(~comment, counts).tolist()))
+        counts[comment] = 0
+    ids = dict(zip(dict.fromkeys(tokens), count()))
+    return counts, np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens)), tuple(ids)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
@@ -210,21 +246,9 @@ def parse_edge_list(text: str) -> Graph:
     its line number.
 
     The text is split, interned and checked in bulk: no Python code runs
-    per line or per token.
+    per line or per token, and no list of lines is kept (`_edge_list_ids`).
     """
-    lines = text.splitlines()
-    rows = list(map(str.split, lines))
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    kept = rows
-    if "#" in text:
-        comment = np.fromiter(
-            map(str.startswith, map(str.lstrip, lines), repeat("#")), dtype=bool, count=len(lines)
-        )
-        counts[comment] = 0
-        kept = compress(rows, (~comment).tolist())
-    tokens = list(chain.from_iterable(kept))
-    ids = dict(zip(dict.fromkeys(tokens), count()))
-    flat = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    counts, flat, labels = _edge_list_ids(text)
     pair = counts == 2
     edges = flat[np.repeat(pair, counts)].reshape(-1, 2)
     bad = counts > 2
@@ -232,9 +256,10 @@ def parse_edge_list(text: str) -> Graph:
     if bad.any():
         line = int(bad.argmax())
         if counts[line] == 2:
-            raise GraphParseError(f"line {line + 1}: self-loop at vertex '{rows[line][0]}'")
+            vertex = labels[edges[np.count_nonzero(pair[:line]), 0]]
+            raise GraphParseError(f"line {line + 1}: self-loop at vertex '{vertex}'")
         raise GraphParseError(f"line {line + 1}: expected 1 or 2 tokens, got {counts[line]}")
-    return Graph.from_edges(len(ids), edges, labels=tuple(ids))
+    return Graph.from_edges(len(labels), edges, labels=labels)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -1161,6 +1161,41 @@ def test_step_refuses_a_controller_no_run_reaches(fields):
     assert step(LayoutState(start, 3, lowest_energy=math.inf), g, mass, cfg).heat == 1.0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"heat": "1"},
+        {"heat": 1 + 0j},
+        {"gamma": "0"},
+        {"gamma": 0j},
+        {"lowest_energy": "1"},
+        {"lowest_energy": 1j},
+        {"last_max_impulse": "inf"},
+        {"last_max_impulse": 2 + 0j},
+    ],
+    ids=lambda fields: ",".join(f"{name}={value!r}" for name, value in fields.items()),
+)
+def test_step_reads_the_controller_scalars_as_real_numbers(fields):
+    # Each of these raised TypeError from a comparison inside step, and a
+    # bool or numpy complex heat ran. A bool, string, None or complex scalar
+    # is now a ValueError naming its field; numpy reals and an inf
+    # lowest_energy pass, read as Python floats.
+    g = Graph.from_edges(2, [(0, 1)])
+    mass, cfg = uniform_mass(g), LayoutConfig(max_iterations=5)
+    start = initialize_positions(g, 0, cfg.k)
+    (name,) = fields
+    with pytest.raises(ValueError, match=f"state {name} must be a real number"):
+        step(LayoutState(positions=start, **fields), g, mass, cfg)
+    for bad in (True, None, np.complex128(0.5)):
+        with pytest.raises(ValueError, match=f"state {name} must be a real number"):
+            step(LayoutState(positions=start, **{name: bad}), g, mass, cfg)
+    want = step(LayoutState(positions=start), g, mass, cfg)
+    numpy_state = LayoutState(start, heat=np.float32(1.0), gamma=np.float64(0.0), lowest_energy=np.float64(math.inf))
+    got = step(numpy_state, g, mass, cfg)
+    assert np.array_equal(got.positions, want.positions) and got.heat == want.heat
+    assert type(got.heat) is float and type(got.lowest_energy) is float
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_positions_rejected(bad):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,12 +209,19 @@ def test_parse_first_error_by_line_wins():
 
 
 def test_parse_fuzz_against_line_loop_reference():
+    # About half the texts hold no '#', so the parse takes its tokens from
+    # text.split() alone; those must still meet every line break and gap.
     rng = np.random.default_rng(97)
-    names = [f"v{i}" for i in range(40)] + ["a#b", "é", "10", "#"]
+    plain_names = [f"v{i}" for i in range(40)] + ["é", "10"]
+    hash_names = plain_names + ["a#b", "#"]
     breaks = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
     gaps = [" ", " ", "\t", "  ", " \t", "\xa0"]
     errors = 0
+    plain_seen = set()
+    kinds = {False: 0, True: 0}
     for _ in range(400):
+        plain = rng.random() < 0.5
+        names = plain_names if plain else hash_names
         lines = []
         for _ in range(int(rng.integers(0, 30))):
             k = int(rng.choice([0, 1, 2, 2, 2, 3], p=[0.1, 0.2, 0.2, 0.2, 0.27, 0.03]))
@@ -220,16 +229,38 @@ def test_parse_fuzz_against_line_loop_reference():
             if k == 2 and rng.random() < 0.03:
                 tokens[1] = tokens[0]
             line = str(rng.choice(gaps)).join(tokens)
-            if rng.random() < 0.1:
+            if not plain and rng.random() < 0.1:
                 line = "#" + line
             lines.append(str(rng.choice(["", "", " ", "\t"])) + line)
         text = "".join(line + str(rng.choice(breaks)) for line in lines)
         if lines and rng.random() < 0.5:
             text = text[:-1]
+        kinds["#" in text] += 1
+        if plain:
+            plain_seen.update(c for c in breaks + gaps if c in text)
         want = _parse_outcome(parse_edge_list_reference, text)
         errors += isinstance(want, str)
         assert _parse_outcome(parse_edge_list, text) == want, repr(text)
     assert 40 < errors < 360
+    assert min(kinds.values()) > 100, kinds
+    assert plain_seen == set(breaks + gaps)
+
+
+def test_parse_edge_list_peak_memory_is_one_token_list():
+    # The parse kept the lines, each line's token list and a flat token list
+    # at once: 1.68 MiB on this 2000-vertex tree's 30 KB of text. Counting
+    # each line's tokens and dropping them, then one text.split(), keeps
+    # about 0.55 MiB, the graph it returns included.
+    g = generate_random_tree(2000, 41)
+    text = serialize_edge_list(g)
+    tracemalloc.start()
+    try:
+        got = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.vertex_count, got.edges) == (g.vertex_count, g.edges)
+    assert peak < 2**20
 
 
 def test_parse_graph_json_fuzz_against_reference():

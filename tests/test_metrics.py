@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from gravlayout import (
     count_crossings,
     degree_centrality,
     edge_length_stats,
+    generate_random_tree,
+    initialize_positions,
     min_angular_resolution,
     normalize_mass,
     run_layout,
@@ -155,6 +158,24 @@ def test_sweep_crossings_all_candidates_on_one_vertical_line():
     assert got == (L - 1) * m - L * (L - 1) // 2
     # About two million pairs: one array over all of them would be 16 MB.
     assert peak < 24 * 8 * metrics.CROSSING_PAIRS
+
+
+def test_compute_metrics_peak_memory_on_a_2000_vertex_tree():
+    # With chunks of 2^16 candidate pairs the crossing sweep's scratch made
+    # compute_metrics peak at 2.3 MiB on this drawing; at 2^13 it is about
+    # 0.6 MiB.
+    g = generate_random_tree(2000, 43)
+    pos = initialize_positions(g, 43, 80.0)
+    c = degree_centrality(g)
+    want = compute_metrics(g, pos, c)
+    tracemalloc.start()
+    try:
+        got = compute_metrics(g, pos, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got.crossings == metrics._count_crossings(g.edge_array, pos, 7)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -306,6 +327,18 @@ def test_spearman_perfect_anticorrelation():
 
 def test_spearman_constant_zero():
     assert spearman([1, 1, 1], [1, 2, 3]) == 0.0
+
+
+def test_spearman_refuses_empty_input_without_warnings():
+    # spearman([], []) read 0.0 after two RuntimeWarnings from the mean of
+    # empty ranks, so with warnings as errors it raised RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one value"):
+            spearman([], [])
+        with pytest.raises(ValueError, match="at least one value"):
+            spearman(np.zeros(0), np.zeros(0))
+        assert spearman([4.0], [-2.0]) == 0.0
 
 
 def test_spearman_matches_formula_on_all_permutations():
