@@ -84,7 +84,8 @@ def test_crossings_match_parametric_oracle():
         assert count_crossings(g, pos) == parametric_crossings(g, pos)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, metrics.CROSSING_PAIRS])
+# 1 << 16 was the default chunk before CROSSING_PAIRS became 1 << 13.
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16, metrics.CROSSING_PAIRS])
 def test_chunked_crossings_match_parametric_oracle(chunk):
     rng = np.random.default_rng(777)  # criterion 10's fixtures
     for _ in range(100):
