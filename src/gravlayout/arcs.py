@@ -88,9 +88,10 @@ def arc_geometry(positions, g: Graph, sweeps) -> tuple[np.ndarray, np.ndarray, n
     an edge of sweep s has its midpoint at p_u + h + tan(s / 4) h', and its
     circle has center p_u + h - cot(s / 2) h' and radius |h| / |sin(s / 2)|.
     A straight edge (sweep 0) gets its chord's midpoint and NaN for center
-    and radius. ValueError unless positions pass check_positions and sweeps
-    holds m numbers (never bools or strings) in (-2 pi, 2 pi), as
-    layout_lombardi's do.
+    and radius, as does an arc so flat that its center overflows or its
+    circle fails check_positions (8 r^2 infinite, for side 2 r). ValueError
+    unless positions pass check_positions and sweeps holds m numbers (never
+    bools or strings) in (-2 pi, 2 pi), as layout_lombardi's do.
     """
     pos = check_positions(positions, g.vertex_count)
     m = g.edge_count
@@ -103,6 +104,9 @@ def arc_geometry(positions, g: Graph, sweeps) -> tuple[np.ndarray, np.ndarray, n
     s = sweeps[curved]
     centers = np.full((m, 2), math.nan)
     radii = np.full(m, math.nan)
-    centers[curved] = mid[curved] - (1.0 / np.tan(0.5 * s))[:, None] * turned[curved]
-    radii[curved] = np.sqrt(np.einsum("ij,ij->i", half, half)[curved]) / np.abs(np.sin(0.5 * s))
+    with np.errstate(all="ignore"):  # a tiny sweep's cot and radius overflow
+        centers[curved] = mid[curved] - (1.0 / np.tan(0.5 * s))[:, None] * turned[curved]
+        radii[curved] = np.sqrt(np.einsum("ij,ij->i", half, half)[curved]) / np.abs(np.sin(0.5 * s))
+        chord = ~((8.0 * radii * radii < math.inf) & np.isfinite(centers).all(axis=1))
+    centers[chord], radii[chord] = math.nan, math.nan
     return mid + np.tan(0.25 * sweeps)[:, None] * turned, centers, radii

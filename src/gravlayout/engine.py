@@ -464,7 +464,10 @@ def _advance(
 def check_positions(positions, n: int | None = None) -> np.ndarray:
     """Positions of an n-vertex drawing as a float array; ValueError unless
     they are n rows of 2 finite numbers (`graphs._numbers`: no bool, string
-    or complex value). With n None, any number of rows passes.
+    or complex value) and no side s of their bounding box has 2 s^2, the
+    largest quantity orientation predicates and squared lengths form, beyond
+    the float range. With n None, any number of rows passes. Every run_layout
+    drawing passes: _start keeps 8 reach^2 finite, no side exceeds 2 reach.
 
     A float64 ndarray comes back as it is, without a copy: callers that move
     vertices copy first.
@@ -474,6 +477,10 @@ def check_positions(positions, n: int | None = None) -> np.ndarray:
         raise ValueError(f"positions shape {pos.shape} is not ({n}, 2)")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions must be finite")
+    # Per column, as an axis-0 reduction is slow; Python floats overflow silently.
+    side = max(float(c.max()) - float(c.min()) for c in pos.T) if len(pos) else 0.0
+    if 2.0 * side * side == math.inf:
+        raise ValueError(f"the drawing spans {side:.3g}, too wide for its squared lengths to stay finite")
     return pos
 
 

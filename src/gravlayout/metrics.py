@@ -42,19 +42,6 @@ class DrawingMetrics:
         return asdict(self)
 
 
-def _check_drawing(positions, n: int | None = None) -> np.ndarray:
-    """check_positions, and ValueError when a side s of the bounding box has
-    2 s^2 beyond the float range: the largest quantity the orientation
-    predicates, squared edge lengths and squared radii form. Every drawing
-    run_layout returns passes, since engine._start keeps 8 reach^2 finite."""
-    pos = check_positions(positions, n)
-    with np.errstate(over="ignore"):
-        side = float(np.ptp(pos, axis=0).max()) if pos.size else 0.0
-    if 2.0 * side * side == math.inf:
-        raise ValueError(f"the drawing spans {side:.3g}, too wide for its metrics to stay finite")
-    return pos
-
-
 def _cross(o, a, b) -> np.ndarray:
     """Z component of (a - o) x (b - o) for points given as (x, y) pairs of
     1-D arrays; sign gives orientation."""
@@ -68,14 +55,14 @@ def count_crossings(g: Graph, positions) -> int:
     collinear edges overlapping over positive length also counts. Pairs that
     share an endpoint are skipped, and segments merely touching at an
     endpoint do not count (open-segment semantics). Positions must pass
-    _check_drawing.
+    engine.check_positions.
 
     Candidate pairs are filtered cheapest first: the sweep yields only pairs
     whose closed x-extents overlap, pairs whose closed y-extents are
     disjoint are dropped next, then pairs that share an endpoint, and only
     the rest reach the orientation predicates.
     """
-    pos = _check_drawing(positions, g.vertex_count)
+    pos = check_positions(positions, g.vertex_count)
     return _count_crossings(g.edge_array, pos, CROSSING_PAIRS)
 
 
@@ -155,9 +142,9 @@ def min_angular_resolution(g: Graph, positions) -> float:
     Incident edge directions are sorted by angle and consecutive gaps
     (including the wrap-around gap) are compared. Drawings whose maximum
     degree is at most 1 return 2*pi by convention. Positions must pass
-    _check_drawing.
+    engine.check_positions.
     """
-    pos = _check_drawing(positions, g.vertex_count)
+    pos = check_positions(positions, g.vertex_count)
     indptr, indices = g.csr
     owner = np.repeat(np.arange(g.vertex_count), g.degrees)
     vecs = pos[indices] - pos[owner]
@@ -172,10 +159,10 @@ def min_angular_resolution(g: Graph, positions) -> float:
 
 def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
     """Mean Euclidean edge length and its coefficient of variation (std/mean).
-    Positions must pass _check_drawing."""
+    Positions must pass engine.check_positions."""
     if g.edge_count == 0:
         raise ValueError("edge_length_stats requires at least one edge")
-    pos = _check_drawing(positions, g.vertex_count)
+    pos = check_positions(positions, g.vertex_count)
     ea = g.edge_array
     seg = pos[ea[:, 0]] - pos[ea[:, 1]]
     lengths = np.sqrt(np.einsum("ec,ec->e", seg, seg))
@@ -192,12 +179,12 @@ def edge_length_stats(g: Graph, positions) -> tuple[float, float]:
 
 def bounding_area(positions) -> float:
     """Area of the axis-aligned bounding box of the positions, which must
-    pass _check_drawing (any number of rows)."""
-    pos = _check_drawing(positions)
+    pass engine.check_positions (any number of rows)."""
+    pos = check_positions(positions)
     if pos.size == 0:
         raise ValueError("bounding_area requires at least one position")
-    spans = pos.max(axis=0) - pos.min(axis=0)
-    return float(spans[0] * spans[1])
+    width, height = (c.max() - c.min() for c in pos.T)
+    return float(width * height)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -233,15 +220,13 @@ def centrality_radius_correlation(c, positions) -> float:
     """Spearman correlation between centrality and distance from the centroid.
 
     Negative values mean high-centrality vertices sit near the middle of the
-    drawing. Positions must pass _check_drawing, one row per centrality
-    value, and the values must be finite numbers by `graphs._numbers`.
+    drawing. Positions must pass engine.check_positions, at least 3 rows and
+    one per centrality value, finite numbers by `graphs._numbers`.
     """
     values = c.values if isinstance(c, CentralityVector) else _numbers("centrality values", c)
-    pos = _check_drawing(positions)
-    if pos.shape[0] < 3:
-        raise ValueError("centrality_radius_correlation requires at least 3 vertices")
-    if values.shape[0] != pos.shape[0]:
-        raise ValueError("centrality and positions must have matching length")
+    pos = check_positions(positions)
+    if not 3 <= pos.shape[0] == values.shape[0]:
+        raise ValueError("centrality_radius_correlation requires at least 3 vertices, one centrality value each")
     with np.errstate(over="ignore"):
         centroid = pos.mean(axis=0)
     if not np.isfinite(centroid).all():  # the coordinate sums overflowed
@@ -254,14 +239,18 @@ def centrality_radius_correlation(c, positions) -> float:
 
 def compute_metrics(g: Graph, positions, c: CentralityVector) -> DrawingMetrics:
     """Evaluate all drawing metrics for one layout; the positions must pass
-    _check_drawing."""
-    pos = _check_drawing(positions, g.vertex_count)
+    engine.check_positions, and c must hold one finite value per vertex, as
+    a CentralityVector or numbers by `graphs._numbers`, at any vertex count."""
+    pos = check_positions(positions, g.vertex_count)
+    values = c.values if isinstance(c, CentralityVector) else _numbers("centrality values", c)
+    if values.shape != (g.vertex_count,) or not np.isfinite(values).all():
+        raise ValueError(f"centrality must hold {g.vertex_count} finite values, one per vertex")
     crossings = count_crossings(g, pos)
     if g.edge_count:
         mean, cv = edge_length_stats(g, pos)
     else:
         mean, cv = None, None
-    rho = centrality_radius_correlation(c, pos) if g.vertex_count >= 3 else None
+    rho = centrality_radius_correlation(values, pos) if g.vertex_count >= 3 else None
     return DrawingMetrics(
         crossings=crossings,
         min_angle=min_angular_resolution(g, pos),

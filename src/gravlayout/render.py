@@ -89,15 +89,15 @@ def render_svg(
     """Serialize a drawing to a standalone SVG document.
 
     Edges are drawn first, in #444444 at width 0.01 * k: a line, or, when
-    sweeps gives the edge a nonzero sweep (`arcs.layout_lombardi`), the
+    sweeps gives the edge an arc of finite radius (`arcs.arc_geometry`), the
     circular-arc path of that sweep between its endpoints' positions.
     Vertices go on top as filled circles of radius 0.05 * k. The drawing
     keeps y-up mathematical orientation via a flip transform, and the
     viewBox is the drawing's bounding box, vertices and every drawn arc,
     padded by 0.1 * k. RenderError unless k is a positive finite number,
-    positions are one row of 2 finite numbers per vertex, colors, when given,
-    holds one Color per vertex, and sweeps, when given, holds one number in
-    (-2 pi, 2 pi) per edge: numbers by `graphs._numbers`, never bools.
+    positions pass `engine.check_positions`, colors, when given, holds one
+    Color per vertex, and sweeps, when given, holds one number in (-2 pi,
+    2 pi) per edge: numbers by `graphs._numbers`, never bools.
     """
     try:
         if _check_finite("k", k) <= 0:
@@ -107,23 +107,23 @@ def render_svg(
     try:
         pos = _numbers("positions", positions, width=2)
         sweeps = np.zeros(g.edge_count) if sweeps is None else _check_sweeps(sweeps, g.edge_count)
+        if pos.shape != (g.vertex_count, 2):
+            raise ValueError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")
+        mid, center, arc_radius = arc_geometry(pos, g, sweeps)
     except ValueError as exc:
         raise RenderError(str(exc)) from None
-    if pos.shape != (g.vertex_count, 2):
-        raise RenderError(f"positions shape {pos.shape} does not match {g.vertex_count} vertices")
     if colors is not None and len(colors) != g.vertex_count:
         raise RenderError(f"{len(colors)} colors for {g.vertex_count} vertices")
     if colors is not None and not all(isinstance(c, Color) for c in colors):
         raise RenderError("colors holds an entry that is not a Color")
-    bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
-    if bad.size:
-        raise RenderError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")
     radius = 0.05 * k
     stroke = f'stroke="#444444" stroke-width="{_fmt(0.01 * k)}"'
     pad = 0.1 * k
 
-    mid, center, arc_radius = arc_geometry(pos, g, sweeps)
-    curved = np.flatnonzero(sweeps)
+    curved = np.flatnonzero(np.isfinite(arc_radius))
     ends = g.edge_array[curved]
     pu, pv = pos[ends[:, 0]], pos[ends[:, 1]]
     bounds = np.vstack((pos, _arc_extremes(pu, pv, mid[curved], center[curved], arc_radius[curved])))

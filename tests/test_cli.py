@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -501,7 +502,8 @@ def test_constant_schedule_flags_build_config():
 def _positions_reference(text):
     """The coordinate rows of a positions file as float pairs, or None where
     the file must be rejected: not JSON, not {"positions": [[x, y], ...]},
-    or a coordinate that is not a finite int or float (bools are not)."""
+    a coordinate that is not a finite int or float (bools are not), or a
+    side s of the bounding box with 2 s^2 beyond the float range."""
     try:
         rows = json.loads(text)["positions"]
     except (ValueError, RecursionError, TypeError, KeyError):
@@ -511,7 +513,11 @@ def _positions_reference(text):
     coords = [x for row in rows for x in row]
     if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in coords):
         return None
-    return [[float(x), float(y)] for x, y in rows]
+    pairs = [[float(x), float(y)] for x, y in rows]
+    sides = [max(axis) - min(axis) for axis in zip(*pairs)]  # Python floats overflow to inf
+    if any(2.0 * side * side == math.inf for side in sides):
+        return None
+    return pairs
 
 
 def test_parse_positions_fuzz_against_reference():

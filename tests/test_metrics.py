@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from gravlayout import (
+    CentralityVector,
     Graph,
     LayoutConfig,
+    LayoutState,
+    RenderError,
+    arc_geometry,
     bounding_area,
     centrality_radius_correlation,
     compute_metrics,
@@ -19,12 +23,14 @@ from gravlayout import (
     initialize_positions,
     min_angular_resolution,
     normalize_mass,
+    render_svg,
     run_layout,
     spearman,
+    step,
     uniform_centrality,
 )
 from gravlayout import metrics
-from gravlayout.engine import TWO_PI
+from gravlayout.engine import TWO_PI, check_positions
 from oracles import (
     angular_resolution_reference,
     average_ranks_reference,
@@ -406,6 +412,17 @@ def test_compute_metrics_fields():
     assert d["min_angle"] == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize(
+    "c", ["junk", None, CentralityVector("degree", np.ones(5)), [1.0, math.nan]], ids=["junk", "None", "5-values", "nan"]
+)
+def test_compute_metrics_checks_centrality_at_every_vertex_count(c):
+    # Below 3 vertices there is no rho, and each of these gave a report.
+    g = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ValueError, match="centrality"):
+        compute_metrics(g, [(0, 0), (80, 0)], c)
+    assert compute_metrics(g, [(0, 0), (80, 0)], [1.0, 2.0]).centrality_radius_rho is None
+
+
 def test_compute_metrics_degenerate_graph():
     g = Graph(2)
     dm = compute_metrics(g, [(0, 0), (1, 1)], degree_centrality(g))
@@ -435,13 +452,30 @@ def _every_metric(g, pos, values):
     ],
     ids=["x-overflows", "y-overflows", "square-overflows"],
 )
-def test_every_metric_refuses_a_drawing_too_wide_to_measure(pos):
-    # The first path gave edge_len_mean inf, edge_len_cv NaN and bbox_area
-    # inf; a side s with 2 s^2 beyond the float range is refused.
+def test_every_layer_refuses_a_drawing_too_wide_for_its_squared_lengths(pos):
+    # A side s with 2 s^2 beyond the float range is refused by the one
+    # positions check, so by every layer that takes a drawing, without a
+    # floating-point warning. The metrics gave edge_len_mean inf, edge_len_cv
+    # NaN and bbox_area inf for the first path; check_positions and
+    # arc_geometry passed it, and render_svg wrote A inf inf.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    for call in _every_metric(g, pos, [1.0, 2.0, 3.0]):
-        with pytest.raises(ValueError, match="too wide"):
-            call()
+    mass = normalize_mass(uniform_centrality(g))
+    cfg = LayoutConfig(max_iterations=1)
+    calls = [
+        lambda: check_positions(pos, 3),
+        lambda: check_positions(pos),
+        lambda: run_layout(g, mass, cfg, initial=np.array(pos)),
+        lambda: step(LayoutState(positions=np.array(pos)), g, mass, cfg),
+        *_every_metric(g, pos, [1.0, 2.0, 3.0]),
+        lambda: arc_geometry(pos, g, [1.0, -1.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="too wide"):
+                call()
+        with pytest.raises(RenderError, match="too wide"):
+            render_svg(g, pos, sweeps=[1.0, -1.0])
 
 
 def test_widest_measurable_drawing_gives_finite_metrics():

@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -107,6 +109,23 @@ def test_render_curved_arcs_use_paths():
     assert count_tags(svg, "line") == 3 - curved
     for path in ET.fromstring(svg).iter(SVG_NS + "path"):
         assert " A " in path.attrib["d"]
+
+
+@pytest.mark.parametrize("sweep, curved", [(1e-320, False), (4.7e-307, False), (1e-200, False), (1e-17, True)])
+def test_render_draws_an_arc_whose_circle_overflows_as_its_chord(sweep, curved):
+    # On a chord of 80, a sweep of 1e-320 wrote A inf inf, 4.7e-307 a viewBox
+    # 300 digits tall, both with RuntimeWarnings, and 1e-200 a circle of
+    # radius 8e201: the cot or the squared radius overflows, and the arc is
+    # drawn as its chord. 1e-17, of radius 8e18, is still an arc.
+    g = Graph.from_edges(2, [(0, 1)])
+    pos = [(0, 0), (80, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = render_svg(g, pos, sweeps=[sweep])
+        _, centers, radii = arc_geometry(pos, g, [sweep])
+    assert (count_tags(svg, "path"), count_tags(svg, "line")) == ((1, 0) if curved else (0, 1))
+    assert not re.search(r"\b(inf|nan|infinity)\b", svg, re.IGNORECASE)
+    assert np.isfinite(radii[0]) == curved and np.isfinite(centers[0]).all() == curved
 
 
 @pytest.mark.parametrize(
