@@ -14,30 +14,21 @@ from .centrality import (
     DEFAULT_MASS_FLOOR,
     CentralityVector,
     MassVector,
-    betweenness_centrality,
-    closeness_centrality,
     compute_centrality,
-    degree_centrality,
     normalize_mass,
-    uniform_centrality,
 )
 from .engine import (
     LayoutConfig,
     LayoutState,
     initialize_positions,
     run_layout,
-    schedule_gamma,
-    settled,
     step,
     terminal_gamma,
 )
 from .generators import generate_forest, generate_random_tree
 from .graphs import (
-    UNREACHABLE,
-    DistanceVector,
     Graph,
     GraphParseError,
-    bfs_distances,
     connected_components,
     parse_edge_list,
     parse_graph_json,
@@ -65,27 +56,18 @@ __all__ = [
     "DEFAULT_MASS_FLOOR",
     "CentralityVector",
     "MassVector",
-    "betweenness_centrality",
-    "closeness_centrality",
     "compute_centrality",
-    "degree_centrality",
     "normalize_mass",
-    "uniform_centrality",
     "LayoutConfig",
     "LayoutState",
     "initialize_positions",
     "run_layout",
-    "schedule_gamma",
-    "settled",
     "step",
     "terminal_gamma",
     "generate_forest",
     "generate_random_tree",
-    "UNREACHABLE",
-    "DistanceVector",
     "Graph",
     "GraphParseError",
-    "bfs_distances",
     "connected_components",
     "parse_edge_list",
     "parse_graph_json",

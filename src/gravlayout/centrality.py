@@ -78,11 +78,6 @@ class MassVector:
         object.__setattr__(self, "values", vals)
 
 
-def degree_centrality(g: Graph) -> CentralityVector:
-    """Centrality equal to the vertex degree."""
-    return CentralityVector("degree", g.degrees.astype(float))
-
-
 def _source_batches(n: int):
     """Consecutive ranges of source ids: a fixed budget of BFS_ELEMENTS entries each."""
     batch = max(1, min(n, BFS_ELEMENTS // max(n, 1)))
@@ -177,43 +172,29 @@ def _bfs_betweenness(g: Graph) -> np.ndarray:
     return bc
 
 
-def closeness_centrality(g: Graph) -> CentralityVector:
-    """Reciprocal of the mean hop distance to the other vertices of the component.
-
-    Vertices with no reachable partner (isolated vertices) get value 0.
-    """
-    forest = _rooted_forest(g)
-    values = _bfs_closeness(g) if forest is None else _forest_closeness(*forest)
-    return CentralityVector("closeness", values)
-
-
-def betweenness_centrality(g: Graph) -> CentralityVector:
-    """Exact betweenness over unordered vertex pairs.
-
-    values[v] sums sigma_st(v) / sigma_st over unordered pairs {s, t} with
-    s != t != v; pairs in different components contribute nothing.
-    """
-    forest = _rooted_forest(g)
-    values = _bfs_betweenness(g) if forest is None else _forest_betweenness(*forest)
-    return CentralityVector("betweenness", values)
-
-
-def uniform_centrality(g: Graph) -> CentralityVector:
-    """All-ones centrality, the no-weighting baseline."""
-    return CentralityVector("uniform", np.ones(g.vertex_count, dtype=float))
-
-
 def compute_centrality(g: Graph, kind: str) -> CentralityVector:
-    """Dispatch by kind name: degree, closeness, betweenness, or uniform."""
+    """The centrality of every vertex of g, by kind name.
+
+    degree: the vertex degree. closeness: the reciprocal of the mean hop
+    distance to the other vertices of the component, 0 at a vertex with no
+    reachable partner (an isolated vertex). betweenness: the exact sum of
+    sigma_st(v) / sigma_st over unordered pairs {s, t} with s != t != v;
+    pairs in different components contribute nothing. uniform: all ones,
+    the no-weighting baseline. ValueError for any other kind.
+    """
     if kind == "degree":
-        return degree_centrality(g)
-    if kind == "closeness":
-        return closeness_centrality(g)
-    if kind == "betweenness":
-        return betweenness_centrality(g)
-    if kind == "uniform":
-        return uniform_centrality(g)
-    raise ValueError(f"unknown centrality kind {kind!r}")
+        values = g.degrees.astype(float)
+    elif kind == "uniform":
+        values = np.ones(g.vertex_count, dtype=float)
+    elif kind == "closeness":
+        forest = _rooted_forest(g)
+        values = _bfs_closeness(g) if forest is None else _forest_closeness(*forest)
+    elif kind == "betweenness":
+        forest = _rooted_forest(g)
+        values = _bfs_betweenness(g) if forest is None else _forest_betweenness(*forest)
+    else:
+        raise ValueError(f"unknown centrality kind {kind!r}")
+    return CentralityVector(kind, values)
 
 
 def normalize_mass(c: CentralityVector, mass_floor: float = DEFAULT_MASS_FLOOR) -> MassVector:

@@ -15,8 +15,8 @@ displacement. A run starts from initialize_positions, a radial drawing
 that leaves trees untangled, and the gravity coefficient gamma_t climbs by
 gamma_step each time a level comes to rest, up to gamma_max, which compacts
 the drawing toward the center; a gamma_step of at least gamma_max holds
-gravity constant from t = 1, and gamma_max 0 turns it off. schedule_gamma
-gives gamma_t and settled is the stop rule; step and run_layout share one
+gravity constant from t = 1, and gamma_max 0 turns it off. _schedule_gamma
+gives gamma_t and _settled is the stop rule; step and run_layout share one
 iteration body.
 
 The heat in (0, 1] is the adaptive cooling of Hu (Mathematica Journal 10(1),
@@ -171,11 +171,11 @@ def terminal_gamma(config: LayoutConfig) -> float:
     return config.gamma_max
 
 
-def settled(state: LayoutState, config: LayoutConfig) -> bool:
+def _settled(state: LayoutState, config: LayoutConfig) -> bool:
     """The stop rule: the longest move of the last iteration is below
     equilibrium_eps and gamma has reached gamma_max. Only the last level
     waits for equilibrium_eps; the ones before it end at LEVEL_EPS times
-    that (schedule_gamma). A start state (last_max_impulse inf) is never
+    that (_schedule_gamma). A start state (last_max_impulse inf) is never
     settled."""
     return state.last_max_impulse < config.equilibrium_eps and state.gamma >= config.gamma_max - 1e-12
 
@@ -280,7 +280,7 @@ def initialize_positions(g: Graph, seed: int, k: float) -> np.ndarray:
     return pos
 
 
-def schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
+def _schedule_gamma(t: int, state: LayoutState, config: LayoutConfig) -> float:
     """Gravity coefficient for iteration t after state.
 
     Gamma rises by gamma_step, capped at gamma_max, once the previous
@@ -391,7 +391,8 @@ def _repulsion(pos: np.ndarray, k: float, s: _KernelScratch) -> tuple[np.ndarray
 def _jitter(pos: np.ndarray, pairs: list[tuple[int, int]], k: float, seed: int, t: int) -> None:
     """Nudge the second vertex v of each pair in place, each vertex once, by
     JITTER_MAGNITUDE * k at the angle 2 pi _uniforms(seed, t, v)."""
-    moved = np.unique([v for _, v in pairs])
+    # Not np.unique: without a return_* flag it imports numpy.ma.
+    moved = np.array(sorted({v for _, v in pairs}), dtype=np.int64)
     angle = TWO_PI * _uniforms(seed, t, moved)
     pos[moved] += JITTER_MAGNITUDE * k * np.column_stack((np.cos(angle), np.sin(angle)))
 
@@ -520,7 +521,7 @@ def _next_state(state: LayoutState, pos: np.ndarray, ws: _Workspace, config: Lay
     A new gravity level starts at full heat with no energy record; then the
     iteration's energy cools or warms the heat of the next one."""
     t = state.t + 1
-    gamma = schedule_gamma(t, state, config)
+    gamma = _schedule_gamma(t, state, config)
     if gamma != state.gamma:
         state = replace(state, heat=1.0, streak=0, lowest_energy=math.inf, level_start=state.t)
     strongest, energy = _advance(pos, t, gamma, ws, config, state.heat)
@@ -588,7 +589,7 @@ def run_layout(
 ) -> np.ndarray:
     """Run the simulation to completion and return final positions.
 
-    Iterates until max_iterations, or until the state is :func:`settled`.
+    Iterates until max_iterations, or until the state is settled (`_settled`).
     Fully deterministic for identical inputs, and step-for-step identical
     to iterating :func:`step` by hand. The scratch memory is allocated once
     per call and reused by every iteration. ValueError rather than
@@ -598,7 +599,7 @@ def run_layout(
         initial = initialize_positions(g, config.seed, config.k)
     pos, ws = _start(initial, g, mass, config)
     state = LayoutState(positions=pos)
-    while g.vertex_count and state.t < config.max_iterations and not settled(state, config):
+    while g.vertex_count and state.t < config.max_iterations and not _settled(state, config):
         state = _next_state(state, pos, ws, config)
     if not np.isfinite(pos).all():
         raise ValueError("the layout diverged to non-finite positions")

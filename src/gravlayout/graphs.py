@@ -204,14 +204,6 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Hop counts from a BFS source; UNREACHABLE (-1) marks unreachable vertices."""
-
-    source: int
-    dist: np.ndarray
-
-
 def _edge_list_ids(text: str) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The tokens of edge-list text as (counts, ids, labels): the number of
     tokens on each line, 0 on a comment line; the dense id of every other
@@ -377,13 +369,14 @@ def _bfs(g: Graph, sources, paths: bool = False):
 
 def _bfs_parents(g: Graph, roots) -> np.ndarray:
     """The parent of every vertex in one BFS from all the roots at once, -1
-    at the roots and at vertices they do not reach. Each vertex hangs from
-    its smallest neighbour on the level before its own, so with one root
-    per component the parents span a forest of g, in O(n + m) memory."""
+    at the roots and at vertices they do not reach. The roots must be
+    strictly increasing, as `_first_vertices` gives them. Each vertex hangs
+    from its smallest neighbour on the level before its own, so with one
+    root per component the parents span a forest of g, in O(n + m) memory."""
     indptr, indices = g.csr
     parent = np.full(g.vertex_count, -1, dtype=np.int64)
     seen = np.zeros(g.vertex_count, dtype=bool)
-    front = np.unique(np.asarray(roots, dtype=np.int64))
+    front = np.asarray(roots, dtype=np.int64)
     seen[front] = True
     while front.size:
         slots, counts = _neighbour_slots(indptr, front)
@@ -458,17 +451,6 @@ def _euler_tour(g: Graph, labels: np.ndarray, roots: np.ndarray):
     walk[enter[child] + 1] = 1
     walk[leave[child] + 1] = -1
     return parent, (leave - enter + 1) // 2, enter, leave, np.cumsum(walk)[enter + 1]
-
-
-def bfs_distances(g: Graph, s: int) -> DistanceVector:
-    """Exact unweighted shortest-path hop counts from s; unreachable marked -1.
-    ValueError unless s is an integer vertex id (a bool is not one)."""
-    s = _check_integer("source", s)
-    if not (0 <= s < g.vertex_count):
-        raise ValueError(f"source {s} out of range for {g.vertex_count} vertices")
-    dist = _bfs(g, [s])[0][0]
-    dist.setflags(write=False)
-    return DistanceVector(source=s, dist=dist)
 
 
 def connected_components(g: Graph) -> np.ndarray:

@@ -210,10 +210,11 @@ def spearman(x, y) -> float:
     yr = _average_ranks(y)
     xd = xr - xr.mean()
     yd = yr - yr.mean()
-    denom = math.sqrt(float(xd @ xd) * float(yd @ yd))
+    # add.reduce, not a BLAS dot: the bits must not depend on the thread count.
+    denom = math.sqrt(float(np.add.reduce(xd * xd)) * float(np.add.reduce(yd * yd)))
     if denom == 0.0:
         return 0.0
-    return float(xd @ yd) / denom
+    return float(np.add.reduce(xd * yd)) / denom
 
 
 def centrality_radius_correlation(c, positions) -> float:

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 
-from gravlayout import LayoutConfig, degree_centrality, generate_random_tree, layout_lombardi, normalize_mass
+from gravlayout import LayoutConfig, compute_centrality, generate_random_tree, layout_lombardi, normalize_mass
 
 acceptance_lines: list[str] = []
 
@@ -41,7 +41,7 @@ def lombardi_tree(n, seed):
     """(g, positions, sweeps) of the default Lombardi drawing of a random tree
     with degree mass."""
     g = generate_random_tree(n, seed=seed)
-    pos, sweeps = layout_lombardi(g, normalize_mass(degree_centrality(g)), LayoutConfig(seed=seed))
+    pos, sweeps = layout_lombardi(g, normalize_mass(compute_centrality(g, "degree")), LayoutConfig(seed=seed))
     return g, pos, sweeps
 
 

@@ -8,18 +8,18 @@ from gravlayout import (
     Graph,
     LayoutConfig,
     arc_geometry,
+    compute_centrality,
     generate_random_tree,
     layout_lombardi,
     normalize_mass,
     run_layout,
-    uniform_centrality,
 )
 from conftest import LOMBARDI_TREES, lombardi_tree
 from oracles import fit_arc, not_numbers, tangent_gap
 
 
 def uniform_mass(g):
-    return normalize_mass(uniform_centrality(g))
+    return normalize_mass(compute_centrality(g, "uniform"))
 
 
 def test_fit_arc_symmetric_circumcircle():

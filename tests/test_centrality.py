@@ -10,18 +10,14 @@ from gravlayout import (
     CentralityVector,
     Graph,
     MassVector,
-    betweenness_centrality,
-    closeness_centrality,
     compute_centrality,
-    degree_centrality,
     generate_forest,
     generate_random_tree,
     normalize_mass,
-    uniform_centrality,
 )
 from conftest import blas_thread_hashes
 from gravlayout import centrality
-from gravlayout.graphs import _euler_tour
+from gravlayout.graphs import _bfs, _euler_tour
 from oracles import (
     brandes_reference,
     brute_betweenness,
@@ -42,17 +38,17 @@ def star4():
 
 
 def test_degree_path():
-    assert degree_centrality(path3()).values.tolist() == [1.0, 2.0, 1.0]
+    assert compute_centrality(path3(), "degree").values.tolist() == [1.0, 2.0, 1.0]
 
 
 def test_degree_star_and_isolated():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    vals = degree_centrality(g).values
+    vals = compute_centrality(g, "degree").values
     assert vals.tolist() == [3.0, 1.0, 1.0, 1.0, 0.0]
 
 
 def test_closeness_path():
-    vals = closeness_centrality(path3()).values
+    vals = compute_centrality(path3(), "closeness").values
     assert vals[1] == pytest.approx(1.0)
     assert vals[0] == pytest.approx(2.0 / 3.0)
     assert vals[2] == pytest.approx(2.0 / 3.0)
@@ -60,54 +56,52 @@ def test_closeness_path():
 
 def test_closeness_complete():
     g = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert np.allclose(closeness_centrality(g).values, 1.0)
+    assert np.allclose(compute_centrality(g, "closeness").values, 1.0)
 
 
 def test_closeness_two_disjoint_edges():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert np.allclose(closeness_centrality(g).values, 1.0)
+    assert np.allclose(compute_centrality(g, "closeness").values, 1.0)
 
 
 def test_closeness_isolated_vertex_zero():
     g = Graph.from_edges(3, [(0, 1)])
-    assert closeness_centrality(g).values[2] == 0.0
+    assert compute_centrality(g, "closeness").values[2] == 0.0
 
 
 def test_closeness_matches_bfs_definition():
-    from gravlayout import bfs_distances
-
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = random_graph(rng, 1, 12)
-        vals = closeness_centrality(g).values
+        vals = compute_centrality(g, "closeness").values
         for v in range(g.vertex_count):
-            dist = bfs_distances(g, v).dist
+            dist = _bfs(g, [v])[0][0]
             finite = [int(d) for u, d in enumerate(dist) if u != v and d >= 0]
             expect = len(finite) / sum(finite) if finite else 0.0
             assert vals[v] == pytest.approx(expect, abs=1e-12)
 
 
 def test_betweenness_star():
-    vals = betweenness_centrality(star4()).values
+    vals = compute_centrality(star4(), "betweenness").values
     assert vals[0] == pytest.approx(3.0, abs=1e-9)
     assert np.allclose(vals[1:], 0.0)
 
 
 def test_betweenness_complete_zero():
     g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    assert np.allclose(betweenness_centrality(g).values, 0.0)
+    assert np.allclose(compute_centrality(g, "betweenness").values, 0.0)
 
 
 def test_betweenness_path4():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert betweenness_centrality(g).values.tolist() == pytest.approx([0.0, 2.0, 2.0, 0.0])
+    assert compute_centrality(g, "betweenness").values.tolist() == pytest.approx([0.0, 2.0, 2.0, 0.0])
 
 
 def test_betweenness_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(40):
         g = random_graph(rng, 2, 10)
-        got = betweenness_centrality(g).values
+        got = compute_centrality(g, "betweenness").values
         want = brute_betweenness(g)
         assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -147,7 +141,7 @@ def test_batched_bfs_bit_identical_to_reference(g):
     forest = centrality._rooted_forest(g) is not None
     assert forest == (g.edge_count < g.vertex_count)
     for got_b, got_c in (
-        (betweenness_centrality(g).values, closeness_centrality(g).values),
+        (compute_centrality(g, "betweenness").values, compute_centrality(g, "closeness").values),
         (centrality._bfs_betweenness(g), centrality._bfs_closeness(g)),
     ):
         if forest:
@@ -180,8 +174,8 @@ def random_forests(count, seed):
 )
 def test_forest_path_bit_identical_to_reference(g):
     assert centrality._rooted_forest(g) is not None
-    assert np.array_equal(betweenness_centrality(g).values, brandes_reference(g))
-    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+    assert np.array_equal(compute_centrality(g, "betweenness").values, brandes_reference(g))
+    assert np.array_equal(compute_centrality(g, "closeness").values, closeness_reference(g))
 
 
 def fuzz_forest(rng):
@@ -221,8 +215,8 @@ def test_euler_tour_fuzz_against_level_sweep():
         want_parent, want_size, want_c, want_b = rooted_forest_reference(g)
         assert np.array_equal(parent, want_parent)
         assert np.array_equal(size, want_size)
-        assert np.array_equal(closeness_centrality(g).values, want_c)
-        assert np.array_equal(betweenness_centrality(g).values, want_b)
+        assert np.array_equal(compute_centrality(g, "closeness").values, want_c)
+        assert np.array_equal(compute_centrality(g, "betweenness").values, want_b)
         # Any vertex of a component can be its root.
         count = int(labels.max(initial=-1)) + 1
         roots = np.array([rng.choice(np.flatnonzero(labels == c)) for c in range(count)], dtype=np.int64)
@@ -255,8 +249,8 @@ def test_forest_path_long_shuffled_path():
     want_b[order] = i * (n - 1 - i)
     want_c = np.empty(n)
     want_c[order] = (n - 1) / (i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2)
-    assert np.array_equal(betweenness_centrality(g).values, want_b)
-    assert np.array_equal(closeness_centrality(g).values, want_c)
+    assert np.array_equal(compute_centrality(g, "betweenness").values, want_b)
+    assert np.array_equal(compute_centrality(g, "closeness").values, want_c)
 
 
 def test_forest_path_large_star():
@@ -270,8 +264,8 @@ def test_forest_path_large_star():
     want_b[ids[0]] = leaves * (leaves - 1) // 2
     want_c = np.full(leaves + 1, leaves / (2 * leaves - 1))
     want_c[ids[0]] = 1.0
-    assert np.array_equal(betweenness_centrality(g).values, want_b)
-    assert np.array_equal(closeness_centrality(g).values, want_c)
+    assert np.array_equal(compute_centrality(g, "betweenness").values, want_b)
+    assert np.array_equal(compute_centrality(g, "closeness").values, want_c)
 
 
 def test_forest_plus_one_edge_takes_brandes_path():
@@ -280,8 +274,8 @@ def test_forest_plus_one_edge_takes_brandes_path():
     g = shuffled(Graph.from_edges(g.vertex_count, g.edges + ((u, v),)), np.random.default_rng(63))
     assert centrality._rooted_forest(g) is None
     want_b = brandes_reference(g)
-    assert np.max(np.abs(betweenness_centrality(g).values - want_b)) <= 1e-12 * want_b.max()
-    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+    assert np.max(np.abs(compute_centrality(g, "betweenness").values - want_b)) <= 1e-12 * want_b.max()
+    assert np.array_equal(compute_centrality(g, "closeness").values, closeness_reference(g))
 
 
 def test_forest_path_memory_is_linear():
@@ -290,8 +284,8 @@ def test_forest_path_memory_is_linear():
     g.csr  # cached on the graph, not scratch
     tracemalloc.start()
     try:
-        betweenness_centrality(g)
-        closeness_centrality(g)
+        compute_centrality(g, "betweenness")
+        compute_centrality(g, "closeness")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,14 +304,14 @@ def multipath_graph(n=300, seed=47):
 def test_batched_bfs_bits_do_not_depend_on_batch_size(monkeypatch):
     g = multipath_graph()
     n = g.vertex_count
-    base_b = betweenness_centrality(g).values
-    base_c = closeness_centrality(g).values
+    base_b = compute_centrality(g, "betweenness").values
+    base_c = compute_centrality(g, "closeness").values
     assert np.max(np.abs(base_b - brandes_reference(g))) <= 1e-9 * base_b.max()
     assert np.array_equal(base_c, closeness_reference(g))
     for batch in (1, 3, n):
         monkeypatch.setattr(centrality, "BFS_ELEMENTS", batch * n)
-        assert np.array_equal(betweenness_centrality(g).values, base_b)
-        assert np.array_equal(closeness_centrality(g).values, base_c)
+        assert np.array_equal(compute_centrality(g, "betweenness").values, base_b)
+        assert np.array_equal(compute_centrality(g, "closeness").values, base_c)
 
 
 def test_batched_bfs_bits_do_not_depend_on_blas_threads():
@@ -326,8 +320,8 @@ import hashlib, numpy as np, gravlayout as gl
 rng = np.random.default_rng(53)
 pairs = rng.integers(0, 1200, (3600, 2))
 g = gl.Graph.from_edges(1200, [(int(u), int(v)) for u, v in pairs if u != v])
-h = hashlib.sha256(gl.betweenness_centrality(g).values.tobytes())
-h.update(gl.closeness_centrality(g).values.tobytes())
+h = hashlib.sha256(gl.compute_centrality(g, "betweenness").values.tobytes())
+h.update(gl.compute_centrality(g, "closeness").values.tobytes())
 print(h.hexdigest())
 """
     hashes = blas_thread_hashes(script)
@@ -337,28 +331,28 @@ print(h.hexdigest())
 
 def test_bfs_centrality_edge_cases():
     empty = Graph(0)
-    assert betweenness_centrality(empty).values.size == 0
-    assert closeness_centrality(empty).values.size == 0
+    assert compute_centrality(empty, "betweenness").values.size == 0
+    assert compute_centrality(empty, "closeness").values.size == 0
     lonely = Graph(4)
-    assert betweenness_centrality(lonely).values.tolist() == [0.0] * 4
-    assert closeness_centrality(lonely).values.tolist() == [0.0] * 4
+    assert compute_centrality(lonely, "betweenness").values.tolist() == [0.0] * 4
+    assert compute_centrality(lonely, "closeness").values.tolist() == [0.0] * 4
     # Isolated vertices beside a path 0-1-2.
     g = Graph.from_edges(5, [(0, 1), (1, 2)])
-    assert betweenness_centrality(g).values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
-    assert closeness_centrality(g).values.tolist() == [2 / 3, 1.0, 2 / 3, 0.0, 0.0]
+    assert compute_centrality(g, "betweenness").values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert compute_centrality(g, "closeness").values.tolist() == [2 / 3, 1.0, 2 / 3, 0.0, 0.0]
     # A 4-cycle plus a tail: 0 and 2 both have two shortest paths through 1 or 3.
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
     want = brute_betweenness(g)
     assert want.tolist() == pytest.approx([0.5, 1.0, 3.5, 1.0, 0.0])
-    assert np.array_equal(betweenness_centrality(g).values, brandes_reference(g))
-    assert np.max(np.abs(betweenness_centrality(g).values - want)) <= 1e-12
-    assert np.array_equal(closeness_centrality(g).values, closeness_reference(g))
+    assert np.array_equal(compute_centrality(g, "betweenness").values, brandes_reference(g))
+    assert np.max(np.abs(compute_centrality(g, "betweenness").values - want)) <= 1e-12
+    assert np.array_equal(compute_centrality(g, "closeness").values, closeness_reference(g))
 
 
 def test_uniform():
-    assert uniform_centrality(star4()).values.tolist() == [1.0] * 4
-    assert uniform_centrality(Graph(0)).values.size == 0
-    assert uniform_centrality(Graph.from_edges(2, [(0, 1)])).values.tolist() == [1.0, 1.0]
+    assert compute_centrality(star4(), "uniform").values.tolist() == [1.0] * 4
+    assert compute_centrality(Graph(0), "uniform").values.size == 0
+    assert compute_centrality(Graph.from_edges(2, [(0, 1)]), "uniform").values.tolist() == [1.0, 1.0]
 
 
 def test_compute_centrality_dispatch():
@@ -377,9 +371,9 @@ def test_permutation_equivariance():
         relabeled = Graph.from_edges(
             g.vertex_count, [(int(perm[u]), int(perm[v])) for u, v in g.edges]
         )
-        for fn in (degree_centrality, closeness_centrality, betweenness_centrality):
-            orig = fn(g).values
-            moved = fn(relabeled).values
+        for kind in ("degree", "closeness", "betweenness"):
+            orig = compute_centrality(g, kind).values
+            moved = compute_centrality(relabeled, kind).values
             assert np.allclose(moved[perm], orig, atol=1e-12)
 
 

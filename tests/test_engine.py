@@ -16,10 +16,9 @@ from gravlayout import (
     arc_geometry,
     bounding_area,
     centrality_radius_correlation,
-    closeness_centrality,
+    compute_centrality,
     compute_metrics,
     count_crossings,
-    degree_centrality,
     edge_length_stats,
     generate_forest,
     generate_random_tree,
@@ -28,13 +27,10 @@ from gravlayout import (
     normalize_mass,
     render_svg,
     run_layout,
-    schedule_gamma,
-    settled,
     step,
     terminal_gamma,
-    uniform_centrality,
 )
-from conftest import blas_thread_hashes
+from conftest import blas_thread_hashes, fresh_python
 from gravlayout import engine
 from oracles import (
     FUZZ_ATOMS,
@@ -52,7 +48,7 @@ from oracles import (
 
 
 def uniform_mass(g):
-    return normalize_mass(uniform_centrality(g))
+    return normalize_mass(compute_centrality(g, "uniform"))
 
 
 def test_repulsive_examples():
@@ -115,37 +111,37 @@ def test_schedule_constant_and_none():
     state = LayoutState(positions=np.zeros((1, 2)))
     for gamma_step in (2.5, 4.0):
         cfg = LayoutConfig(gamma_max=2.5, gamma_step=gamma_step)
-        assert schedule_gamma(0, state, cfg) == 2.5
-        assert schedule_gamma(99999, state, cfg) == 2.5
+        assert engine._schedule_gamma(0, state, cfg) == 2.5
+        assert engine._schedule_gamma(99999, state, cfg) == 2.5
         for t, last_max_impulse in ((10, 5.0), (10, 0.5), (99999, 5.0)):
             held = LayoutState(positions=np.zeros((1, 2)), gamma=2.5, last_max_impulse=last_max_impulse)
-            assert schedule_gamma(t, held, cfg) == 2.5
+            assert engine._schedule_gamma(t, held, cfg) == 2.5
     for gamma_step in (0.2, 0.5, 2.5):
-        assert schedule_gamma(500, state, LayoutConfig(gamma_max=0.0, gamma_step=gamma_step)) == 0.0
+        assert engine._schedule_gamma(500, state, LayoutConfig(gamma_max=0.0, gamma_step=gamma_step)) == 0.0
 
 
 def test_schedule_stepped_by_equilibrium():
     cfg = LayoutConfig(equilibrium_eps=1.0)
     busy = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=5.0)
-    assert schedule_gamma(10, busy, cfg) == pytest.approx(0.4)
+    assert engine._schedule_gamma(10, busy, cfg) == pytest.approx(0.4)
     calm = LayoutState(positions=np.zeros((1, 2)), gamma=0.4, last_max_impulse=0.5)
-    assert schedule_gamma(10, calm, cfg) == pytest.approx(0.9)
+    assert engine._schedule_gamma(10, calm, cfg) == pytest.approx(0.9)
     # An intermediate level ends below LEVEL_EPS * eps, not eps: a move of
     # 2 steps up, but at gamma_max it holds gamma and is not settled.
     assert engine.LEVEL_EPS == 3.0
     resting = replace(calm, last_max_impulse=2.0)
-    assert schedule_gamma(10, resting, cfg) == pytest.approx(0.9)
+    assert engine._schedule_gamma(10, resting, cfg) == pytest.approx(0.9)
     top = replace(resting, gamma=cfg.gamma_max)
-    assert schedule_gamma(10, top, cfg) == cfg.gamma_max
-    assert not settled(top, cfg)
-    assert settled(replace(top, last_max_impulse=0.5), cfg)
+    assert engine._schedule_gamma(10, top, cfg) == cfg.gamma_max
+    assert not engine._settled(top, cfg)
+    assert engine._settled(replace(top, last_max_impulse=0.5), cfg)
     # A start state steps straight to the first level, capped at gamma_max.
     start = LayoutState(positions=np.zeros((1, 2)))
-    assert schedule_gamma(1, start, cfg) == 0.5
-    assert schedule_gamma(1, start, replace(cfg, gamma_max=0.3)) == 0.3
-    assert schedule_gamma(1, start, replace(cfg, gamma_max=0.0)) == 0.0
+    assert engine._schedule_gamma(1, start, cfg) == 0.5
+    assert engine._schedule_gamma(1, start, replace(cfg, gamma_max=0.3)) == 0.3
+    assert engine._schedule_gamma(1, start, replace(cfg, gamma_max=0.0)) == 0.0
     capped = LayoutState(positions=np.zeros((1, 2)), gamma=2.5, last_max_impulse=0.0)
-    assert schedule_gamma(10, capped, cfg) == pytest.approx(2.5)
+    assert engine._schedule_gamma(10, capped, cfg) == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize(("gamma_max", "gamma_step"), [(2.5, 2.5), (0.0, 0.5)])
@@ -154,7 +150,7 @@ def test_single_level_runs_do_not_depend_on_level_eps(monkeypatch, gamma_max, ga
     # that ends an intermediate level cannot touch them: LEVEL_EPS 1, the
     # rule that made every level settle to eps, gives the same bits.
     g = generate_random_tree(70, seed=4)
-    mass = normalize_mass(closeness_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "closeness"))
     cfg = LayoutConfig(gamma_max=gamma_max, gamma_step=gamma_step, seed=4)
     single, stepped = (run_layout(g, mass, c) for c in (cfg, LayoutConfig(seed=4)))
     monkeypatch.setattr(engine, "LEVEL_EPS", 1.0)
@@ -174,12 +170,12 @@ def test_gravity_off_is_one_run_under_every_schedule(kind):
     # step makes the same run bit for bit and stops at the same iteration,
     # after many block_len 5 caps have passed.
     g = generate_forest([12, 9, 1], seed=4)
-    mass = normalize_mass(closeness_centrality(g) if kind == "closeness" else degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, kind))
     runs = set()
     for gamma_step in (0.2, 0.5, 2.5):
         cfg = LayoutConfig(gamma_max=0.0, gamma_step=gamma_step, block_len=5, seed=5)
         state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
-        while state.t < cfg.max_iterations and not settled(state, cfg):
+        while state.t < cfg.max_iterations and not engine._settled(state, cfg):
             state = step(state, g, mass, cfg)
             assert state.gamma == 0.0
         assert state.t > 8 * cfg.block_len
@@ -195,11 +191,11 @@ def test_one_full_step_holds_gamma_max_from_the_first_iteration(gamma_max):
     # t = 1, and no later level starts, so nothing resets the heat or the
     # level's energy record. A larger step makes the same run bit for bit.
     g = generate_random_tree(70, seed=2)
-    mass = normalize_mass(closeness_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "closeness"))
     cfg = LayoutConfig(gamma_max=gamma_max, gamma_step=gamma_max or 1.0, seed=2, max_iterations=300)
     state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
     lowest = math.inf
-    while state.t < cfg.max_iterations and not settled(state, cfg):
+    while state.t < cfg.max_iterations and not engine._settled(state, cfg):
         state = step(state, g, mass, cfg)
         assert state.gamma == gamma_max and state.level_start == 0
         assert state.lowest_energy <= lowest
@@ -299,7 +295,7 @@ def layout_raises(cfg):
     """Whether one step under cfg, or a run_layout of it capped at 20
     iterations, raised ValueError on a 4-vertex path. Each must otherwise
     come back finite, with no warning on the way."""
-    mass = normalize_mass(degree_centrality(PATH4))
+    mass = normalize_mass(compute_centrality(PATH4, "degree"))
     start = LayoutState(positions=initialize_positions(PATH4, cfg.seed, cfg.k))
     runs = (
         lambda: step(start, PATH4, mass, cfg).positions,
@@ -377,7 +373,7 @@ def test_largest_config_inside_the_force_bound_keeps_impulses_finite(k, scan):
     # the centre add up. A gamma_step of 2^1000, above every admitted
     # gamma_max, holds gravity at gamma_max from the first step.
     g = Graph.from_edges(101, [(0, v) for v in range(1, 101)])
-    mass = normalize_mass(degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "degree"))
     base = LayoutConfig(k=k, gamma_max=2.0**1000, block_len=2, gamma_step=2.0**1000, max_iterations=20)
     unit = np.column_stack([np.ones(101), np.linspace(-1.0, 1.0, 101)])
     unit[0] = (-1.0, 0.0)
@@ -565,12 +561,12 @@ def test_start_packs_a_tree_beside_isolated_vertices():
     # drawing a few thousand units wide, and the default run settles in 698
     # iterations; from the uniform random start it took 1863.
     g = generate_forest([300] + [1] * 300, seed=0)
-    mass = normalize_mass(degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "degree"))
     cfg = LayoutConfig(seed=0)
     init = initialize_positions(g, cfg.seed, cfg.k)
     assert np.ptp(init, axis=0).max() < 80 * cfg.k
     state, _ = step_to_stop(g, mass, cfg, init)
-    assert settled(state, cfg) and state.t < 1000
+    assert engine._settled(state, cfg) and state.t < 1000
 
 
 def test_net_impulse_k2_at_natural_length():
@@ -592,7 +588,7 @@ def test_net_impulse_isolated_vertex_is_gravity_plus_repulsion():
     g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
     pos = np.array([[0.0, 0.0], [50.0, 0.0], [10.0, 40.0]])
     state = LayoutState(positions=pos, gamma=1.5)
-    mass = normalize_mass(uniform_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "uniform"))
     cfg = LayoutConfig()
     got = net_impulse(2, state, g, mass, cfg)
     want = (
@@ -665,7 +661,7 @@ def test_step_matches_scalar_reference_with_degree_mass():
     # zero here. The step takes it out with the impulses' mean.
     rng = np.random.default_rng(41)
     g = random_graph(rng, 8, 14)
-    mass = normalize_mass(degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "degree"))
     cfg = LayoutConfig(gamma_max=1.3, gamma_step=1.3)
     state = LayoutState(positions=rng.uniform(-300, 300, (g.vertex_count, 2)), gamma=1.3)
     net = sum(net_impulse(v, state, g, mass, cfg) for v in range(g.vertex_count))
@@ -764,7 +760,7 @@ def test_step_bits_do_not_depend_on_blas_threads():
     script = """
 import hashlib, gravlayout as gl
 g = gl.generate_random_tree(1000, seed=21)
-mass = gl.normalize_mass(gl.degree_centrality(g))
+mass = gl.normalize_mass(gl.compute_centrality(g, "degree"))
 cfg = gl.LayoutConfig(gamma_max=1.0, gamma_step=1.0, seed=21)
 state = gl.LayoutState(positions=gl.initialize_positions(g, 21, cfg.k))
 for _ in range(4):
@@ -774,6 +770,30 @@ print(hashlib.sha256(state.positions.tobytes()).hexdigest())
     hashes = blas_thread_hashes(script)
     assert len(hashes[0]) == 64
     assert hashes[0] == hashes[1]
+
+
+def test_cyclic_layout_with_a_nudge_does_not_load_numpy_ma():
+    # np.unique without a return_* flag calls np.ma.is_masked, which imports
+    # numpy.ma: 9-14 ms and 1.7 MB in a fresh process. The start's spanning
+    # BFS of a graph with a cycle and the nudge of coincident vertices both
+    # called it. Closeness on a graph with a cycle runs the batched BFS.
+    script = """
+import sys
+import numpy as np
+import gravlayout as gl
+before = "numpy.ma" in sys.modules
+tree = gl.generate_random_tree(60, seed=1)
+g = gl.Graph.from_edges(60, np.vstack([tree.edge_array, [(0, 30), (5, 50)]]))
+cfg = gl.LayoutConfig(max_iterations=5)
+start = gl.initialize_positions(g, cfg.seed, cfg.k)
+start[1] = start[0]
+gl.run_layout(g, gl.normalize_mass(gl.compute_centrality(g, "closeness")), cfg, initial=start)
+print(before, "numpy.ma" in sys.modules)
+"""
+    before, after = fresh_python(script).split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
 
 
 def test_gamma_monotone_and_capped():
@@ -851,7 +871,7 @@ def test_run_layout_stops_where_step_loop_first_settles(gamma_max, gamma_step, s
     )
     auto = run_layout(g, mass, cfg)
     state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
-    while state.t < cfg.max_iterations and not settled(state, cfg):
+    while state.t < cfg.max_iterations and not engine._settled(state, cfg):
         state = step(state, g, mass, cfg)
     assert state.t == stop
     assert state.gamma == terminal_gamma(cfg)
@@ -909,7 +929,7 @@ def test_run_allocates_no_scratch_per_step(monkeypatch):
     n = 300
     g = random_tree(rng, n)
     mass = uniform_mass(g)
-    schedule = engine.schedule_gamma
+    schedule = engine._schedule_gamma
     rises = []
     level = 0
 
@@ -921,7 +941,7 @@ def test_run_allocates_no_scratch_per_step(monkeypatch):
         level = current
         return schedule(t, state, config)
 
-    monkeypatch.setattr(engine, "schedule_gamma", measured_schedule)
+    monkeypatch.setattr(engine, "_schedule_gamma", measured_schedule)
     counts = []
     for iterations in (50, 200):
         rises.clear()
@@ -941,8 +961,8 @@ def step_to_stop(g, mass, cfg, init):
     """Drive step from a start state under run_layout's stop rule; return the
     last state and the (first t, gamma) of every gravity level."""
     state = LayoutState(positions=init)
-    levels = [(1, schedule_gamma(1, state, cfg))]
-    while state.t < cfg.max_iterations and not settled(state, cfg):
+    levels = [(1, engine._schedule_gamma(1, state, cfg))]
+    while state.t < cfg.max_iterations and not engine._settled(state, cfg):
         state = step(state, g, mass, cfg)
         if state.gamma != levels[-1][1]:
             levels.append((state.t, state.gamma))
@@ -955,12 +975,12 @@ def test_equilibrium_schedule_climbs_to_gamma_max_and_settles():
     # gamma_step from gamma_step to gamma_max, with no gravity-free level,
     # and the run stops settled at t = 219.
     g = generate_random_tree(70, seed=3)
-    mass = normalize_mass(closeness_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "closeness"))
     cfg = LayoutConfig(seed=3)
     state, levels = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
     assert [gamma for _, gamma in levels] == [0.5, 1.0, 1.5, 2.0, 2.5]
     assert state.gamma == cfg.gamma_max
-    assert settled(state, cfg) and state.t < 0.15 * cfg.max_iterations
+    assert engine._settled(state, cfg) and state.t < 0.15 * cfg.max_iterations
 
 
 @pytest.mark.parametrize("seed", [3, 15, 19])
@@ -972,10 +992,10 @@ def test_rest_frame_settles_default_trees_within_1200_iterations(seed):
     # with a gravity-free level and steps of 0.2, they took 1017, 916 and
     # 975; from the radial start with steps of 0.5 they take 219, 224, 221.
     g = generate_random_tree(70, seed=seed)
-    mass = normalize_mass(closeness_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "closeness"))
     cfg = LayoutConfig(seed=seed)
     state, _ = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
-    assert settled(state, cfg) and state.t <= 400
+    assert engine._settled(state, cfg) and state.t <= 400
 
 
 @pytest.mark.parametrize(
@@ -989,11 +1009,11 @@ def test_step_loop_replays_default_run_to_its_equilibrium_stop(name, kind):
         "forest": lambda: generate_forest([9] * 5, seed=5),
         "chords": lambda: tree_with_chords(100, 10, seed=5),
     }[name]()
-    mass = normalize_mass(degree_centrality(g) if kind == "degree" else closeness_centrality(g))
+    mass = normalize_mass(compute_centrality(g, kind))
     cfg = LayoutConfig(seed=5)
     init = initialize_positions(g, cfg.seed, cfg.k)
     state, _ = step_to_stop(g, mass, cfg, init)
-    assert settled(state, cfg) and state.t < cfg.max_iterations
+    assert engine._settled(state, cfg) and state.t < cfg.max_iterations
     assert run_layout(g, mass, cfg).tobytes() == state.positions.tobytes()
 
 
@@ -1003,11 +1023,11 @@ def test_intermediate_levels_end_at_level_eps_and_the_last_settles_at_eps(name):
     # longest move is below LEVEL_EPS * eps, or after block_len iterations;
     # the run then stops settled at gamma_max, its last move below eps.
     g = generate_random_tree(70, seed=3) if name == "tree" else generate_forest([9] * 5, seed=2)
-    mass = normalize_mass(closeness_centrality(g) if name == "tree" else degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "closeness" if name == "tree" else "degree"))
     cfg = LayoutConfig(seed=3 if name == "tree" else 2)
     state = LayoutState(positions=initialize_positions(g, cfg.seed, cfg.k))
     gammas, ends = [], []  # each level's gamma; each intermediate level's last move and length
-    while state.t < cfg.max_iterations and not settled(state, cfg):
+    while state.t < cfg.max_iterations and not engine._settled(state, cfg):
         nxt = step(state, g, mass, cfg)
         if nxt.gamma != state.gamma:
             gammas.append(nxt.gamma)
@@ -1015,7 +1035,7 @@ def test_intermediate_levels_end_at_level_eps_and_the_last_settles_at_eps(name):
                 ends.append((state.last_max_impulse, state.t - state.level_start))
         state = nxt
     assert gammas == [0.5, 1.0, 1.5, 2.0, 2.5]
-    assert settled(state, cfg) and state.last_max_impulse < cfg.equilibrium_eps
+    assert engine._settled(state, cfg) and state.last_max_impulse < cfg.equilibrium_eps
     for move, length in ends:
         assert move < engine.LEVEL_EPS * cfg.equilibrium_eps or length == cfg.block_len
     # The rule is not the old one: some level ended on a move of eps or more.
@@ -1028,10 +1048,10 @@ def test_equilibrium_levels_end_by_block_len_on_a_forest():
     # iterations (62, 38, 29, 25 and 41), and the run stops settled at
     # gamma_max long before max_iterations.
     g = generate_forest([9] * 5, seed=2)
-    mass = normalize_mass(degree_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "degree"))
     cfg = LayoutConfig(seed=2)
     state, levels = step_to_stop(g, mass, cfg, initialize_positions(g, cfg.seed, cfg.k))
-    assert state.gamma == cfg.gamma_max and settled(state, cfg)
+    assert state.gamma == cfg.gamma_max and engine._settled(state, cfg)
     assert state.t < 0.15 * cfg.max_iterations
     lengths = np.diff([t for t, _ in levels] + [state.t])
     assert lengths.max() < cfg.block_len
@@ -1217,7 +1237,7 @@ def test_every_layer_rejects_wrong_positions_shape(shape):
         lambda: run_layout(g, uniform_mass(g), cfg, initial=bad),
         lambda: step(LayoutState(positions=bad), g, uniform_mass(g), cfg),
         lambda: count_crossings(g, bad),
-        lambda: compute_metrics(g, bad, degree_centrality(g)),
+        lambda: compute_metrics(g, bad, compute_centrality(g, "degree")),
     ):
         with pytest.raises(ValueError, match="shape"):
             call()
@@ -1239,7 +1259,7 @@ def test_every_layer_refuses_positions_that_are_not_numbers(bad):
         lambda: edge_length_stats(g, bad),
         lambda: bounding_area(bad),
         lambda: centrality_radius_correlation([1.0, 2.0, 3.0], bad),
-        lambda: compute_metrics(g, bad, degree_centrality(g)),
+        lambda: compute_metrics(g, bad, compute_centrality(g, "degree")),
         lambda: arc_geometry(bad, g, [0.0, 0.0]),
         lambda: render_svg(g, bad),
     ):

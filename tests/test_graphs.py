@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from gravlayout import (
-    UNREACHABLE,
     Graph,
     GraphParseError,
-    bfs_distances,
     connected_components,
     generate_forest,
     generate_random_tree,
@@ -16,7 +14,7 @@ from gravlayout import (
     serialize_edge_list,
     serialize_graph_json,
 )
-from gravlayout.graphs import KEY_BASE_MAX, _sorted_pairs
+from gravlayout.graphs import KEY_BASE_MAX, UNREACHABLE, _bfs, _sorted_pairs
 from oracles import (
     adjacency_reference,
     components_reference,
@@ -305,38 +303,25 @@ def test_adjacency_matches_edge_loop():
         assert all(type(u) is int for nbrs in got for u in nbrs)
 
 
+def hops_from(g, s):
+    """Hop counts from the one source s, UNREACHABLE where it does not reach."""
+    return _bfs(g, [s])[0][0]
+
+
 def test_bfs_path():
     g = parse_edge_list("a b\nb c")
-    dv = bfs_distances(g, 0)
-    assert dv.source == 0
-    assert dv.dist.tolist() == [0, 1, 2]
+    assert hops_from(g, 0).tolist() == [0, 1, 2]
+    assert hops_from(g, np.int64(1)).tolist() == [1, 0, 1]
 
 
 def test_bfs_unreachable_marked():
     g = parse_edge_list("a b\nc d")
-    dv = bfs_distances(g, 0)
-    assert dv.dist.tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
+    assert hops_from(g, 0).tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
 
 
 def test_bfs_star_center():
     g = parse_edge_list("c a\nc b\nc d")
-    assert bfs_distances(g, 0).dist.tolist() == [0, 1, 1, 1]
-
-
-def test_bfs_invalid_source():
-    g = parse_edge_list("a b")
-    with pytest.raises(ValueError):
-        bfs_distances(g, 5)
-
-
-def test_bfs_source_must_be_an_integer():
-    # 1.5 ran from vertex 1 and reported source 1.5; True was taken as 1.
-    g = parse_edge_list("a b\nb c")
-    for bad in (1.5, 1.0, True, np.float64(1.0), "1", None):
-        with pytest.raises(ValueError, match="source must be an integer"):
-            bfs_distances(g, bad)
-    dv = bfs_distances(g, np.int64(1))
-    assert type(dv.source) is int and dv.source == 1 and dv.dist.tolist() == [1, 0, 1]
+    assert hops_from(g, 0).tolist() == [0, 1, 1, 1]
 
 
 def test_bfs_edge_triangle_property():
@@ -344,7 +329,7 @@ def test_bfs_edge_triangle_property():
     for _ in range(25):
         g = random_graph(rng, 2, 12)
         for s in range(g.vertex_count):
-            dist = bfs_distances(g, s).dist
+            dist = hops_from(g, s)
             for u, v in g.edges:
                 if dist[u] != UNREACHABLE and dist[v] != UNREACHABLE:
                     assert abs(int(dist[u]) - int(dist[v])) <= 1
@@ -378,7 +363,7 @@ def test_component_count_matches_bfs_restarts():
             if covered[s]:
                 continue
             restarts += 1
-            dist = bfs_distances(g, s).dist
+            dist = hops_from(g, s)
             covered |= dist != UNREACHABLE
         assert len(set(labels.tolist())) == restarts
 

@@ -16,8 +16,8 @@ from gravlayout import (
     bounding_area,
     centrality_radius_correlation,
     compute_metrics,
+    compute_centrality,
     count_crossings,
-    degree_centrality,
     edge_length_stats,
     generate_random_tree,
     initialize_positions,
@@ -27,8 +27,8 @@ from gravlayout import (
     run_layout,
     spearman,
     step,
-    uniform_centrality,
 )
+from conftest import blas_thread_hashes
 from gravlayout import metrics
 from gravlayout.engine import TWO_PI, check_positions
 from oracles import (
@@ -173,7 +173,7 @@ def test_compute_metrics_peak_memory_on_a_2000_vertex_tree():
     # 0.6 MiB.
     g = generate_random_tree(2000, 43)
     pos = initialize_positions(g, 43, 80.0)
-    c = degree_centrality(g)
+    c = compute_centrality(g, "degree")
     want = compute_metrics(g, pos, c)
     tracemalloc.start()
     try:
@@ -192,7 +192,7 @@ def test_crossings_reject_non_finite_positions(bad):
     with pytest.raises(ValueError, match="finite"):
         count_crossings(g, pos)
     with pytest.raises(ValueError, match="finite"):
-        compute_metrics(g, pos, degree_centrality(g))
+        compute_metrics(g, pos, compute_centrality(g, "degree"))
 
 
 @pytest.mark.parametrize(
@@ -215,7 +215,7 @@ def test_every_metric_checks_positions(bad):
         lambda: min_angular_resolution(g, bad),
         lambda: edge_length_stats(g, bad),
         lambda: centrality_radius_correlation([1.0, 2.0, 3.0], bad),
-        lambda: compute_metrics(g, bad, degree_centrality(g)),
+        lambda: compute_metrics(g, bad, compute_centrality(g, "degree")),
     ]
     if bad.ndim != 2 or bad.shape[1] != 2 or not np.isfinite(bad).all():
         calls.append(lambda: bounding_area(bad))
@@ -313,7 +313,7 @@ def test_edge_length_scale_behavior():
 
 def test_k2_layout_edge_length_near_k():
     g = Graph.from_edges(2, [(0, 1)])
-    mass = normalize_mass(uniform_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "uniform"))
     pos = run_layout(g, mass, LayoutConfig(gamma_max=0.0, seed=11))
     mean, cv = edge_length_stats(g, pos)
     assert mean == pytest.approx(80.0, rel=0.05)
@@ -330,6 +330,24 @@ def test_bounding_area():
 
 def test_spearman_perfect_anticorrelation():
     assert spearman([3, 2, 1], [1, 2, 3]) == pytest.approx(-1.0)
+
+
+def test_spearman_bits_do_not_depend_on_blas_threads():
+    # Past n of about 470,000 the sums of rank products leave 2^53 and are
+    # rounded. A BLAS dot splits them across threads: with xd @ yd this
+    # input read 0.4984818271245235 on 1 OpenBLAS thread, 0.49848182712452355 on 4.
+    script = """
+import hashlib
+import numpy as np
+import gravlayout as gl
+rng = np.random.default_rng(5)
+x = rng.uniform(size=700_000)
+y = x + rng.normal(0.0, 0.5, size=x.size)
+print(hashlib.sha256(np.float64(gl.spearman(x, y)).tobytes()).hexdigest())
+"""
+    hashes = blas_thread_hashes(script)
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]
 
 
 def test_spearman_constant_zero():
@@ -398,7 +416,7 @@ def test_correlation_invariances():
 
 def test_compute_metrics_fields():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    dm = compute_metrics(g, [(0, 0), (1, 0), (2, 0)], degree_centrality(g))
+    dm = compute_metrics(g, [(0, 0), (1, 0), (2, 0)], compute_centrality(g, "degree"))
     d = dm.as_dict()
     assert set(d) == {
         "crossings",
@@ -425,7 +443,7 @@ def test_compute_metrics_checks_centrality_at_every_vertex_count(c):
 
 def test_compute_metrics_degenerate_graph():
     g = Graph(2)
-    dm = compute_metrics(g, [(0, 0), (1, 1)], degree_centrality(g))
+    dm = compute_metrics(g, [(0, 0), (1, 1)], compute_centrality(g, "degree"))
     assert dm.edge_len_mean is None
     assert dm.edge_len_cv is None
     assert dm.centrality_radius_rho is None
@@ -439,7 +457,7 @@ def _every_metric(g, pos, values):
         lambda: edge_length_stats(g, pos),
         lambda: bounding_area(pos),
         lambda: centrality_radius_correlation(values, pos),
-        lambda: compute_metrics(g, pos, degree_centrality(g)),
+        lambda: compute_metrics(g, pos, compute_centrality(g, "degree")),
     ]
 
 
@@ -459,7 +477,7 @@ def test_every_layer_refuses_a_drawing_too_wide_for_its_squared_lengths(pos):
     # NaN and bbox_area inf for the first path; check_positions and
     # arc_geometry passed it, and render_svg wrote A inf inf.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    mass = normalize_mass(uniform_centrality(g))
+    mass = normalize_mass(compute_centrality(g, "uniform"))
     cfg = LayoutConfig(max_iterations=1)
     calls = [
         lambda: check_positions(pos, 3),
@@ -484,7 +502,7 @@ def test_widest_measurable_drawing_gives_finite_metrics():
     reach = math.sqrt(np.finfo(float).max / 8) * (1 - 1e-12)
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     pos = np.array([(-reach, -reach), (reach, -reach), (reach, reach)])
-    report = compute_metrics(g, pos, degree_centrality(g)).as_dict()
+    report = compute_metrics(g, pos, compute_centrality(g, "degree")).as_dict()
     assert all(math.isfinite(v) for v in report.values())
 
 

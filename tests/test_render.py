@@ -15,10 +15,10 @@ from gravlayout import (
     RenderError,
     arc_geometry,
     color_for,
+    compute_centrality,
     layout_lombardi,
     normalize_mass,
     render_svg,
-    uniform_centrality,
 )
 from conftest import LOMBARDI_TREES, fresh_python, lombardi_tree
 from gravlayout import render
@@ -88,7 +88,7 @@ def test_render_empty_graph_valid():
 def test_render_straight_sweep_matches_line_rendering():
     g = Graph.from_edges(2, [(0, 1)])
     cfg = LayoutConfig(gamma_max=0.0, seed=2)
-    pos, sweeps = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
+    pos, sweeps = layout_lombardi(g, normalize_mass(compute_centrality(g, "uniform")), cfg)
     assert sweeps.tolist() == [0.0]
     with_arcs = render_svg(g, pos, sweeps=sweeps)
     plain = render_svg(g, pos)
@@ -101,7 +101,7 @@ def test_render_straight_sweep_matches_line_rendering():
 def test_render_curved_arcs_use_paths():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     cfg = LayoutConfig(gamma_max=0.0, seed=3)
-    pos, sweeps = layout_lombardi(g, normalize_mass(uniform_centrality(g)), cfg)
+    pos, sweeps = layout_lombardi(g, normalize_mass(compute_centrality(g, "uniform")), cfg)
     svg = render_svg(g, pos, sweeps=sweeps)
     curved = np.count_nonzero(sweeps)
     assert curved > 0
