@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from numbers import Integral, Real
@@ -106,30 +106,30 @@ def _sorted_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.
     return major[order], minor[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph on vertex ids 0..vertex_count-1.
 
-    Edges are stored canonically: each pair has u < v, the tuple is sorted
+    Edges are stored canonically: each pair has u < v, the pairs are sorted
     lexicographically, and there are no duplicates or self-loops. Every
     endpoint must be an integer (Python or numpy; bool and float are
-    rejected). `edges` may be given as any sequence of pairs or an (m, 2)
-    integer array; it is stored as a tuple of Python-int pairs, and
-    `edge_array` holds the same edges as a read-only (m, 2) int64 array.
+    rejected). The edges may be given as any sequence of pairs or an (m, 2)
+    integer array; `edge_array`, a read-only (m, 2) int64 array, is their one
+    store. `labels`, when given, is stored as a tuple of str, one per vertex.
     Use :meth:`from_edges` to build a graph from arbitrary pair iterables.
+    Two graphs are equal when their vertex counts, edges and labels are.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edge_array: np.ndarray = ()
     labels: tuple[str, ...] | None = None
-    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.vertex_count
         _check_integer("vertex_count", n)
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        ea = _numbers("edge pairs", self.edges, Integral, 2).copy()
+        ea = _numbers("edge pairs", self.edge_array, Integral, 2).copy()
         u, v = ea.T
         bad = (u < 0) | (u >= v) | (v >= n)
         # An edge must come strictly after its predecessor in (u, v) order.
@@ -141,11 +141,28 @@ class Graph:
             if not 0 <= a < b < n:
                 raise ValueError(f"edge ({a}, {b}) is not canonical for {n} vertices")
             raise ValueError("edges must be sorted and unique")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal vertex_count")
+        if self.labels is not None:
+            labels = tuple(self.labels)
+            if len(labels) != n:
+                raise ValueError("labels length must equal vertex_count")
+            if not all(map(isinstance, labels, repeat(str))):
+                bad_label = next(x for x in labels if not isinstance(x, str))
+                raise ValueError(f"labels must be strings, got {bad_label!r}")
+            object.__setattr__(self, "labels", labels)
         ea.setflags(write=False)
-        object.__setattr__(self, "edges", tuple(zip(*ea.T.tolist())))
         object.__setattr__(self, "edge_array", ea)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and self.labels == other.labels
+            and np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edge_array.tobytes(), self.labels))
 
     @classmethod
     def from_edges(
@@ -169,8 +186,14 @@ class Graph:
         return cls(vertex_count, np.column_stack((lo[first], hi[first])), labels)
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a tuple of Python-int pairs, built from `edge_array`
+        on each access, in O(m) time and memory."""
+        return tuple(zip(*self.edge_array.T.tolist()))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -259,10 +282,19 @@ def serialize_edge_list(g: Graph) -> str:
 
     Every vertex is declared first as a single-token line (in id order) so
     that re-parsing assigns identical dense ids; edges follow in canonical
-    order. parse(serialize(parse(x))) == parse(x) holds by construction.
+    order. ValueError, naming the vertex, when a label could not be read
+    back as that one token: an empty label, one holding whitespace or
+    starting with '#', or one shared with an earlier vertex. Otherwise
+    parse(serialize(parse(x))) == parse(x) holds by construction.
     """
-    lines = [g.label_of(v) for v in range(g.vertex_count)]
-    lines.extend(f"{g.label_of(u)} {g.label_of(v)}" for u, v in g.edges)
+    labels = [g.label_of(v) for v in range(g.vertex_count)]
+    if g.labels is not None:
+        seen = set()
+        for v, label in enumerate(labels):
+            if label.split() != [label] or label.startswith("#") or label in seen:
+                raise ValueError(f"vertex {v}: label {label!r} is not a distinct edge-list token")
+            seen.add(label)
+    lines = labels + [f"{labels[u]} {labels[v]}" for u, v in g.edge_array.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -299,7 +331,7 @@ def parse_graph_json(text: str) -> Graph:
 def serialize_graph_json(g: Graph) -> str:
     obj = {
         "vertices": [g.label_of(v) for v in range(g.vertex_count)],
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": g.edge_array.tolist(),
     }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -74,7 +74,8 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
     only meet the edges s + 1 .. hi[s] - 1 that start at or before its high
     end. Every interval test is closed, and two open segments that cross or
     overlap collinearly have overlapping closed bounding boxes, so no pair
-    that could count is skipped.
+    that could count is skipped. Each array is freed as soon as it has been
+    used, so a chunk keeps no more than a few arrays of `chunk` entries.
     """
     m = ea.shape[0]
     if m < 2:
@@ -85,18 +86,23 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
     xlo, xhi = np.minimum(*xs), np.maximum(*xs)
     order = np.argsort(xlo, kind="stable")
     hi = np.searchsorted(xlo[order], xhi[order], side="right")
+    del xlo, xhi
     ylo, yhi = np.minimum(*ys)[order], np.maximum(*ys)[order]
     # Row s holds the pairs (s, t), s < t < hi[s], of sorted edges at flat
     # indices row_start[s] .. row_end[s] - 1, pair k having t = k - row_base[s].
     rows = np.arange(m)
     row_end = np.cumsum(hi - rows - 1)
+    del hi
     row_start = np.concatenate(([0], row_end[:-1]))
     row_base = row_start - rows - 1
     pairs = int(row_end[-1])
     u, v = ea.T
-    count = 0
-    for lo in range(0, pairs, chunk):
-        stop = min(lo + chunk, pairs)
+
+    def candidates(lo: int, stop: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The endpoints p1, p2, q1, q2, each an (x, y) pair of arrays, of
+        the edge pairs p1p2, q1q2 at flat indices lo .. stop - 1 that overlap
+        in y and share no endpoint, p the edge of lower id. Its locals, the
+        pair and edge ids among them, die when it returns."""
         span = rows[np.searchsorted(row_end, lo, side="right"):
                     np.searchsorted(row_end, stop - 1, side="right") + 1]
         taken = np.minimum(row_end[span], stop) - np.maximum(row_start[span], lo)
@@ -106,33 +112,45 @@ def _count_crossings(ea: np.ndarray, pos: np.ndarray, chunk: int) -> int:
         # Back to edge ids, the lower id first, so each pair is tested with
         # the same operand order as in an all-pairs walk.
         es, et = order[s[keep]], order[t[keep]]
+        del s, t, keep
         i, j = np.minimum(es, et), np.maximum(es, et)
-        a1, a2, b1, b2 = u[i], v[i], u[j], v[j]
-        keep = (a1 != b1) & (a1 != b2) & (a2 != b1) & (a2 != b2)
+        del es, et
+        # The shared-endpoint mask, with at most three gathered ends alive.
+        a1, a2 = u[i], v[i]
+        b = u[j]
+        keep = (a1 != b) & (a2 != b)
+        del b
+        b = v[j]
+        keep &= (a1 != b) & (a2 != b)
+        del a1, a2, b
         i, j = i[keep], j[keep]
-        if i.size == 0:
-            continue
-        p1, p2 = (xs[0][i], ys[0][i]), (xs[1][i], ys[1][i])
-        q1, q2 = (xs[0][j], ys[0][j]), (xs[1][j], ys[1][j])
-        o1 = _cross(p1, p2, q1)
-        o2 = _cross(p1, p2, q2)
-        o3 = _cross(q1, q2, p1)
-        o4 = _cross(q1, q2, p2)
-        proper = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) & (
-            ((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0))
-        )
-        count += int(np.count_nonzero(proper))
-        # Degenerate pairs (some orientation exactly zero) only count when the
-        # four points are collinear and their overlap along the first edge's
-        # dominant axis has positive length.
-        d = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
-        if d.any():
-            p1, p2, q1, q2 = ((ex[d], ey[d]) for ex, ey in (p1, p2, q1, q2))
-            on_x = np.abs(p2[0] - p1[0]) >= np.abs(p2[1] - p1[1])
-            p1, p2, q1, q2 = (np.where(on_x, *e) for e in (p1, p2, q1, q2))
-            hi_end = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2))
-            lo_end = np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
-            count += int(np.count_nonzero(hi_end > lo_end))
+        return (xs[0][i], ys[0][i]), (xs[1][i], ys[1][i]), (xs[0][j], ys[0][j]), (xs[1][j], ys[1][j])
+
+    return sum(_crossing_count(*candidates(lo, min(lo + chunk, pairs))) for lo in range(0, pairs, chunk))
+
+
+def _crossing_count(p1, p2, q1, q2) -> int:
+    """How many of the segment pairs p1p2, q1q2, each point an (x, y) pair
+    of 1-D arrays, cross or overlap collinearly as open segments."""
+    o1 = _cross(p1, p2, q1)
+    o2 = _cross(p1, p2, q2)
+    o3 = _cross(q1, q2, p1)
+    o4 = _cross(q1, q2, p2)
+    proper = (((o1 > 0) & (o2 < 0)) | ((o1 < 0) & (o2 > 0))) & (
+        ((o3 > 0) & (o4 < 0)) | ((o3 < 0) & (o4 > 0))
+    )
+    count = int(np.count_nonzero(proper))
+    # Degenerate pairs (some orientation exactly zero) only count when the
+    # four points are collinear and their overlap along the first edge's
+    # dominant axis has positive length.
+    d = (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)
+    if d.any():
+        p1, p2, q1, q2 = ((ex[d], ey[d]) for ex, ey in (p1, p2, q1, q2))
+        on_x = np.abs(p2[0] - p1[0]) >= np.abs(p2[1] - p1[1])
+        p1, p2, q1, q2 = (np.where(on_x, *e) for e in (p1, p2, q1, q2))
+        hi_end = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2))
+        lo_end = np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
+        count += int(np.count_nonzero(hi_end > lo_end))
     return count
 
 

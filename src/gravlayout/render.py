@@ -141,7 +141,7 @@ def render_svg(
     body = [
         f'<line x1="{_fmt(pos[u, 0])}" y1="{_fmt(pos[u, 1])}" '
         f'x2="{_fmt(pos[v, 0])}" y2="{_fmt(pos[v, 1])}" {stroke}/>'
-        for u, v in g.edges
+        for u, v in g.edge_array.tolist()
     ]
     for e, (u, v) in zip(curved.tolist(), ends.tolist()):
         s, r = sweeps[e], _fmt(arc_radius[e])

@@ -106,6 +106,64 @@ def test_graph_validation():
         assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [[0, 1]]
 
 
+def test_graph_equality_and_hash_follow_edges_and_labels():
+    pairs = ((0, 1), (1, 2), (1, 3))
+    labels = ("a", "b", "c", "d")
+    same = [
+        Graph(4, pairs, labels),
+        Graph(4, np.array(pairs), labels),
+        Graph(4, np.array(pairs, dtype=np.int32), list(labels)),
+        Graph.from_edges(4, [(3, 1), (1, 0), (2, 1), (0, 1)], labels),
+    ]
+    for g in same:
+        assert g == same[0] and hash(g) == hash(same[0])
+        assert g.edges == pairs and g.labels == labels and type(g.labels) is tuple
+    assert len(set(same)) == 1
+    for other in (
+        Graph(4, ((0, 1), (1, 2), (2, 3)), labels),
+        Graph(4, pairs, ("a", "b", "c", "e")),
+        Graph(4, pairs),
+        Graph(5, pairs),
+        Graph(4, pairs[:2], labels),
+    ):
+        assert other != same[0]
+    assert same[0] != pairs and Graph(0) == Graph(0, np.empty((0, 2), dtype=np.int64))
+
+
+def test_graph_edges_are_built_on_each_access():
+    g = generate_random_tree(50, 3)
+    assert g.edges == g.edges and g.edges is not g.edges
+    assert g.edges == tuple(map(tuple, g.edge_array.tolist()))
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert g.edge_count == len(g.edges) == 49
+
+
+def test_graph_stores_its_edges_once():
+    # With a tuple of Python-int pairs beside edge_array, a 100,000-edge
+    # graph retained 13.6 MiB; the (m, 2) int64 array alone is 1.5 MiB.
+    ea = generate_random_tree(100_000, 13).edge_array
+    tracemalloc.start()
+    try:
+        g = Graph(100_000, ea)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 99_999 and np.array_equal(g.edge_array, ea)
+    assert kept < 4 * 2**20
+
+
+def test_graph_labels_are_a_tuple_of_strings():
+    g = Graph(2, ((0, 1),), ["a", "b"])
+    assert g.labels == ("a", "b") and hash(g) == hash(Graph(2, ((0, 1),), ("a", "b")))
+    for bad in ((1, 2), ("a", None), ("a", b"b")):
+        with pytest.raises(ValueError, match="labels must be strings"):
+            Graph(2, ((0, 1),), bad)
+        with pytest.raises(ValueError, match="labels must be strings"):
+            Graph.from_edges(2, [(1, 0)], bad)
+    with pytest.raises(ValueError, match="labels length"):
+        Graph(2, ((0, 1),), ["a"])
+
+
 def test_from_edges_accepts_any_pair_source():
     want = ((0, 2), (1, 3))
     sources = [
@@ -397,6 +455,33 @@ def test_parse_serialize_roundtrip():
         g = random_graph(rng, 1, 10)
         text = serialize_edge_list(g)
         assert parse_edge_list(serialize_edge_list(parse_edge_list(text))) == parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "make, vertex",
+    [
+        # The declaration line "#b" read back as a comment: edges ((0, 3), (1, 2)).
+        (lambda: parse_edge_list("a #b\nc d\n"), 1),
+        # Read back as 1 vertex and 0 edges.
+        (lambda: parse_graph_json('{"vertices": ["#x", "y"], "edges": [[0, 1]]}'), 0),
+        # "line 6: expected 1 or 2 tokens, got 3".
+        (lambda: Graph(2, ((0, 1),), ("a b", "")), 0),
+        (lambda: Graph(2, ((0, 1),), ("a", "")), 1),
+        (lambda: Graph(3, (), ("a", "b\u2028c", "d")), 1),
+        (lambda: Graph(3, ((0, 1), (1, 2)), ("a", "b", "a")), 2),
+    ],
+    ids=["hash-declaration", "json-hash-name", "space-and-empty", "empty", "line-separator", "repeated"],
+)
+def test_serialize_edge_list_refuses_labels_it_cannot_round_trip(make, vertex):
+    g = make()
+    with pytest.raises(ValueError, match=f"^vertex {vertex}: label "):
+        serialize_edge_list(g)
+
+
+def test_serialize_edge_list_round_trips_labels():
+    g = Graph(4, ((0, 1), (0, 3), (2, 3)), ("a#", "é", "10", "0"))
+    assert parse_edge_list(serialize_edge_list(g)) == g
+    assert serialize_edge_list(g) == "a#\né\n10\n0\na# é\na# 0\n10 0\n"
 
 
 def test_json_roundtrip():

@@ -185,6 +185,23 @@ def test_compute_metrics_peak_memory_on_a_2000_vertex_tree():
     assert peak < 2**20
 
 
+def test_count_crossings_peak_memory_on_a_2000_vertex_tree():
+    # Keeping each chunk's pair ids, edge ids and gathered endpoints alive
+    # until the next chunk replaced them peaked at 0.58 MiB on this drawing;
+    # freeing each as soon as it is used peaks at about 0.44 MiB.
+    g = generate_random_tree(2000, 43)
+    pos = initialize_positions(g, 43, 80.0)
+    want = metrics._count_crossings(g.edge_array, pos, 7)
+    tracemalloc.start()
+    try:
+        got = count_crossings(g, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**19
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_crossings_reject_non_finite_positions(bad):
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
