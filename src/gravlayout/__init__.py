@@ -45,7 +45,7 @@ from .metrics import (
     min_angular_resolution,
     spearman,
 )
-from .render import Color, RenderError, color_for, render_svg
+from .render import RenderError, render_svg
 
 __version__ = "0.1.0"
 
@@ -81,8 +81,6 @@ __all__ = [
     "edge_length_stats",
     "min_angular_resolution",
     "spearman",
-    "Color",
     "RenderError",
-    "color_for",
     "render_svg",
 ]

@@ -15,7 +15,7 @@ from .engine import LEVEL_EPS, LayoutConfig, check_positions, run_layout
 from .generators import generate_forest, generate_random_tree
 from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph_json, serialize_edge_list
 from .metrics import compute_metrics
-from .render import color_for, render_svg
+from .render import render_svg
 
 # The layout flags, in the order the report's config echo lists them: the
 # argparse dest (also the echo key), the LayoutConfig field it sets (None for
@@ -101,13 +101,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
         positions = run_layout(g, mass, config)
         sweeps = None
     if args.svg:
-        if g.vertex_count:
-            lo = float(cent.values.min())
-            hi = float(cent.values.max())
-            colors = [color_for(float(v), lo, hi) for v in cent.values]
-        else:
-            colors = None
-        svg = render_svg(g, positions, colors, sweeps, k=args.k, show_labels=args.labels)
+        svg = render_svg(g, positions, cent.values, sweeps, k=args.k, show_labels=args.labels)
         _write_text(args.svg, svg)
     if args.metrics:
         report = compute_metrics(g, positions, cent).as_dict()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
@@ -71,6 +72,9 @@ def _numbers(what: str, values, kind=Real, width: int | None = None) -> np.ndarr
     dtype, kinds = (np.int64, "iu") if kind is Integral else (np.float64, "iuf")
     tail = () if width is None else (width,)
     if isinstance(values, np.ndarray) and values.ndim and values.shape[1:] == tail and values.dtype.kind in kinds:
+        # astype would wrap a uint64 entry past the int64 range to a negative number
+        if kind is Integral and values.dtype == np.uint64 and (values >> np.uint64(63)).any():
+            raise ValueError(f"{what}: a number is beyond the int64 range")
         return values.astype(dtype, copy=False)
     try:
         rows = list(values)
@@ -115,9 +119,10 @@ class Graph:
     endpoint must be an integer (Python or numpy; bool and float are
     rejected). The edges may be given as any sequence of pairs or an (m, 2)
     integer array; `edge_array`, a read-only (m, 2) int64 array, is their one
-    store. `labels`, when given, is stored as a tuple of str, one per vertex.
-    Use :meth:`from_edges` to build a graph from arbitrary pair iterables.
-    Two graphs are equal when their vertex counts, edges and labels are.
+    store. `labels`, when given, is stored as a tuple of distinct str, one per
+    vertex. Use :meth:`from_edges` to build a graph from arbitrary pair
+    iterables. Two graphs are equal when their vertex counts, edges and
+    labels are.
     """
 
     vertex_count: int
@@ -148,6 +153,9 @@ class Graph:
             if not all(map(isinstance, labels, repeat(str))):
                 bad_label = next(x for x in labels if not isinstance(x, str))
                 raise ValueError(f"labels must be strings, got {bad_label!r}")
+            if len(set(labels)) < n:
+                repeated = next(label for label, c in Counter(labels).items() if c > 1)
+                raise ValueError(f"labels must be distinct, but {repeated!r} is repeated")
             object.__setattr__(self, "labels", labels)
         ea.setflags(write=False)
         object.__setattr__(self, "edge_array", ea)
@@ -283,17 +291,15 @@ def serialize_edge_list(g: Graph) -> str:
     Every vertex is declared first as a single-token line (in id order) so
     that re-parsing assigns identical dense ids; edges follow in canonical
     order. ValueError, naming the vertex, when a label could not be read
-    back as that one token: an empty label, one holding whitespace or
-    starting with '#', or one shared with an earlier vertex. Otherwise
+    back as that one token: an empty label, or one holding whitespace or
+    starting with '#' (`Graph` keeps labels distinct). Otherwise
     parse(serialize(parse(x))) == parse(x) holds by construction.
     """
     labels = [g.label_of(v) for v in range(g.vertex_count)]
     if g.labels is not None:
-        seen = set()
         for v, label in enumerate(labels):
-            if label.split() != [label] or label.startswith("#") or label in seen:
-                raise ValueError(f"vertex {v}: label {label!r} is not a distinct edge-list token")
-            seen.add(label)
+            if label.split() != [label] or label.startswith("#"):
+                raise ValueError(f"vertex {v}: label {label!r} is not an edge-list token")
     lines = labels + [f"{labels[u]} {labels[v]}" for u, v in g.edge_array.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 

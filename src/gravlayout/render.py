@@ -1,11 +1,10 @@
 """SVG output: vertices as circles, edges as lines or as circular arcs given
-by their sweeps (`arcs.arc_geometry`), and a blue-to-red color spectrum for
-centrality."""
+by their sweeps (`arcs.arc_geometry`), and each vertex colored by its value,
+such as its centrality, on a blue-to-red spectrum."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,38 +28,23 @@ class RenderError(ValueError):
     """Raised when a drawing cannot be serialized."""
 
 
-@dataclass(frozen=True)
-class Color:
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self) -> None:
-        for component in (self.r, self.g, self.b):
-            if not 0 <= component <= 255:
-                raise ValueError(f"color component {component} out of range")
-
-    @property
-    def css(self) -> str:
-        return f"#{self.r:02x}{self.g:02x}{self.b:02x}"
-
-
-def color_for(value: float, lo: float, hi: float) -> Color:
-    """Linear blue-to-red spectrum: blue at lo, red at hi, clamped outside."""
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    if lo == hi:
-        return Color(255, 0, 0)
-    t = (value - lo) / (hi - lo)
-    t = min(1.0, max(0.0, t))
-    # round half up so the midpoint lands on (128, 0, 128)
-    r = int(math.floor(255.0 * t + 0.5))
-    b = int(math.floor(255.0 * (1.0 - t) + 0.5))
-    return Color(r, 0, b)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
+
+
+def _fills(values: np.ndarray | None, n: int) -> list[int]:
+    """The n circle fills, as 0xRRGGBB ints, by the rule render_svg states."""
+    if values is None or not n:
+        return [0x5B7DB1] * n
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        return [0xFF0000] * n
+    if hi - lo == math.inf:
+        # a spread beyond the float range: halve every value (exact, but for
+        # subnormals) so hi - lo is finite and t keeps its value
+        values, lo, hi = values / 2, lo / 2, hi / 2
+    t = (values - lo) / (hi - lo)
+    return (np.floor(255.0 * t + 0.5) * 0x10000 + np.floor(255.0 * (1.0 - t) + 0.5)).astype(np.int64).tolist()
 
 
 def _arc_extremes(u, v, mid, center, radius) -> np.ndarray:
@@ -80,7 +64,7 @@ def _arc_extremes(u, v, mid, center, radius) -> np.ndarray:
 def render_svg(
     g: Graph,
     positions,
-    colors: list[Color] | None = None,
+    values=None,
     sweeps=None,
     *,
     k: float = 80.0,
@@ -91,13 +75,17 @@ def render_svg(
     Edges are drawn first, in #444444 at width 0.01 * k: a line, or, when
     sweeps gives the edge an arc of finite radius (`arcs.arc_geometry`), the
     circular-arc path of that sweep between its endpoints' positions.
-    Vertices go on top as filled circles of radius 0.05 * k. The drawing
-    keeps y-up mathematical orientation via a flip transform, and the
-    viewBox is the drawing's bounding box, vertices and every drawn arc,
-    padded by 0.1 * k. RenderError unless k is a positive finite number,
-    positions pass `engine.check_positions`, colors, when given, holds one
-    Color per vertex, and sweeps, when given, holds one number in (-2 pi,
-    2 pi) per edge: numbers by `graphs._numbers`, never bools.
+    Vertices go on top as circles of radius 0.05 * k, filled #5b7db1 without
+    values, else by their value on a linear blue-to-red spectrum: t = (v -
+    lo) / (hi - lo) over the values' least lo and greatest hi gives #RR00BB
+    with R = floor(255 t + 0.5) and B = floor(255 (1 - t) + 0.5), and every
+    fill is #ff0000 when lo == hi. The drawing keeps y-up mathematical
+    orientation via a flip transform, and the viewBox is the drawing's
+    bounding box, vertices and every drawn arc, padded by 0.1 * k.
+    RenderError unless k is a positive finite number, positions pass
+    `engine.check_positions`, values, when given, holds one finite number
+    per vertex, and sweeps, when given, holds one number in (-2 pi, 2 pi)
+    per edge: numbers by `graphs._numbers`, never bools.
     """
     try:
         if _check_finite("k", k) <= 0:
@@ -113,12 +101,13 @@ def render_svg(
         if bad.size:
             raise ValueError(f"non-finite coordinate for vertex {g.label_of(int(bad[0]))}")
         mid, center, arc_radius = arc_geometry(pos, g, sweeps)
+        if values is not None:
+            rule = f"values must hold {g.vertex_count} finite numbers, one per vertex"
+            values = _numbers(rule, values)
+            if values.shape != (g.vertex_count,) or not np.isfinite(values).all():
+                raise ValueError(rule)
     except ValueError as exc:
         raise RenderError(str(exc)) from None
-    if colors is not None and len(colors) != g.vertex_count:
-        raise RenderError(f"{len(colors)} colors for {g.vertex_count} vertices")
-    if colors is not None and not all(isinstance(c, Color) for c in colors):
-        raise RenderError("colors holds an entry that is not a Color")
     radius = 0.05 * k
     stroke = f'stroke="#444444" stroke-width="{_fmt(0.01 * k)}"'
     pad = 0.1 * k
@@ -150,11 +139,10 @@ def render_svg(
             f'A {r} {r} 0 {int(abs(s) > math.pi)} {int(s > 0)} {_fmt(pos[v, 0])} {_fmt(pos[v, 1])}" '
             f'fill="none" {stroke}/>'
         )
-    for v in range(g.vertex_count):
-        fill = colors[v].css if colors is not None else "#5b7db1"
+    for v, fill in enumerate(_fills(values, g.vertex_count)):
         body.append(
             f'<circle cx="{_fmt(pos[v, 0])}" cy="{_fmt(pos[v, 1])}" '
-            f'r="{_fmt(radius)}" fill="{fill}"/>'
+            f'r="{_fmt(radius)}" fill="#{fill:06x}"/>'
         )
     if show_labels:
         for v in range(g.vertex_count):

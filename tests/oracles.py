@@ -16,9 +16,10 @@ over uint64 arrays, in the radial start's jitter too. `fit_arc`, the
 circumcircle through an arc's endpoints and its midpoint, stands in for
 the closed-form arcs built from each edge's sweep. A per-line loop stands
 in for the bulk edge-list parser, and plain checks on the decoded object
-for the JSON graph parser. `random_value` and `fuzz_json_text` make the
-seeded inputs of the boundary fuzz tests, and `not_numbers` the values
-that every numeric boundary must refuse.
+for the JSON graph parser. A per-vertex loop over scalar colors stands in
+for the renderer's vectorised fill spectrum. `random_value` and
+`fuzz_json_text` make the seeded inputs of the boundary fuzz tests, and
+`not_numbers` the values that every numeric boundary must refuse.
 """
 
 from __future__ import annotations
@@ -680,3 +681,23 @@ def average_ranks_reference(values) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def fills_reference(values) -> list[str]:
+    """The circle fill of each value as one scalar color per vertex: t = (v -
+    lo) / (hi - lo) clamped to [0, 1], #RR00BB with R and B rounded half up
+    from 255 t and 255 (1 - t), and every fill red when lo == hi."""
+    if not len(values):
+        return []
+    lo, hi = float(min(values)), float(max(values))
+    fills = []
+    for value in values:
+        if lo == hi:
+            r, b = 255, 0
+        else:
+            t = min(1.0, max(0.0, (float(value) - lo) / (hi - lo)))
+            # round half up so the midpoint lands on (128, 0, 128)
+            r = int(math.floor(255.0 * t + 0.5))
+            b = int(math.floor(255.0 * (1.0 - t) + 0.5))
+        fills.append(f"#{r:02x}00{b:02x}")
+    return fills

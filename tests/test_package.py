@@ -19,23 +19,26 @@ PUBLIC = {
     "serialize_edge_list", "serialize_graph_json",
     "DrawingMetrics", "bounding_area", "centrality_radius_correlation", "compute_metrics", "count_crossings",
     "edge_length_stats", "min_angular_resolution", "spearman",
-    "Color", "RenderError", "color_for", "render_svg",
+    "RenderError", "render_svg",
 }
 
 # compute_centrality(g, kind) replaces the four per-kind functions; the
-# engine's level and stop rules are private; nothing used the BFS distances.
+# engine's level and stop rules are private; nothing used the BFS distances;
+# render_svg colors vertices from their values itself.
 REMOVED = (
     "degree_centrality", "closeness_centrality", "betweenness_centrality", "uniform_centrality",
     "schedule_gamma", "settled",
     "bfs_distances", "DistanceVector", "UNREACHABLE",
+    "Color", "color_for",
 )
 
 
 def test_public_names():
-    assert len(gravlayout.__all__) == len(PUBLIC) == 35
+    assert len(gravlayout.__all__) == len(PUBLIC) == 33
     assert set(gravlayout.__all__) == PUBLIC
     assert all(hasattr(gravlayout, name) for name in gravlayout.__all__)
     assert [name for name in REMOVED if hasattr(gravlayout, name)] == []
+    assert not hasattr(gravlayout.render, "Color") and not hasattr(gravlayout.render, "color_for")
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from gravlayout import (
-    Color,
     Graph,
     LayoutConfig,
     RenderError,
     arc_geometry,
-    color_for,
     compute_centrality,
     layout_lombardi,
     normalize_mass,
@@ -22,7 +20,7 @@ from gravlayout import (
 )
 from conftest import LOMBARDI_TREES, fresh_python, lombardi_tree
 from gravlayout import render
-from oracles import not_numbers
+from oracles import fills_reference, not_numbers
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -32,33 +30,58 @@ def count_tags(svg, tag):
     return len(list(root.iter(SVG_NS + tag)))
 
 
+def fills(values):
+    """The circle fills render_svg gives one vertex per value, on a line."""
+    n = len(values)
+    svg = render_svg(Graph(n), [(80.0 * i, 0.0) for i in range(n)], values)
+    return [c.attrib["fill"] for c in ET.fromstring(svg).iter(SVG_NS + "circle")]
+
+
 def test_color_endpoints_and_midpoint():
-    assert color_for(0.0, 0.0, 1.0) == Color(0, 0, 255)
-    assert color_for(1.0, 0.0, 1.0) == Color(255, 0, 0)
-    assert color_for(0.5, 0.0, 1.0) == Color(128, 0, 128)
+    assert fills([0.0, 1.0, 0.5]) == ["#0000ff", "#ff0000", "#800080"]
+    assert fills(np.array([2, -6, -2])) == ["#ff0000", "#0000ff", "#800080"]
 
 
 def test_color_clamps_and_degenerate_range():
-    assert color_for(-5.0, 0.0, 1.0) == Color(0, 0, 255)
-    assert color_for(9.0, 0.0, 1.0) == Color(255, 0, 0)
-    assert color_for(3.0, 2.0, 2.0) == Color(255, 0, 0)
-    with pytest.raises(ValueError):
-        color_for(0.0, 1.0, 0.0)
+    # lo and hi are the values' own extremes, so t never leaves [0, 1], even
+    # when hi - lo overflows the float range.
+    assert fills([3.0, 3.0]) == fills([-0.0, 0.0]) == ["#ff0000"] * 2
+    assert fills([-1e308, 0.0, 1e308, 5e-324]) == ["#0000ff", "#800080", "#ff0000", "#800080"]
+    assert fills([-1.7e308, 1.7e308, 0.0]) == ["#0000ff", "#ff0000", "#800080"]
 
 
 def test_color_monotone():
     values = np.linspace(-0.2, 1.2, 57)
-    colors = [color_for(v, 0.0, 1.0) for v in values]
-    for a, b in zip(colors, colors[1:]):
-        assert b.r >= a.r
-        assert b.b <= a.b
+    rb = [(int(f[1:3], 16), int(f[5:7], 16)) for f in fills(values)]
+    for (r0, b0), (r1, b1) in zip(rb, rb[1:]):
+        assert r1 >= r0
+        assert b1 <= b0
 
 
 def test_color_validation():
-    with pytest.raises(ValueError):
-        Color(-1, 0, 0)
-    with pytest.raises(ValueError):
-        Color(0, 300, 0)
+    # Every fill is #RR00BB with R + B 255, or 256 where both round up from
+    # a half (the midpoint #800080), whatever the spread.
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1.0, 1e300):
+        for f in fills(np.append(rng.normal(size=40), [-1.0, 0.0, 1.0]) * scale):
+            assert re.fullmatch("#[0-9a-f]{2}00[0-9a-f]{2}", f)
+            assert int(f[1:3], 16) + int(f[5:7], 16) in (255, 256)
+
+
+def test_render_fills_match_scalar_reference():
+    rng = np.random.default_rng(35)
+    cases = [[], [7.5], [0.25] * 5, [-3.0, -1.0, -2.0], [0.0, 1e-300, 1e300]]
+    for _ in range(100):
+        n = int(rng.integers(1, 30))
+        cases += [
+            rng.integers(0, 4, n).tolist(),
+            rng.normal(size=n) * 10.0 ** rng.integers(-5, 6),
+            np.full(n, rng.normal()),
+            -rng.exponential(size=n),
+            rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+        ]
+    for values in cases:
+        assert fills(values) == fills_reference(list(values)), values
 
 
 def test_render_k2_counts():
@@ -157,9 +180,9 @@ def test_render_arc_starts_at_its_vertex():
 
 def test_render_colors_applied():
     g = Graph.from_edges(2, [(0, 1)])
-    svg = render_svg(g, [(0, 0), (80, 0)], colors=[Color(255, 0, 0), Color(0, 0, 255)])
-    fills = [c.attrib["fill"] for c in ET.fromstring(svg).iter(SVG_NS + "circle")]
-    assert fills == ["#ff0000", "#0000ff"]
+    for values, want in (([1.0, 0.0], ["#ff0000", "#0000ff"]), (None, ["#5b7db1"] * 2)):
+        svg = render_svg(g, [(0, 0), (80, 0)], values=values)
+        assert [c.attrib["fill"] for c in ET.fromstring(svg).iter(SVG_NS + "circle")] == want
 
 
 def test_render_rejects_non_finite():
@@ -168,23 +191,24 @@ def test_render_rejects_non_finite():
         render_svg(g, [(0, 0), (float("nan"), 0)])
 
 
-def test_render_rejects_colors_not_one_per_vertex():
-    # A short list raised IndexError partway through the body.
+def test_render_rejects_values_not_one_per_vertex():
+    # A short color list raised IndexError partway through the body.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     pos = [(0, 0), (80, 0), (160, 0)]
-    for colors in ([], [Color(255, 0, 0)] * 2, [Color(255, 0, 0)] * 4):
-        with pytest.raises(RenderError, match="colors for 3 vertices"):
-            render_svg(g, pos, colors)
-    assert count_tags(render_svg(g, pos, [Color(255, 0, 0)] * 3), "circle") == 3
+    for values in ([], [1.0] * 2, [1.0] * 4, np.ones((3, 1)), np.ones((1, 3)), 1.0, np.float64(1.0)):
+        with pytest.raises(RenderError, match="values must hold 3 finite numbers"):
+            render_svg(g, pos, values)
+    assert count_tags(render_svg(g, pos, [1.0] * 3), "circle") == 3
 
 
-def test_render_rejects_colors_that_are_not_colors():
-    # A string or None entry raised AttributeError on its missing .css.
+def test_render_rejects_values_that_are_not_finite_numbers():
+    # A string or None entry in a color list raised AttributeError on its missing .css.
     g = Graph.from_edges(2, [(0, 1)])
     pos = [(0, 0), (80, 0)]
-    for colors in (["red", "blue"], [Color(255, 0, 0), None], [(255, 0, 0), Color(0, 0, 255)]):
-        with pytest.raises(RenderError, match="not a Color"):
-            render_svg(g, pos, colors)
+    bad = [["red", "blue"], "rb", [0.0, None], [True, 1.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 1]]
+    for values in bad + not_numbers([0.0, 1.0]) + [np.array([0.0, np.nan])]:
+        with pytest.raises(RenderError, match="values must hold 2 finite numbers"):
+            render_svg(g, pos, values)
 
 
 @pytest.mark.parametrize(
